@@ -37,10 +37,13 @@ def _sym_r():
     return RationalFunction.gen("r")
 
 
+def _r_value(r):
+    """The shift parameter: the generator of Q(r), or a rational value."""
+    return _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+
+
 def _rho(n, r):
-    if r == "symbolic" or r is None:
-        return ShiftVector.staircase_multiple(n, _sym_r())
-    return ShiftVector.staircase_multiple(n, Fraction(r))
+    return ShiftVector.staircase_multiple(n, _r_value(r))
 
 
 def _r_label(r):
@@ -153,7 +156,7 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
                         rho=[str(e) for e in rho.entries]))
     for r in ("symbolic", Fraction(5, 3)):
         rho = _rho(n, r)
-        rr = _sym_r() if r == "symbolic" else r
+        rr = _r_value(r)
         for d in range(1, dmax + 1):
             lam = (d,) + (0,) * (n - 1)
             if single_row(d, rr, n) != interpolation_polynomial(lam, rho):
@@ -190,7 +193,7 @@ def check_eigenvalue(n, dmax, r="symbolic"):
     """The generating family acts diagonally with the product eigenvalue."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    rr = _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    rr = _r_value(r)
     for d in range(dmax + 1):
         for lam, P in interpolation_basis(n, d, rho).items():
             family = apply_difference_family(P, rr)
@@ -207,7 +210,7 @@ def check_eigenvalue(n, dmax, r="symbolic"):
 def check_commutativity(n, dmax, r="symbolic"):
     """All pairs commute, in both operator families, as exact matrices."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rr = _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    rr = _r_value(r)
     basis = enumerate_upto(n, dmax)
     columns = [apply_difference_family(SymPoly.basis(n, mu), rr)
                for mu in basis]
@@ -249,7 +252,7 @@ def check_cutoff(n, dmax, r="symbolic"):
     from itertools import combinations
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    rr = _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    rr = _r_value(r)
     phis = {}
     for size in range(n + 1):
         for rows in combinations(range(n), size):
@@ -272,7 +275,7 @@ def check_cutoff(n, dmax, r="symbolic"):
 def check_raising_stability(n, dmax, r="symbolic"):
     """Raising by k lands in degree d + k with top component e_k times the input."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rr = _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    rr = _r_value(r)
     for mu in enumerate_upto(n, dmax):
         f = SymPoly.basis(n, mu)
         for k in range(1, n + 1):
@@ -290,7 +293,7 @@ def check_degree_bound(n, dmax, r="symbolic", trials=6, seed=DEFAULT_SEED):
     """The difference family never raises degree, on random inputs."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r),
               "trials": trials, "seed": seed}
-    rr = _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    rr = _r_value(r)
     rng = random.Random(seed)
     pool = enumerate_upto(n, dmax)
     for _ in range(trials):

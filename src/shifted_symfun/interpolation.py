@@ -12,15 +12,15 @@ ring during back-substitution.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from .partitions import (as_partition, enumerate_exact, enumerate_upto,
-                         rho_hook_product, staircase, trim)
-from .scalars import (ExactDivisionError, RationalFunction, UniPoly,
-                      _lift, binom_scalar, common_denominator, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, collect_symmetric, complete_eval,
-                      divide_by_vandermonde, elementary, falling_power,
-                      factorial_monomial, vandermonde)
+                         rho_hook_product, staircase)
+from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
+                      common_denominator, scalar_key)
+from .sympoly import (SparsePoly, SymPoly, _signed_permutations,
+                      collect_symmetric, complete_eval, divide_by_vandermonde,
+                      elementary, factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -393,20 +393,12 @@ def factorial_schur(lam, n):
     delta = staircase(n)
     powers = [lam[j] + delta[j] for j in range(n)]
     det = SparsePoly.zero(n)
-    for sigma in _signed_permutations(n):
-        perm, sign = sigma
+    for perm, sign in _signed_permutations(n):
         term = SparsePoly.const(n, Fraction(sign))
         for i in range(n):
             term = term * falling_power(n, i, powers[perm[i]])
         det = det + term
     return collect_symmetric(divide_by_vandermonde(det))
-
-
-def _signed_permutations(n):
-    for perm in permutations(range(n)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if perm[a] > perm[b])
-        yield perm, (-1) ** inv
 
 
 def factorial_monomial_sym(lam, n):

@@ -14,22 +14,13 @@ eigenfunctions that the top components of the interpolation family hit.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .partitions import enumerate_upto, staircase
 from .scalars import UniPoly, _lift, common_denominator, scalar_key
-from .sympoly import (SparsePoly, SymPoly, collect_symmetric,
-                      collect_symmetric_t, divide_by_vandermonde,
-                      e_basis_expand, elementary_eval)
-
-
-def _signed_perms(n):
-    out = []
-    for perm in permutations(range(n)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if perm[a] > perm[b])
-        out.append((perm, (-1) ** inv))
-    return out
+from .sympoly import (SparsePoly, SymPoly, _signed_permutations,
+                      collect_symmetric, collect_symmetric_t,
+                      divide_by_vandermonde, e_basis_expand, elementary_eval)
 
 
 def _binomial_power(n, i, base_shift, e, has_t):
@@ -53,7 +44,7 @@ def cutoff_phi(rows, n, r):
     delta = staircase(n)
     r = _lift(r)
     det = SparsePoly.zero(n)
-    for perm, sign in _signed_perms(n):
+    for perm, sign in _signed_permutations(n):
         term = SparsePoly.const(n, Fraction(sign))
         for i in range(n):
             dj = delta[perm[i]]
@@ -74,7 +65,7 @@ def _subset_coefficient(rows, n, r):
     r = _lift(r)
     t = SparsePoly.t_var(n)
     det = SparsePoly.zero(n, has_t=True)
-    for perm, sign in _signed_perms(n):
+    for perm, sign in _signed_permutations(n):
         term = SparsePoly.const(n, Fraction(sign), has_t=True)
         for i in range(n):
             dj = delta[perm[i]]
@@ -209,7 +200,7 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
     g, lcm = _clear(f)
     src = g.to_sparse()
     acc = {}
-    perms = _signed_perms(n)
+    perms = _signed_permutations(n)
     for key, c in src.terms.items():
         for perm, sign in perms:
             consts = [r * delta[perm[i]] + key[i] for i in range(n)]

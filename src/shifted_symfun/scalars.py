@@ -10,10 +10,24 @@ A "Scalar" is a Fraction or a RationalFunction.  UniPoly shows up as the
 coefficient domain of generating polynomials in t and inside RationalFunction.
 Mixing scalars that live over different parameters is a bug, not a coercion
 opportunity, and raises TagMismatchError.
+
+Representation.  A UniPoly over Q is a rational content times a primitive
+integer polynomial: ``cont`` is an int or a Fraction, and ``prim`` a tuple
+of ints, lowest degree first, with gcd 1 and a positive leading entry (the
+zero polynomial has content 0 and ``prim == ()``).  By Gauss's lemma products
+of primitive parts are primitive, so multiplication needs no gcd; exact
+division is integer long division and the gcd is computed on plain ints.
+``coeffs``, the Fraction coefficient tuple, is built on first use for
+rendering and cache keys only.
+
+The one second path: a UniPoly whose coefficients include RationalFunctions
+(a polynomial in t over Q(r), built by ``operators.eigenvalue_poly``) keeps
+its coefficients as they are and runs a plain coefficient loop.  On that
+path ``cont`` is None and ``prim`` holds the coefficients themselves.
 """
 
 from fractions import Fraction
-from math import factorial, gcd as int_gcd
+from math import factorial, gcd
 
 
 class TagMismatchError(TypeError):
@@ -39,22 +53,253 @@ def _as_coeff(c):
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+# -- dense integer polynomials ---------------------------------------------
+#
+# Tuples or lists of ints, lowest degree first, no trailing zeros.  These
+# are the kernel's working representation; nothing outside this module
+# sees them.
+
+def _qdiv(a, b):
+    """Exact quotient of two rationals; an int when both are ints and
+    the division leaves no remainder."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _qnorm(c):
+    """An integral Fraction as an int; int arithmetic is much cheaper."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _zprimitive(cs):
+    """(content, primitive tuple) of a nonzero trimmed int sequence.
+
+    The content carries the sign of the leading coefficient, so the
+    primitive part always has a positive one.
+    """
+    g = gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, tuple(cs)
+    return g, tuple([c // g for c in cs])
+
+
+def _zmul(a, b):
+    """Product of two nonzero int polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple([c * x for x in a])
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _zpow(a, k):
+    result = (1,)
+    while k:
+        if k & 1:
+            result = _zmul(result, a)
+        k >>= 1
+        if k:
+            a = _zmul(a, a)
+    return result
+
+
+def _zcombine(x, a, y, b):
+    """x*a + y*b for int scalars x, y; trailing zeros dropped."""
+    if len(a) < len(b):
+        x, a, y, b = y, b, x, a
+    if x == 1 and y == 1:
+        out = [u + v for u, v in zip(a, b)]
+    else:
+        out = [x * u + y * v for u, v in zip(a, b)]
+    if len(a) > len(b):
+        tail = a[len(b):]
+        out.extend(tail if x == 1 else [x * u for u in tail])
+    else:
+        while out and not out[-1]:
+            out.pop()
+    return out
+
+
+def _zdiv_exact(a, b):
+    """The quotient a / b in Z[x], or None when b does not divide a."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return None
+    lb = b[-1]
+    if db == 0:
+        if lb == 1:
+            return a
+        if any(c % lb for c in a):
+            return None
+        return tuple([c // lb for c in a])
+    if b[0] and a[0] % b[0]:
+        return None
+    rem = list(a)
+    low = b[:db]
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[k + db]
+        if top:
+            q, m = divmod(top, lb)
+            if m:
+                return None
+            quo[k] = q
+            rem[k:k + db] = [r - q * c for r, c in zip(rem[k:k + db], low)]
+    if any(rem[:db]):
+        return None
+    return tuple(quo)
+
+
+def _zpseudo_divmod(a, b):
+    """(q, r, m) with m*a = q*b + r over Z, deg r < deg b, m = lc(b)^k."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return (), tuple(a), 1
+    lb = b[-1]
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    mult = 1
+    for k in range(dq, -1, -1):
+        top = rem[k + db]
+        if not top:
+            continue
+        if top % lb:
+            rem = [lb * c for c in rem]
+            quo = [lb * c for c in quo]
+            mult *= lb
+            top *= lb
+        q = top // lb
+        quo[k] = q
+        for i in range(db + 1):
+            rem[k + i] -= q * b[i]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem), mult
+
+
+def _zgcd(f, g):
+    """(h, f/h, g/h) for primitive f, g with positive leading terms.
+
+    h is their primitive gcd, from the primitive polynomial remainder
+    sequence, so both cofactors are primitive too.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return (1,), f, g
+    if f == g:
+        return f, (1,), (1,)
+    a, b = f, g
+    while b:
+        r = _zpseudo_divmod(a, b)[1]
+        a, b = b, (_zprimitive(r)[1] if r else ())
+    return a, _zdiv_exact(f, a), _zdiv_exact(g, a)
+
+
+def _zeval_homog(a, p, q):
+    """q^deg(a) * a(p/q) as an int."""
+    v = 0
+    qk = 1
+    for c in reversed(a):
+        v = v * p + c * qk
+        qk *= q
+    return v
+
+
+# -- univariate polynomials ------------------------------------------------
+
+def _poly(var, cont, prim):
+    """UniPoly over Q from a nonzero content and a primitive tuple."""
+    p = object.__new__(UniPoly)
+    p.var = var
+    p.cont = cont
+    p.prim = prim
+    p._coeffs = None
+    return p
+
+
+def _poly_from_ints(var, den, cs):
+    """UniPoly with coefficients cs / den; cs a trimmed int list."""
+    if not cs:
+        return _poly(var, 0, ())
+    c, prim = _zprimitive(cs)
+    return _poly(var, _qdiv(c, den), prim)
+
+
+def _ratio_parts(ca, cb):
+    """Ints (x, y, den) with ca = x/den and cb = y/den."""
+    if type(ca) is int and type(cb) is int:
+        return ca, cb, 1
+    na, da = ca.numerator, ca.denominator
+    nb, db = cb.numerator, cb.denominator
+    if da == db:
+        return na, nb, da
+    g = gcd(da, db)
+    return na * (db // g), nb * (da // g), da // g * db
+
+
 class UniPoly:
     """Dense univariate polynomial, coefficients lowest degree first.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
     Coefficients are Fractions, or RationalFunctions over a different
-    parameter (polynomials in t over Q(r), for instance).
+    parameter (polynomials in t over Q(r), for instance).  Instances are
+    immutable; see the module docstring for the stored form.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "cont", "prim", "_coeffs")
 
     def __init__(self, var, coeffs=()):
         self.var = var
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = None
+        if any(isinstance(c, RationalFunction) for c in cs):
+            self.cont = None
+            self.prim = self._coeffs = tuple(_as_coeff(c) for c in cs)
+            return
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                d = c.denominator
+                if den % d:
+                    den = den // gcd(den, d) * d
+            elif not isinstance(c, int):
+                raise TypeError(
+                    f"cannot use {type(c).__name__} as a coefficient")
+        if den == 1:
+            ints = [int(c) for c in cs]
+        else:
+            ints = [c.numerator * (den // c.denominator)
+                    if isinstance(c, Fraction) else c * den for c in cs]
+        if ints:
+            c, self.prim = _zprimitive(ints)
+            self.cont = _qdiv(c, den)
+        else:
+            self.cont, self.prim = 0, ()
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple, lowest degree first."""
+        cs = self._coeffs
+        if cs is None:
+            c = Fraction(self.cont)
+            cs = self._coeffs = tuple([c * v for v in self.prim])
+        return cs
 
     @classmethod
     def const(cls, var, c):
@@ -62,29 +307,29 @@ class UniPoly:
 
     @classmethod
     def gen(cls, var):
-        return cls(var, (0, 1))
+        return _poly(var, 1, (0, 1))
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.prim
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def leading(self):
-        if not self.coeffs:
+        if not self.prim:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.prim) <= 1
 
     def constant_value(self):
-        if len(self.coeffs) > 1:
+        if len(self.prim) > 1:
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.prim else Fraction(0)
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.prim) else Fraction(0)
 
     def _coerce(self, other):
         """Lift other to a UniPoly in self.var, or return None."""
@@ -98,25 +343,33 @@ class UniPoly:
                 return None  # handled by RationalFunction reflected ops
             return UniPoly(self.var, (other,))
         if isinstance(other, (int, Fraction)):
-            return UniPoly(self.var, (other,))
+            if not other:
+                return _poly(self.var, 0, ())
+            return _poly(self.var, _qnorm(other), (1,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return UniPoly(self.var, cs)
+        if self.cont is None or o.cont is None:
+            return UniPoly(self.var, _coeff_add(self.coeffs, o.coeffs))
+        if not o.prim:
+            return self
+        if not self.prim:
+            return o
+        x, y, den = _ratio_parts(self.cont, o.cont)
+        return _poly_from_ints(self.var, den,
+                               _zcombine(x, self.prim, y, o.prim))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, tuple(-c for c in self.coeffs))
+        if self.cont is None:
+            return UniPoly(self.var, tuple(-c for c in self.prim))
+        if not self.prim:
+            return self
+        return _poly(self.var, -self.cont, self.prim)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, UniPoly) else -_lift(other))
@@ -128,22 +381,21 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return UniPoly(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(self.var, out)
+        if not self.prim or not o.prim:
+            return _poly(self.var, 0, ())
+        if self.cont is None or o.cont is None:
+            return UniPoly(self.var, _coeff_mul(self.coeffs, o.coeffs))
+        return _poly(self.var, self.cont * o.cont, _zmul(self.prim, o.prim))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
+        if self.cont is not None:
+            if not self.prim:
+                return self if k else _poly(self.var, 1, (1,))
+            return _poly(self.var, self.cont ** k, _zpow(self.prim, k))
         result = UniPoly.const(self.var, Fraction(1))
         base = self
         while k:
@@ -157,21 +409,14 @@ class UniPoly:
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return UniPoly(self.var), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = o.coeffs[-1]
-        for k in range(dq, -1, -1):
-            top = rem[k + len(o.coeffs) - 1]
-            if not top:
-                continue
-            q = top / lead
-            quo[k] = q
-            for i, c in enumerate(o.coeffs):
-                rem[k + i] = rem[k + i] - q * c
-        return UniPoly(self.var, quo), UniPoly(self.var, rem)
+        if self.cont is None or o.cont is None:
+            quo, rem = _coeff_divmod(self.coeffs, o.coeffs)
+            return UniPoly(self.var, quo), UniPoly(self.var, rem)
+        q, r, m = _zpseudo_divmod(self.prim, o.prim)
+        quo = _poly_from_ints(self.var, 1, list(q))
+        rem = _poly_from_ints(self.var, 1, list(r))
+        scale = _qdiv(self.cont, m)
+        return (_scaled(quo, _qdiv(scale, o.cont)), _scaled(rem, scale))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -180,6 +425,15 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
+        o = self._coerce(other)
+        if (o is not None and o.prim and self.cont is not None
+                and o.cont is not None):
+            if not self.prim:
+                return self
+            q = _zdiv_exact(self.prim, o.prim)
+            if q is None:
+                raise ExactDivisionError(f"{self} is not divisible by {other}")
+            return _poly(self.var, _qdiv(self.cont, o.cont), q)
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ExactDivisionError(f"{self} is not divisible by {other}")
@@ -187,37 +441,39 @@ class UniPoly:
 
     def primitive(self):
         """Scale to coprime integer coefficients with positive leading one."""
-        if not self.coeffs:
+        if self.cont is None:
+            raise TypeError("primitive part needs Fraction coefficients")
+        if not self.prim:
             return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            if not isinstance(c, Fraction):
-                raise TypeError("primitive part needs Fraction coefficients")
-            num_gcd = int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        if self.coeffs[-1] < 0:
-            scale = -scale
-        return UniPoly(self.var, tuple(c * scale for c in self.coeffs))
+        return _poly(self.var, 1, self.prim)
 
     def monic(self):
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UniPoly(self.var, tuple(c / lead for c in self.coeffs))
+        if self.cont is None:
+            lead = self.prim[-1]
+            return UniPoly(self.var, tuple(c / lead for c in self.prim))
+        return _poly(self.var, _qdiv(1, self.prim[-1]), self.prim)
 
     def gcd(self, other):
-        """Monic gcd over Q[var]; keeps intermediate coefficients primitive."""
-        a, b = self.primitive(), self._coerce(other).primitive()
-        while not b.is_zero():
-            _, r = divmod(a, b)
-            a, b = b, (r if r.is_zero() else r.primitive())
-        return a.monic()
+        """Monic gcd over Q[var], computed on the primitive parts."""
+        o = self._coerce(other)
+        if self.cont is None or o is None or o.cont is None:
+            raise TypeError("gcd needs Fraction coefficients")
+        if not o.prim:
+            return self.monic()
+        if not self.prim:
+            return o.monic()
+        h = _zgcd(self.prim, o.prim)[0]
+        return _poly(self.var, _qdiv(1, h[-1]), h)
 
     def __call__(self, value):
+        if self.cont is not None and isinstance(value, (int, Fraction)):
+            if not self.prim:
+                return Fraction(0)
+            p, q = value.numerator, value.denominator
+            return self.cont * Fraction(_zeval_homog(self.prim, p, q),
+                                        q ** (len(self.prim) - 1))
         result = Fraction(0)
         for c in reversed(self.coeffs):
             result = result * value + c
@@ -225,6 +481,9 @@ class UniPoly:
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
+            if self.cont is not None and other.cont is not None:
+                return (self.var == other.var and self.prim == other.prim
+                        and self.cont == other.cont)
             return self.var == other.var and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
@@ -234,10 +493,10 @@ class UniPoly:
         return hash((self.var, self.coeffs))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.prim)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.prim:
             return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
@@ -269,6 +528,54 @@ class UniPoly:
         return f"UniPoly({self.var!r}, {self.coeffs!r})"
 
 
+def _scaled(p, c):
+    """p times a nonzero rational."""
+    if not p.prim:
+        return p
+    return _poly(p.var, p.cont * c, p.prim)
+
+
+# The generic coefficient loop, used only when a coefficient is a
+# RationalFunction (see the module docstring).
+
+def _coeff_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    cs = list(a)
+    for i, c in enumerate(b):
+        cs[i] = cs[i] + c
+    return cs
+
+
+def _coeff_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _coeff_divmod(a, b):
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return (), rem
+    quo = [Fraction(0)] * (dq + 1)
+    lead = b[-1]
+    for k in range(dq, -1, -1):
+        top = rem[k + len(b) - 1]
+        if not top:
+            continue
+        q = top / lead
+        quo[k] = q
+        for i, c in enumerate(b):
+            rem[k + i] = rem[k + i] - q * c
+    return quo, rem
+
+
 def _lift(x):
     if isinstance(x, int):
         return Fraction(x)
@@ -281,21 +588,62 @@ _ONE_CACHE = {}  # constant-one denominators, keyed per parameter
 def _one_poly(param):
     p = _ONE_CACHE.get(param)
     if p is None:
-        p = UniPoly(param, (Fraction(1),))
+        p = _poly(param, 1, (1,))
         _ONE_CACHE[param] = p
     return p
+
+
+def _rf(var, k, n, d):
+    """The RationalFunction k * n / d in normal form.
+
+    k is a rational; n and d are coprime primitive int tuples with
+    positive leading terms (n may be empty for zero).
+    """
+    f = object.__new__(RationalFunction)
+    if not n or not k:
+        f.num = _poly(var, 0, ())
+        f.den = _one_poly(var)
+    elif len(d) == 1:
+        f.num = _poly(var, k, n)
+        f.den = _one_poly(var)
+    else:
+        lead = d[-1]
+        f.num = _poly(var, _qdiv(k, lead), n)
+        f.den = _poly(var, _qdiv(1, lead), d)
+    return f
+
+
+def _rf_over(num, den):
+    """The RationalFunction num / den for a numerator already coprime to
+    the monic denominator den."""
+    f = object.__new__(RationalFunction)
+    f.num = num
+    f.den = den
+    return f
+
+
+def _rf_reduced(var, k, n, d):
+    """Like _rf, but cancels the gcd of n and d first."""
+    if len(n) > 1 and len(d) > 1:
+        _, n, d = _zgcd(n, d)
+    return _rf(var, k, n, d)
+
+
+def _rf_scale(f):
+    """The rational k with f == k * num.prim / den.prim."""
+    return f.num.cont * f.den.prim[-1]
 
 
 class RationalFunction:
     """Reduced fraction of two UniPoly over Q, denominator monic and nonzero.
 
     Instances are immutable and hashable; the (num, den) pair is the unique
-    normal form, so == is coefficientwise comparison.
+    normal form, so == compares the stored contents and primitive parts.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         if not isinstance(num, UniPoly):
             raise TypeError("numerator must be a UniPoly")
         if den is None:
@@ -305,24 +653,12 @@ class RationalFunction:
         if num.var != den.var:
             raise TagMismatchError(
                 f"numerator in {num.var!r}, denominator in {den.var!r}")
-        if num.is_zero():
-            den = _one_poly(num.var)
-        elif den.is_constant():
-            if den.coeffs[0] != 1:
-                num = num * (Fraction(1) / den.coeffs[0])
-                den = _one_poly(num.var)
-        elif not _reduced:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        if num.cont is None or den.cont is None:
+            raise TypeError("rational functions need Fraction coefficients")
+        f = _rf_reduced(num.var, _qdiv(num.cont, den.cont), num.prim,
+                        den.prim)
+        self.num = f.num
+        self.den = f.den
 
     @property
     def param(self):
@@ -337,7 +673,7 @@ class RationalFunction:
         return cls(UniPoly.const(param, _lift(c)))
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        return len(self.num.prim) <= 1 and len(self.den.prim) == 1
 
     def constant_value(self):
         if not self.is_constant():
@@ -345,7 +681,7 @@ class RationalFunction:
         return self.num.constant_value()
 
     def is_polynomial(self):
-        return self.den.is_constant()
+        return len(self.den.prim) == 1
 
     def as_unipoly(self):
         if not self.is_polynomial():
@@ -359,27 +695,47 @@ class RationalFunction:
                     f"rational functions in {self.param!r} and {other.param!r} do not mix")
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(
-                UniPoly.const(self.param, _lift(other)), _reduced=True)
+            return _rf(self.param, _qnorm(other), (1,), (1,))
         if isinstance(other, UniPoly):
             if other.var == self.param:
-                return RationalFunction(other, _reduced=True)
+                if other.cont is None:
+                    raise TypeError(
+                        "rational functions need Fraction coefficients")
+                return _rf(self.param, other.cont, other.prim, (1,))
             return None  # t-polynomial over Q(r): let UniPoly handle it
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # n/d + c = (n + c*d)/d, still reduced
+            if not other:
+                return self
+            return _rf_over(self.num + self.den * other, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_constant() and o.den.is_constant():
-            return RationalFunction(self.num + o.num, _reduced=True)
-        num = self.num * o.den + o.num * self.den
-        return RationalFunction(num, self.den * o.den)
+        if not o.num.prim:
+            return self
+        if not self.num.prim:
+            return o
+        var = self.param
+        d1, d2 = self.den.prim, o.den.prim
+        if d1 == d2:
+            num = self.num + o.num
+            return _rf_reduced(var, num.cont * d1[-1], num.prim, d1)
+        # k1 n1/d1 + k2 n2/d2 over the denominator d1*d2
+        k1, k2 = _rf_scale(self), _rf_scale(o)
+        x, y, den = _ratio_parts(k1, k2)
+        n = _zcombine(x, _zmul(self.num.prim, d2), y, _zmul(o.num.prim, d1))
+        if not n:
+            return _rf(var, 0, (), (1,))
+        c, n = _zprimitive(n)
+        return _rf_reduced(var, _qdiv(c, den), n, _zmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _reduced=True)
+        return _rf_over(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -391,42 +747,58 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other or not self.num.prim:
+                return _rf(self.param, 0, (), (1,))
+            num = self.num
+            k = num.cont * _qnorm(other)
+            return _rf_over(_poly(num.var, k, num.prim), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_constant() and o.den.is_constant():
-            return RationalFunction(self.num * o.num, _reduced=True)
-        # cross-cancel so the constructor's gcd sees small inputs
-        g1 = self.num.gcd(o.den) if not o.den.is_constant() else None
-        g2 = o.num.gcd(self.den) if not self.den.is_constant() else None
-        n1 = self.num.exact_div(g1) if g1 and g1.degree() > 0 else self.num
-        d2 = o.den.exact_div(g1) if g1 and g1.degree() > 0 else o.den
-        n2 = o.num.exact_div(g2) if g2 and g2.degree() > 0 else o.num
-        d1 = self.den.exact_div(g2) if g2 and g2.degree() > 0 else self.den
-        return RationalFunction(n1 * n2, d1 * d2)
+        n1, d1 = self.num.prim, self.den.prim
+        n2, d2 = o.num.prim, o.den.prim
+        if not n1 or not n2:
+            return _rf(self.param, 0, (), (1,))
+        if len(d1) == 1 and len(d2) == 1:
+            return _rf(self.param, self.num.cont * o.num.cont,
+                       _zmul(n1, n2), d1)
+        # cross-cancel: both inputs are reduced, so the product is too
+        if len(d2) > 1 and len(n1) > 1:
+            _, n1, d2 = _zgcd(n1, d2)
+        if len(d1) > 1 and len(n2) > 1:
+            _, n2, d1 = _zgcd(n2, d1)
+        return _rf(self.param, _rf_scale(self) * _rf_scale(o),
+                   _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
+
+    def _inverse(self):
+        if not self.num.prim:
+            raise ZeroDivisionError("division by zero rational function")
+        return _rf(self.param, _qdiv(1, _rf_scale(self)), self.den.prim,
+                   self.num.prim)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction(o.den, o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
-        if self.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+        inv = self._inverse()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * RationalFunction(self.den, self.num)
+        return o * inv
 
     def __pow__(self, k):
         if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction(self.num ** k, self.den ** k)
+            return self._inverse() ** (-k)
+        if not self.num.prim:
+            return self if k else _rf(self.param, 1, (1,), (1,))
+        return _rf(self.param, _rf_scale(self) ** k,
+                   _zpow(self.num.prim, k), _zpow(self.den.prim, k))
 
     def substitute(self, value):
         """Evaluate at a rational value of the parameter."""
@@ -437,19 +809,21 @@ class RationalFunction:
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
-            return (self.param == other.param and self.num == other.num
-                    and self.den == other.den)
+            return (self.num.prim == other.num.prim
+                    and self.den.prim == other.den.prim
+                    and self.num.cont == other.num.cont
+                    and self.param == other.param)
         if isinstance(other, (int, Fraction)):
-            return self.den.is_constant() and self.num == other
+            return len(self.den.prim) == 1 and self.num == other
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.param, self.num.coeffs, self.den.coeffs))
+        return hash((self.param, self.num.cont, self.num.prim, self.den.prim))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.prim)
 
     def __str__(self):
         ns = str(self.num)

@@ -13,6 +13,7 @@ collect_symmetric, which verifies symmetry instead of assuming it.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
@@ -25,6 +26,16 @@ class NotSymmetricError(ValueError):
 
 def _perms(key):
     return set(permutations(key))
+
+
+def _signed_permutations(n):
+    """Every permutation of range(n) with its sign, as (perm, +-1) pairs."""
+    out = []
+    for perm in permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n)
+                  if perm[a] > perm[b])
+        out.append((perm, -1 if inv % 2 else 1))
+    return out
 
 
 class SparsePoly:
@@ -303,7 +314,11 @@ class SparsePoly:
 
 
 class SymPoly:
-    """Symmetric polynomial in n variables, stored by partition (m-basis)."""
+    """Symmetric polynomial in n variables, stored by partition (m-basis).
+
+    ``terms`` is a read-only view: interpolation and Jack results are
+    cached per process, and a caller must not be able to edit them.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -315,7 +330,11 @@ class SymPoly:
             c = _lift(c)
             if c:
                 clean[lam] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from a plain dict
+        return SymPoly, (self.n, dict(self.terms))
 
     @classmethod
     def zero(cls, n):
@@ -543,14 +562,9 @@ def factorial_monomial(n, lam):
 
 def vandermonde(n):
     """Product of (x_i - x_j) over i < j, via the alternating sum."""
-    out = {}
     delta = staircase(n)
-    for sigma in permutations(range(n)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if sigma[a] > sigma[b])
-        key = tuple(delta[s] for s in sigma)
-        out[key] = Fraction(-1) ** inv
-    return SparsePoly(n, out)
+    return SparsePoly(n, {tuple(delta[s] for s in sigma): sign
+                          for sigma, sign in _signed_permutations(n)})
 
 
 def divide_by_vandermonde(p):

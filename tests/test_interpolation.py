@@ -64,6 +64,9 @@ def test_solve_linear_singular():
         solve_linear([[Fraction(1), Fraction(1)],
                       [Fraction(2), Fraction(2)]],
                      [[Fraction(1)], [Fraction(0)]])
+    # the same refusal over Q(r): the second row is r times the first
+    with pytest.raises(NonDominantError):
+        solve_linear([[R, R ** 0], [R * R, R]], [[R ** 0], [R]])
 
 
 def test_shift_vector_dominance():
@@ -215,3 +218,23 @@ def test_first_column_reduction():
 def test_staircase_convention():
     assert ShiftVector.staircase_multiple(3, Fraction(2)).entries == \
         tuple(Fraction(2) * k for k in staircase(3))
+
+
+def test_cached_polynomial_cannot_be_mutated():
+    from shifted_symfun.checks import run_check
+    rho = ShiftVector.staircase_multiple(2, Fraction(1, 2))
+    P = interpolation_polynomial((1, 0), rho)
+    with pytest.raises(TypeError):
+        P.terms[(0, 0)] = Fraction(7)
+    assert interpolation_polynomial((1, 0), rho) is P
+    assert run_check("vanishing", 2, 1, r=Fraction(1, 2))["status"] == "pass"
+
+
+def test_cached_polynomial_pickles_and_deep_copies():
+    import copy
+    import pickle
+    P = interpolation_polynomial((2, 1), ShiftVector.staircase_multiple(2, R))
+    for Q in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P)):
+        assert Q == P and Q is not P
+        with pytest.raises(TypeError):
+            Q.terms[(0, 0)] = Fraction(7)

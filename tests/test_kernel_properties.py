@@ -1,0 +1,232 @@
+"""Property tests of the scalar kernel, with sympy as the oracle.
+
+sympy and hypothesis are test-time dependencies only; nothing under
+``src/`` imports them.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from shifted_symfun.interpolation import solve_linear  # noqa: E402
+from shifted_symfun.scalars import RationalFunction, UniPoly  # noqa: E402
+
+PROPS = settings(max_examples=60, deadline=None)
+R_SYM = sympy.Symbol("r")
+
+
+def rationals_upto(bound):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 9))
+
+
+rationals = rationals_upto(40)
+
+
+def polys(max_degree=4, bound=40):
+    return st.lists(rationals_upto(bound), max_size=max_degree + 1).map(
+        lambda cs: UniPoly("r", cs))
+
+
+def nonzero_polys(max_degree=4):
+    return polys(max_degree).filter(lambda p: not p.is_zero())
+
+
+rational_functions = st.builds(RationalFunction, polys(3), nonzero_polys(3))
+
+
+# -- conversions to and from sympy --------------------------------------------
+
+def to_sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)] or [0], R_SYM, domain=QQ)
+
+
+def from_sympy_poly(p):
+    return UniPoly("r", [Fraction(int(c.p), int(c.q))
+                         for c in reversed(p.all_coeffs())])
+
+
+def to_sympy(f):
+    return (to_sympy_poly(f.num).as_expr()
+            / to_sympy_poly(f.den).as_expr())
+
+
+def sympy_normal_form(expr):
+    """(numerator, monic denominator) of a sympy rational function."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num = sympy.Poly(num, R_SYM, domain=QQ)
+    den = sympy.Poly(den, R_SYM, domain=QQ)
+    lead = den.LC()
+    return from_sympy_poly(num.quo_ground(lead)), from_sympy_poly(den.monic())
+
+
+# -- ring and field laws ------------------------------------------------------
+
+@PROPS
+@given(polys(), polys(), polys())
+def test_polynomial_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0 and (a - a).is_zero()
+    assert a + 0 == a and a * 1 == a
+    assert -(-a) == a and a - b == a + (-b)
+    for p in (a + b, a - b, a * b, a * Fraction(1, 3)):
+        assert all(type(v) is Fraction for v in p.coeffs)
+
+
+@PROPS
+@given(polys(6), nonzero_polys())
+def test_polynomial_division(a, b):
+    q, rem = divmod(a, b)
+    assert q * b + rem == a
+    assert rem.degree() < b.degree()
+    assert (a * b).exact_div(b) == a
+
+
+@PROPS
+@given(polys(), st.integers(0, 4), rationals)
+def test_polynomial_power_and_evaluation(a, k, x):
+    want = Fraction(1)
+    for _ in range(k):
+        want *= a(x)
+    assert (a ** k)(x) == want and type(a(x)) is Fraction
+    assert a(x) == sum((c * x ** i for i, c in enumerate(a.coeffs)),
+                       Fraction(0))
+
+
+@PROPS
+@given(rational_functions, rational_functions, rational_functions)
+def test_rational_function_field_laws(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0
+    if b:
+        assert (a / b) * b == a
+        assert b * (1 / b) == 1
+        assert b ** -2 == 1 / (b * b)
+
+
+@PROPS
+@given(rational_functions, rationals)
+def test_rational_function_scalar_operands(a, c):
+    cf = RationalFunction.const("r", c)
+    assert a + c == a + cf and c + a == a + cf
+    assert a * c == a * cf and c * a == a * cf
+    assert a - c == a - cf and c - a == cf - a
+    if c:
+        assert a / c == a / cf
+
+
+# -- normal form --------------------------------------------------------------
+
+@PROPS
+@given(polys(3), nonzero_polys(3), nonzero_polys(2))
+def test_normal_form_is_unique(n, d, g):
+    f = RationalFunction(n, d)
+    h = RationalFunction(n * g, d * g)
+    assert f == h
+    assert f.num.coeffs == h.num.coeffs and f.den.coeffs == h.den.coeffs
+    assert hash(f) == hash(h)
+    assert f.den.coefficient(f.den.degree()) == 1
+
+
+@PROPS
+@given(rationals, nonzero_polys(3))
+def test_constant_hashes_like_its_fraction(c, p):
+    f = RationalFunction(p * c, p)
+    assert f.is_constant() and f == c
+    assert hash(f) == hash(c)
+    assert hash(RationalFunction.const("r", c)) == hash(c)
+
+
+@PROPS
+@given(polys(4), nonzero_polys(4), nonzero_polys(2))
+def test_normal_form_matches_sympy_cancel(n, d, g):
+    f = RationalFunction(n * g, d * g)
+    num, den = sympy_normal_form(to_sympy_poly(n * g).as_expr()
+                                 / to_sympy_poly(d * g).as_expr())
+    assert f.num == num and f.den == den
+
+
+# -- gcd ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("bound", [40, 10 ** 7])
+@PROPS
+@given(data=st.data())
+def test_gcd_matches_sympy(bound, data):
+    # elimination over Q[r] produces coefficients far beyond 10^4
+    g = data.draw(polys(3, bound))
+    a, b = (data.draw(polys(4, bound)) * g for _ in range(2))
+    want = from_sympy_poly(sympy.gcd(to_sympy_poly(a), to_sympy_poly(b)))
+    assert a.gcd(b) == want
+
+
+# -- the linear solver --------------------------------------------------------
+
+small_polys = st.lists(st.integers(-5, 5), max_size=3).map(
+    lambda cs: UniPoly("r", cs))
+# mostly polynomial entries, as the interpolation systems have, and some
+# with denominators so that rows must be cleared
+entries = st.builds(
+    RationalFunction, small_polys,
+    st.one_of(st.just(UniPoly("r", [1])), st.just(UniPoly("r", [1])),
+              small_polys.filter(lambda p: not p.is_zero())))
+
+
+@st.composite
+def linear_systems(draw):
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    A = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                      min_size=k, max_size=k))
+    B = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                      min_size=k, max_size=k))
+    return A, B
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_domain_matrix(system):
+    A, B = system
+    k, m = len(A), len(B[0])
+    field = QQ.frac_field(R_SYM)
+    dA = DomainMatrix.from_list_sympy(
+        k, k, [[to_sympy(e) for e in row] for row in A]).convert_to(field)
+    assume(not dA.det() == field.zero)
+    dB = DomainMatrix.from_list_sympy(
+        k, m, [[to_sympy(e) for e in row] for row in B]).convert_to(field)
+    want = dA.lu_solve(dB).to_Matrix()
+    cols = solve_linear(A, B)
+    for j in range(m):
+        for i in range(k):
+            got = cols[j][i]
+            if not isinstance(got, RationalFunction):
+                got = RationalFunction(got) if isinstance(got, UniPoly) \
+                    else RationalFunction.const("r", got)
+            num, den = sympy_normal_form(want[i, j])
+            assert got.num == num and got.den == den
+
+
+# -- the coefficient loop for polynomials over Q(r) ---------------------------
+
+@PROPS
+@given(rational_functions, rational_functions, rationals)
+def test_polynomial_over_rational_functions(a, b, x):
+    t = UniPoly.gen("t")
+    p = (t + a) * (t + b)
+    assert p.coefficient(2) == 1
+    assert p.coefficient(1) == a + b
+    assert p.coefficient(0) == a * b
+    assert p(x) == (x + a) * (x + b)
