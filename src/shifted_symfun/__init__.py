@@ -1,8 +1,8 @@
 """Exact interpolation symmetric polynomials and their operator calculus.
 
-The package works over exact scalars only: rationals, univariate
-rational functions of one named parameter, and univariate polynomials
-layered on top of either.  The central objects are the inhomogeneous
+The package works over exact scalars only: rationals and univariate
+rational functions of one named parameter, whose numerators and
+denominators are univariate polynomials over Q.  The central objects are the inhomogeneous
 symmetric polynomials pinned down by vanishing conditions on shifted
 partition nodes; around them sit explicit difference operators, raising
 operators, determinantal closed forms, and the bridge to Jack
@@ -12,7 +12,7 @@ polynomials with its positivity scan.
 from .scalars import (ExactDivisionError, PoleError, RationalFunction,
                       TagMismatchError, UniPoly, binom_scalar,
                       common_denominator, falling_factorial,
-                      invert_parameter, is_scalar, scalar_arith, scalar_key,
+                      invert_parameter, is_scalar, scalar_key,
                       substitute)
 from .partitions import (as_partition, boxes, conjugate, conjugate_part,
                          contains, dominance_leq, dominance_less,

@@ -200,7 +200,7 @@ def check_eigenvalue(n, dmax, r="symbolic"):
             eig = eigenvalue_poly(lam, rr, n)
             for p in range(n + 1):
                 got = family.get(p, SymPoly.zero(n))
-                want = P * eig.coefficient(p)
+                want = P * eig[p]
                 if got != want:
                     return _report("eigenvalue", params, _w(
                         lam=lam, t_power=p))

@@ -198,6 +198,17 @@ def _resolve_workers(value):
     return value
 
 
+def _run_tasks(fn, tasks, requested):
+    """[fn(t) for t in tasks], on a process pool when more than one
+    worker is left after capping the request at the task count and at
+    the number of CPUs."""
+    workers = min(requested, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _substitute_alpha(sym, value):
     try:
         return sym.map_coeffs(
@@ -259,7 +270,10 @@ def cmd_compute(args):
                 raise ConfigError("one-row needs a single-row partition")
             if lam[0] == 0:
                 raise ConfigError("one-row needs a nonempty row")
-            sym = single_row(lam[0], rr, n)
+            try:
+                sym = single_row(lam[0], rr, n)
+            except ValueError as exc:  # the closed form's normalizer is 0
+                raise ConfigError(f"one-row closed form: {exc}") from None
         else:
             raise ConfigError(f"unknown --what {what!r}")
 
@@ -306,11 +320,7 @@ def cmd_verify(args):
                               "handling and does not take --r")
     workers = _resolve_workers(args.workers)
     tasks = [(name, args.n, args.dmax, r_arg) for name in names]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_one, tasks))
-    else:
-        reports = [_verify_one(t) for t in tasks]
+    reports = _run_tasks(_verify_one, tasks, workers)
     failed = [rep for rep in reports if rep["status"] != "pass"]
     if args.output == "json":
         doc = {"schema": 1, "command": "verify", "reports": reports,
@@ -343,11 +353,7 @@ def cmd_scan(args):
     tasks = [(args.n, lam)
              for d in range(args.dmax + 1)
              for lam in enumerate_exact(args.n, d)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_scan_one, tasks))
-    else:
-        reports = [_scan_one(t) for t in tasks]
+    reports = _run_tasks(_scan_one, tasks, workers)
     npass = sum(1 for rep in reports if rep["verdict"] == "pass")
     nfail = len(reports) - npass
     if args.output == "json":

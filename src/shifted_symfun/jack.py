@@ -81,7 +81,7 @@ def jack_P_eigen(lam, n, alpha=None):
               for mu in basis]
     rows = [[images[j].coefficient(basis[i]) for j in range(len(basis))]
             for i in range(len(basis))]
-    eig = eigenvalue_poly(lam, r, n)(Fraction(1))
+    eig = sum(eigenvalue_poly(lam, r, n))  # the eigenvalue at t = 1
     i_lam = pos[lam]
     coeffs = [None] * len(basis)
     coeffs[i_lam] = Fraction(1)

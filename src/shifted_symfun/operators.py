@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .partitions import enumerate_upto, staircase
-from .scalars import UniPoly, _lift, common_denominator, scalar_key
+from .scalars import _lift, common_denominator, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations,
                       collect_symmetric, collect_symmetric_t,
                       divide_by_vandermonde, e_basis_expand, elementary_eval)
@@ -175,15 +175,17 @@ def apply_raising(f, k, r):
 
 
 def eigenvalue_poly(lam, r, n):
-    """prod_i (lam_i + r*delta_i + t) as a polynomial in t."""
+    """prod_i (lam_i + r*delta_i + t) as its t-coefficients.
+
+    A tuple of n + 1 scalars, lowest power of t first, so entry p pairs
+    with the t^p piece of ``apply_difference_family``; entry p is
+    e_(n-p) of the constants lam_i + r*delta_i.
+    """
     r = _lift(r)
     delta = staircase(n)
     lam = tuple(lam) + (0,) * (n - len(lam))
-    out = UniPoly.const("t", Fraction(1))
-    for i in range(n):
-        c = lam[i] + r * delta[i]
-        out = out * UniPoly("t", (c, Fraction(1)))
-    return out
+    consts = [lam[i] + r * delta[i] for i in range(n)]
+    return tuple(elementary_eval(n - p, consts) for p in range(n + 1))
 
 
 def apply_sekiguchi_debiard(f, r, t_value=None):

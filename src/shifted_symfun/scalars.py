@@ -3,15 +3,18 @@
 Every coefficient in this package is one of three kinds:
 
   * Fraction            -- plain rational number
-  * UniPoly             -- polynomial in one named parameter (r, t or alpha)
-  * RationalFunction    -- quotient of two UniPoly over Fraction coefficients
+  * UniPoly             -- polynomial over Q in one named parameter
+  * RationalFunction    -- quotient of two UniPoly in the same parameter
 
-A "Scalar" is a Fraction or a RationalFunction.  UniPoly shows up as the
-coefficient domain of generating polynomials in t and inside RationalFunction.
-Mixing scalars that live over different parameters is a bug, not a coercion
-opportunity, and raises TagMismatchError.
+A "Scalar" is a Fraction or a RationalFunction.  UniPoly is the numerator
+and denominator of a RationalFunction and the entry type of the linear
+solver once rows are cleared of denominators.  Its coefficients are
+rationals only: a polynomial in t over Q(r) is kept as a tuple of its
+t-coefficients, not as a UniPoly.  Mixing scalars that live over different
+parameters is a bug, not a coercion opportunity, and raises
+TagMismatchError.
 
-Representation.  A UniPoly over Q is a rational content times a primitive
+Representation.  A UniPoly is a rational content times a primitive
 integer polynomial: ``cont`` is an int or a Fraction, and ``prim`` a tuple
 of ints, lowest degree first, with gcd 1 and a positive leading entry (the
 zero polynomial has content 0 and ``prim == ()``).  By Gauss's lemma products
@@ -19,11 +22,6 @@ of primitive parts are primitive, so multiplication needs no gcd; exact
 division is integer long division and the gcd is computed on plain ints.
 ``coeffs``, the Fraction coefficient tuple, is built on first use for
 rendering and cache keys only.
-
-The one second path: a UniPoly whose coefficients include RationalFunctions
-(a polynomial in t over Q(r), built by ``operators.eigenvalue_poly``) keeps
-its coefficients as they are and runs a plain coefficient loop.  On that
-path ``cont`` is None and ``prim`` holds the coefficients themselves.
 """
 
 from fractions import Fraction
@@ -40,17 +38,6 @@ class PoleError(ZeroDivisionError):
 
 class ExactDivisionError(ArithmeticError):
     """A division that was promised to be exact left a remainder."""
-
-
-def _as_coeff(c):
-    """Normalize an incoming coefficient to Fraction or RationalFunction."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, RationalFunction):
-        return c
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
 # -- dense integer polynomials ---------------------------------------------
@@ -255,9 +242,8 @@ class UniPoly:
     """Dense univariate polynomial, coefficients lowest degree first.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
-    Coefficients are Fractions, or RationalFunctions over a different
-    parameter (polynomials in t over Q(r), for instance).  Instances are
-    immutable; see the module docstring for the stored form.
+    Coefficients are rationals.  Instances are immutable; see the module
+    docstring for the stored form.
     """
 
     __slots__ = ("var", "cont", "prim", "_coeffs")
@@ -268,10 +254,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs = None
-        if any(isinstance(c, RationalFunction) for c in cs):
-            self.cont = None
-            self.prim = self._coeffs = tuple(_as_coeff(c) for c in cs)
-            return
         den = 1
         for c in cs:
             if isinstance(c, Fraction):
@@ -341,7 +323,9 @@ class UniPoly:
         if isinstance(other, RationalFunction):
             if other.param == self.var:
                 return None  # handled by RationalFunction reflected ops
-            return UniPoly(self.var, (other,))
+            raise TagMismatchError(
+                f"polynomial in {self.var!r} and rational function in "
+                f"{other.param!r} do not mix")
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _poly(self.var, 0, ())
@@ -352,8 +336,6 @@ class UniPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.cont is None or o.cont is None:
-            return UniPoly(self.var, _coeff_add(self.coeffs, o.coeffs))
         if not o.prim:
             return self
         if not self.prim:
@@ -365,8 +347,6 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.cont is None:
-            return UniPoly(self.var, tuple(-c for c in self.prim))
         if not self.prim:
             return self
         return _poly(self.var, -self.cont, self.prim)
@@ -383,8 +363,6 @@ class UniPoly:
             return NotImplemented
         if not self.prim or not o.prim:
             return _poly(self.var, 0, ())
-        if self.cont is None or o.cont is None:
-            return UniPoly(self.var, _coeff_mul(self.coeffs, o.coeffs))
         return _poly(self.var, self.cont * o.cont, _zmul(self.prim, o.prim))
 
     __rmul__ = __mul__
@@ -392,26 +370,14 @@ class UniPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        if self.cont is not None:
-            if not self.prim:
-                return self if k else _poly(self.var, 1, (1,))
-            return _poly(self.var, self.cont ** k, _zpow(self.prim, k))
-        result = UniPoly.const(self.var, Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if not self.prim:
+            return self if k else _poly(self.var, 1, (1,))
+        return _poly(self.var, self.cont ** k, _zpow(self.prim, k))
 
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.cont is None or o.cont is None:
-            quo, rem = _coeff_divmod(self.coeffs, o.coeffs)
-            return UniPoly(self.var, quo), UniPoly(self.var, rem)
         q, r, m = _zpseudo_divmod(self.prim, o.prim)
         quo = _poly_from_ints(self.var, 1, list(q))
         rem = _poly_from_ints(self.var, 1, list(r))
@@ -426,23 +392,17 @@ class UniPoly:
 
     def exact_div(self, other):
         o = self._coerce(other)
-        if (o is not None and o.prim and self.cont is not None
-                and o.cont is not None):
-            if not self.prim:
-                return self
-            q = _zdiv_exact(self.prim, o.prim)
-            if q is None:
-                raise ExactDivisionError(f"{self} is not divisible by {other}")
-            return _poly(self.var, _qdiv(self.cont, o.cont), q)
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        if o is None or o.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.prim:
+            return self
+        q = _zdiv_exact(self.prim, o.prim)
+        if q is None:
             raise ExactDivisionError(f"{self} is not divisible by {other}")
-        return q
+        return _poly(self.var, _qdiv(self.cont, o.cont), q)
 
     def primitive(self):
         """Scale to coprime integer coefficients with positive leading one."""
-        if self.cont is None:
-            raise TypeError("primitive part needs Fraction coefficients")
         if not self.prim:
             return self
         return _poly(self.var, 1, self.prim)
@@ -450,16 +410,13 @@ class UniPoly:
     def monic(self):
         if self.is_zero():
             return self
-        if self.cont is None:
-            lead = self.prim[-1]
-            return UniPoly(self.var, tuple(c / lead for c in self.prim))
         return _poly(self.var, _qdiv(1, self.prim[-1]), self.prim)
 
     def gcd(self, other):
         """Monic gcd over Q[var], computed on the primitive parts."""
         o = self._coerce(other)
-        if self.cont is None or o is None or o.cont is None:
-            raise TypeError("gcd needs Fraction coefficients")
+        if o is None:
+            raise TypeError(f"no gcd with {type(other).__name__}")
         if not o.prim:
             return self.monic()
         if not self.prim:
@@ -468,7 +425,7 @@ class UniPoly:
         return _poly(self.var, _qdiv(1, h[-1]), h)
 
     def __call__(self, value):
-        if self.cont is not None and isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
             if not self.prim:
                 return Fraction(0)
             p, q = value.numerator, value.denominator
@@ -481,10 +438,8 @@ class UniPoly:
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            if self.cont is not None and other.cont is not None:
-                return (self.var == other.var and self.prim == other.prim
-                        and self.cont == other.cont)
-            return self.var == other.var and self.coeffs == other.coeffs
+            return (self.var == other.var and self.prim == other.prim
+                    and self.cont == other.cont)
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -512,10 +467,7 @@ class UniPoly:
                 elif c == -1:
                     body = f"-{v}"
                 else:
-                    cs = str(c)
-                    if isinstance(c, RationalFunction) or " " in cs:
-                        cs = f"({cs})"
-                    body = f"{cs}*{v}"
+                    body = f"{c}*{v}"
             if parts and not body.startswith("-"):
                 parts.append(f" + {body}")
             elif parts:
@@ -533,47 +485,6 @@ def _scaled(p, c):
     if not p.prim:
         return p
     return _poly(p.var, p.cont * c, p.prim)
-
-
-# The generic coefficient loop, used only when a coefficient is a
-# RationalFunction (see the module docstring).
-
-def _coeff_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    cs = list(a)
-    for i, c in enumerate(b):
-        cs[i] = cs[i] + c
-    return cs
-
-
-def _coeff_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _coeff_divmod(a, b):
-    rem = list(a)
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return (), rem
-    quo = [Fraction(0)] * (dq + 1)
-    lead = b[-1]
-    for k in range(dq, -1, -1):
-        top = rem[k + len(b) - 1]
-        if not top:
-            continue
-        q = top / lead
-        quo[k] = q
-        for i, c in enumerate(b):
-            rem[k + i] = rem[k + i] - q * c
-    return quo, rem
 
 
 def _lift(x):
@@ -653,8 +564,6 @@ class RationalFunction:
         if num.var != den.var:
             raise TagMismatchError(
                 f"numerator in {num.var!r}, denominator in {den.var!r}")
-        if num.cont is None or den.cont is None:
-            raise TypeError("rational functions need Fraction coefficients")
         f = _rf_reduced(num.var, _qdiv(num.cont, den.cont), num.prim,
                         den.prim)
         self.num = f.num
@@ -697,12 +606,11 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return _rf(self.param, _qnorm(other), (1,), (1,))
         if isinstance(other, UniPoly):
-            if other.var == self.param:
-                if other.cont is None:
-                    raise TypeError(
-                        "rational functions need Fraction coefficients")
-                return _rf(self.param, other.cont, other.prim, (1,))
-            return None  # t-polynomial over Q(r): let UniPoly handle it
+            if other.var != self.param:
+                raise TagMismatchError(
+                    f"rational function in {self.param!r} and polynomial "
+                    f"in {other.var!r} do not mix")
+            return _rf(self.param, other.cont, other.prim, (1,))
         return None
 
     def __add__(self, other):
@@ -853,33 +761,6 @@ def scalar_key(x):
     if isinstance(x, RationalFunction):
         return ("rf", x.param, x.num.coeffs, x.den.coeffs)
     raise TypeError(f"not a scalar: {x!r}")
-
-
-def scalar_arith(a, b, op):
-    """Strict arithmetic on tagged scalars.
-
-    op is one of '+', '-', '*', '/'.  Both operands must live in the same
-    world: two Fractions, or two RationalFunctions over the same parameter.
-    Anything else raises TagMismatchError.
-    """
-    a, b = _lift(a), _lift(b)
-    if isinstance(a, Fraction) != isinstance(b, Fraction):
-        raise TagMismatchError(
-            f"cannot combine {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, RationalFunction) and a.param != b.param:
-        raise TagMismatchError(
-            f"parameters {a.param!r} and {b.param!r} do not mix")
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if not b:
-            raise ZeroDivisionError("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def substitute(x, value):

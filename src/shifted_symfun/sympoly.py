@@ -98,16 +98,6 @@ class SparsePoly:
         return SparsePoly(self.n, {k + (0,): c for k, c in self.terms.items()},
                           has_t=True)
 
-    def without_t(self):
-        if not self.has_t:
-            return self
-        out = {}
-        for k, c in self.terms.items():
-            if k[-1]:
-                raise ValueError("polynomial still involves t")
-            out[k[:-1]] = c
-        return SparsePoly(self.n, out)
-
     def t_components(self):
         """Split by t power into plain polynomials: {t_exponent: poly}."""
         if not self.has_t:
@@ -248,10 +238,6 @@ class SparsePoly:
 
     def is_symmetric(self):
         return all(self.swap_vars(i, i + 1) == self for i in range(self.n - 1))
-
-    def is_skew_symmetric(self):
-        neg = -self
-        return all(self.swap_vars(i, i + 1) == neg for i in range(self.n - 1))
 
     def divide_linear_diff(self, i, j):
         """Exact division by (x_i - x_j); raises if a remainder is left."""

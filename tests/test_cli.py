@@ -105,6 +105,20 @@ def test_compute_config_errors(capsys):
         assert err.startswith("error:")
 
 
+def test_one_row_vanishing_normalizer_refused(capsys):
+    # r = -2 is dominant at n = 1, but binom(2, 3) = 0 kills the closed
+    # form's normalizer; the solver route still answers
+    code, out, _ = run(capsys, ["compute", "--what", "P", "--lambda", "3",
+                                "--n", "1", "--r", "-2"])
+    assert code == 0
+    assert out.strip() == "m[3] - 3 m[2] + 2 m[1]"
+    code, out, err = run(capsys, ["compute", "--what", "one-row",
+                                  "--lambda", "3", "--n", "1", "--r", "-2"])
+    assert code == 2
+    assert err.startswith("error:") and "binom(-r, 3)" in err
+    assert out == ""
+
+
 def test_verify_examples(capsys):
     code, out, _ = run(capsys, ["verify", "--check", "eigenvalue",
                                 "--n", "2", "--dmax", "4", "--symbolic"])
@@ -189,6 +203,46 @@ def test_scan_worker_determinism(capsys):
     _, out2, _ = run(capsys, ["scan", "--n", "2", "--dmax", "3",
                               "--output", "json", "--workers", "3"])
     assert out1 == out2
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    maps in this process, so no worker process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_worker_count_is_capped(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    argv = ["scan", "--n", "2", "--dmax", "2", "--output", "json"]
+    _, out_one, _ = run(capsys, argv + ["--workers", "1"])
+    assert FakePool.sizes == []
+    _, out_many, _ = run(capsys, argv + ["--workers", "64"])
+    assert FakePool.sizes == [2]
+    assert out_many == out_one
+    # one task never needs a pool; two tasks cap the request at two
+    verify = ["verify", "--n", "2", "--dmax", "1", "--workers", "64"]
+    run(capsys, verify + ["--check", "vanishing"])
+    assert FakePool.sizes == [2]
+    run(capsys, verify + ["--check", "vanishing,eigenvalue"])
+    assert FakePool.sizes == [2, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run(capsys, argv + ["--workers", "64"])
+    assert FakePool.sizes == [2, 2]
 
 
 def test_scan_workers_from_environment(capsys, monkeypatch):

@@ -4,6 +4,7 @@ sympy and hypothesis are test-time dependencies only; nothing under
 ``src/`` imports them.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from sympy import QQ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from shifted_symfun.interpolation import solve_linear  # noqa: E402
-from shifted_symfun.scalars import RationalFunction, UniPoly  # noqa: E402
+from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
+                                    TagMismatchError, UniPoly)
 
 PROPS = settings(max_examples=60, deadline=None)
 R_SYM = sympy.Symbol("r")
@@ -219,14 +221,16 @@ def test_solve_linear_matches_domain_matrix(system):
             assert got.num == num and got.den == den
 
 
-# -- the coefficient loop for polynomials over Q(r) ---------------------------
+# -- one storage form: UniPoly has rational coefficients only ----------------
 
-@PROPS
-@given(rational_functions, rational_functions, rationals)
-def test_polynomial_over_rational_functions(a, b, x):
-    t = UniPoly.gen("t")
-    p = (t + a) * (t + b)
-    assert p.coefficient(2) == 1
-    assert p.coefficient(1) == a + b
-    assert p.coefficient(0) == a * b
-    assert p(x) == (x + a) * (x + b)
+def test_unipoly_rejects_other_parameters():
+    t, r = UniPoly.gen("t"), RationalFunction.gen("r")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TagMismatchError):
+            op(t, r)
+        with pytest.raises(TagMismatchError):
+            op(r, t)
+    with pytest.raises(TagMismatchError):
+        _ = r / t
+    with pytest.raises(TypeError):
+        UniPoly("t", (r, 1))

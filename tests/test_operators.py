@@ -14,7 +14,7 @@ from shifted_symfun.operators import (OperatorMatrix, _subset_coefficient,
                                       operator_matrix)
 from shifted_symfun.partitions import (dominance_leq, enumerate_upto,
                                        staircase)
-from shifted_symfun.scalars import RationalFunction, UniPoly
+from shifted_symfun.scalars import RationalFunction
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
 R = RationalFunction.gen("r")
@@ -66,14 +66,19 @@ def test_cutoff_vanishing_where_strip_breaks():
                     assert val == 0
 
 
+def t_value(coeffs, t):
+    """sum_p c_p t^p for a coefficient tuple from eigenvalue_poly."""
+    return sum(c * t ** p for p, c in enumerate(coeffs))
+
+
 def test_family_on_constants():
     """On 1 the family reduces to the empty-partition eigenvalue."""
     one = SymPoly.one(2)
     fam = apply_difference_family(one, R)
     want = eigenvalue_poly((0, 0), R, 2)  # (t + r)(t + 0)
-    assert want == UniPoly.gen("t") ** 2 + UniPoly.gen("t") * R
+    assert want == (0, R, 1)
     for p in range(3):
-        c = want.coefficient(p)
+        c = want[p]
         if c:
             assert fam[p] == one * c
         else:
@@ -82,13 +87,16 @@ def test_family_on_constants():
 
 def test_eigenvalue_poly_frozen():
     e = eigenvalue_poly((1, 0), R, 2)
-    t = UniPoly.gen("t")
-    assert e == (t + R + 1) * t
+    assert e == (0, R + 1, 1)
     e3 = eigenvalue_poly((2, 1, 0), R, 3)
-    ts = [Fraction(0), Fraction(1), Fraction(-1)]
-    for tv in ts:
+    assert len(e3) == 4
+    for tv in (Fraction(0), Fraction(1), Fraction(-1)):
+        assert t_value(e, tv) == (tv + R + 1) * tv
         want = (tv + 2 * R + 2) * (tv + R + 1) * tv
-        assert e3(tv) == want
+        assert t_value(e3, tv) == want
+    # (t + 2 + 1/2)(t + 1) at r = 1/2
+    assert eigenvalue_poly((2, 1), Fraction(1, 2), 2) == \
+        (Fraction(5, 2), Fraction(7, 2), 1)
 
 
 def test_interpolation_polynomials_are_eigenfunctions():
@@ -98,7 +106,7 @@ def test_interpolation_polynomials_are_eigenfunctions():
             fam = apply_difference_family(P, R)
             eig = eigenvalue_poly(lam, R, 2)
             for p in range(3):
-                assert fam.get(p, SymPoly.zero(2)) == P * eig.coefficient(p)
+                assert fam.get(p, SymPoly.zero(2)) == P * eig[p]
 
 
 def test_difference_component_identity():
@@ -139,7 +147,7 @@ def test_sekiguchi_triangular_with_eigenvalue_diagonal():
         same_degree = lambda a, b: sum(a) == sum(b) and dominance_leq(a, b)
         assert mat.is_triangular(same_degree)
         for mu in mat.source:
-            assert mat.entry(mu, mu) == eigenvalue_poly(mu, R, n)(t0)
+            assert mat.entry(mu, mu) == t_value(eigenvalue_poly(mu, R, n), t0)
 
 
 def test_sekiguchi_on_random_input_matches_matrix():
