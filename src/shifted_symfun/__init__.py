@@ -21,7 +21,7 @@ from .partitions import (as_partition, boxes, conjugate, conjugate_part,
                          lower_hook, pieri_coefficient, rho_hook_product,
                          rho_hooklength, staircase, trim, upper_hook,
                          vertical_strips, x_set)
-from .sympoly import (NotSymmetricError, SparsePoly, SymPoly,
+from .sympoly import (NotSymmetricError, SparsePoly, SymPoly, alternant,
                       collect_symmetric, collect_symmetric_t, complete,
                       complete_eval, divide_by_vandermonde, e_basis_expand,
                       elementary, elementary_eval, factorial_monomial,

@@ -33,13 +33,10 @@ from .sympoly import SymPoly, elementary
 DEFAULT_SEED = 20260814
 
 
-def _sym_r():
-    return RationalFunction.gen("r")
-
-
 def _r_value(r):
     """The shift parameter: the generator of Q(r), or a rational value."""
-    return _sym_r() if (r == "symbolic" or r is None) else Fraction(r)
+    symbolic = r == "symbolic" or r is None
+    return RationalFunction.gen("r") if symbolic else Fraction(r)
 
 
 def _rho(n, r):
@@ -156,10 +153,9 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
                         rho=[str(e) for e in rho.entries]))
     for r in ("symbolic", Fraction(5, 3)):
         rho = _rho(n, r)
-        rr = _r_value(r)
         for d in range(1, dmax + 1):
             lam = (d,) + (0,) * (n - 1)
-            if single_row(d, rr, n) != interpolation_polynomial(lam, rho):
+            if single_row(d, rho.r, n) != interpolation_polynomial(lam, rho):
                 return _report("special-forms", params, _w(
                     part="one-row", d=d, r=_r_label(r)))
     return _report("special-forms", params)
@@ -193,11 +189,10 @@ def check_eigenvalue(n, dmax, r="symbolic"):
     """The generating family acts diagonally with the product eigenvalue."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    rr = _r_value(r)
     for d in range(dmax + 1):
         for lam, P in interpolation_basis(n, d, rho).items():
-            family = apply_difference_family(P, rr)
-            eig = eigenvalue_poly(lam, rr, n)
+            family = apply_difference_family(P, rho.r)
+            eig = eigenvalue_poly(lam, rho.r, n)
             for p in range(n + 1):
                 got = family.get(p, SymPoly.zero(n))
                 want = P * eig[p]
@@ -214,15 +209,10 @@ def check_commutativity(n, dmax, r="symbolic"):
     basis = enumerate_upto(n, dmax)
     columns = [apply_difference_family(SymPoly.basis(n, mu), rr)
                for mu in basis]
-    index = {mu: i for i, mu in enumerate(basis)}
-    mats = {}
-    for k in range(1, n + 1):
-        rows = [[0] * len(basis) for _ in basis]
-        for j, fam in enumerate(columns):
-            img = fam.get(n - k, SymPoly.zero(n))
-            for lam, c in img.terms.items():
-                rows[index[lam]][j] = c
-        mats[k] = OperatorMatrix(basis, basis, rows)
+    mats = {k: OperatorMatrix.from_images(
+                basis, basis,
+                [fam.get(n - k, SymPoly.zero(n)) for fam in columns])
+            for k in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if not (mats[i] @ mats[j] - mats[j] @ mats[i]).is_zero():
@@ -252,11 +242,10 @@ def check_cutoff(n, dmax, r="symbolic"):
     from itertools import combinations
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    rr = _r_value(r)
     phis = {}
     for size in range(n + 1):
         for rows in combinations(range(n), size):
-            phis[rows] = cutoff_phi(rows, n, rr)
+            phis[rows] = cutoff_phi(rows, n, rho.r)
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
         for rows, phi in phis.items():
@@ -381,11 +370,10 @@ def check_jack_agreement(n, dmax):
 def check_lift(n, dmax):
     """Substituting raising operators into the e-expansion recovers the family."""
     params = {"n": n, "dmax": dmax}
-    r = _sym_r()
-    rho = ShiftVector.staircase_multiple(n, r)
+    rho = _rho(n, "symbolic")
     for lam in enumerate_upto(n, dmax):
-        jack_r = jack_P_eigen(lam, n, alpha=1 / r)
-        lifted = inhomogeneous_lift(jack_r, r)
+        jack_r = jack_P_eigen(lam, n, alpha=1 / rho.r)
+        lifted = inhomogeneous_lift(jack_r, rho.r)
         if lifted != interpolation_polynomial(lam, rho):
             return _report("lift", params, _w(lam=lam))
     return _report("lift", params)

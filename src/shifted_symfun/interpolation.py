@@ -13,14 +13,15 @@ ring during back-substitution.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 
 from .partitions import (as_partition, enumerate_exact, enumerate_upto,
                          rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       common_denominator, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, _signed_permutations,
-                      collect_symmetric, complete_eval, divide_by_vandermonde,
-                      elementary, factorial_monomial, falling_power)
+from .sympoly import (SparsePoly, SymPoly, alternant, collect_symmetric,
+                      complete_eval, divide_by_vandermonde, elementary,
+                      factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -233,6 +234,7 @@ def interpolation_basis(n, d, rho):
     """All P_lam for |lam| = d at once; cached per (n, d, rho).
 
     One fraction-free solve covers every right-hand side of the degree.
+    The result is a read-only {lam: P_lam} view of the cached entry.
     """
     key = (n, d, rho.key())
     got = _BASIS_CACHE.get(key)
@@ -258,8 +260,8 @@ def interpolation_basis(n, d, rho):
                 f"hook-product normalization did not give a unit leading "
                 f"coefficient for {lam}")
         out[lam] = f
-    _BASIS_CACHE[key] = out
-    return out
+    got = _BASIS_CACHE[key] = MappingProxyType(out)
+    return got
 
 
 def interpolation_polynomial(lam, rho):
@@ -391,13 +393,7 @@ def factorial_schur(lam, n):
     """Quotient of the falling-power alternant by the Vandermonde."""
     lam = as_partition(lam, n)
     delta = staircase(n)
-    powers = [lam[j] + delta[j] for j in range(n)]
-    det = SparsePoly.zero(n)
-    for perm, sign in _signed_permutations(n):
-        term = SparsePoly.const(n, Fraction(sign))
-        for i in range(n):
-            term = term * falling_power(n, i, powers[perm[i]])
-        det = det + term
+    det = alternant(n, lambda i, j: falling_power(n, i, lam[j] + delta[j]))
     return collect_symmetric(divide_by_vandermonde(det))
 
 

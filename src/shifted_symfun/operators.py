@@ -11,24 +11,27 @@ phi_I instead; it raises polynomial degree by the size of I.
 A differential relative (the Sekiguchi-Debiard determinant) acts on the
 monomial basis directly and is used to pin down the homogeneous
 eigenfunctions that the top components of the interpolation family hit.
+
+Every d_I and phi_I is one ``sympoly.alternant`` call.  The difference
+and raising families share one shift-and-sum path, and all three
+applications end in the same divide / collect / restore-denominator tail.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .partitions import enumerate_upto, staircase
 from .scalars import _lift, common_denominator, scalar_key
-from .sympoly import (SparsePoly, SymPoly, _signed_permutations,
+from .sympoly import (SparsePoly, SymPoly, _signed_permutations, alternant,
                       collect_symmetric, collect_symmetric_t,
                       divide_by_vandermonde, e_basis_expand, elementary_eval)
 
 
-def _binomial_power(n, i, base_shift, e, has_t):
+def _binomial_power(n, i, base_shift, e):
     """(x_i + base_shift)^e as a SparsePoly."""
-    out = SparsePoly.const(n, Fraction(1), has_t)
+    out = SparsePoly.const(n, Fraction(1))
     xi = SparsePoly.variable(n, i)
-    if has_t:
-        xi = xi.with_t()
     for _ in range(e):
         out = out * (xi + base_shift)
     return out
@@ -43,42 +46,31 @@ def cutoff_phi(rows, n, r):
     rows = frozenset(rows)
     delta = staircase(n)
     r = _lift(r)
-    det = SparsePoly.zero(n)
-    for perm, sign in _signed_permutations(n):
-        term = SparsePoly.const(n, Fraction(sign))
-        for i in range(n):
-            dj = delta[perm[i]]
-            if i in rows:
-                key = [0] * n
-                key[i] = dj + 1
-                term = term * SparsePoly(n, {tuple(key): Fraction(1)})
-            else:
-                term = term * _binomial_power(n, i, r, dj, False)
-        det = det + term
-    return det
+
+    def entry(i, j):
+        if i in rows:
+            return _binomial_power(n, i, 0, delta[j] + 1)
+        return _binomial_power(n, i, r, delta[j])
+    return alternant(n, entry)
 
 
 def _subset_coefficient(rows, n, r):
-    """d_I: the subset coefficient of the generating determinant, with t."""
+    """d_I: the subset coefficient of the generating determinant, with t.
+
+    Row i inside I carries -x_i^(delta_j + 1); outside,
+    (x_i + t)(x_i + r)^delta_j.
+    """
     rows = frozenset(rows)
     delta = staircase(n)
     r = _lift(r)
     t = SparsePoly.t_var(n)
-    det = SparsePoly.zero(n, has_t=True)
-    for perm, sign in _signed_permutations(n):
-        term = SparsePoly.const(n, Fraction(sign), has_t=True)
-        for i in range(n):
-            dj = delta[perm[i]]
-            if i in rows:
-                key = [0] * n
-                key[i] = dj + 1
-                term = term * SparsePoly(n, {tuple(key) + (0,): Fraction(-1)},
-                                         has_t=True)
-            else:
-                xi = SparsePoly.variable(n, i).with_t()
-                term = term * (xi + t) * _binomial_power(n, i, r, dj, True)
-        det = det + term
-    return det
+
+    def entry(i, j):
+        if i in rows:
+            return -_binomial_power(n, i, 0, delta[j] + 1)
+        xi_t = SparsePoly.variable(n, i) + t
+        return xi_t * _binomial_power(n, i, r, delta[j])
+    return alternant(n, entry)
 
 
 _DI_CACHE = {}
@@ -132,21 +124,35 @@ def _shifted(sparse, rows):
     return sparse.translate(deltas)
 
 
+def _collect(total, lcm):
+    """Divide by the Vandermonde, collect in the m-basis, restore lcm.
+
+    With t the result is {t_power: SymPoly}, without a single SymPoly.
+    """
+    total = divide_by_vandermonde(total)
+    if total.has_t:
+        return {p: _unclear(q, lcm)
+                for p, q in collect_symmetric_t(total).items()}
+    return _unclear(collect_symmetric(total), lcm)
+
+
+def _apply_family(f, family, has_t):
+    """Sum coeff_I * f(x - eps_I) over (I, coeff_I) in family, then collect."""
+    g, lcm = _clear(f)
+    src = g.to_sparse(has_t)
+    total = SparsePoly.zero(f.n, has_t)
+    for rows, coeff in family:
+        total = total + coeff * _shifted(src, rows)
+    return _collect(total, lcm)
+
+
 def apply_difference_family(f, r):
     """Apply the full t-family to a SymPoly: {t_power: SymPoly}.
 
     The t^n piece is f itself (the family is monic in t); lower pieces
     are the nontrivial operators.  Degrees never go up.
     """
-    n = f.n
-    g, lcm = _clear(f)
-    src = g.to_sparse(has_t=True)
-    total = SparsePoly.zero(n, has_t=True)
-    for rows, d_i in _subset_family(n, r):
-        total = total + d_i * _shifted(src, rows)
-    total = divide_by_vandermonde(total)
-    out = collect_symmetric_t(total)
-    return {p: _unclear(q, lcm) for p, q in out.items()}
+    return _apply_family(f, _subset_family(f.n, r), True)
 
 
 def apply_difference_component(f, k, r):
@@ -162,16 +168,9 @@ def apply_raising(f, k, r):
 
     On top components it acts as multiplication by e_k.
     """
-    n = f.n
-    if not 0 <= k <= n:
+    if not 0 <= k <= f.n:
         raise ValueError(f"raising index {k} out of range")
-    g, lcm = _clear(f)
-    src = g.to_sparse()
-    total = SparsePoly.zero(n)
-    for rows, phi in _phi_family(n, r, k):
-        total = total + phi * _shifted(src, rows)
-    total = divide_by_vandermonde(total)
-    return _unclear(collect_symmetric(total), lcm)
+    return _apply_family(f, _phi_family(f.n, r, k), False)
 
 
 def eigenvalue_poly(lam, r, n):
@@ -200,40 +199,26 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
     r = _lift(r)
     has_t = t_value is None
     g, lcm = _clear(f)
-    src = g.to_sparse()
     acc = {}
     perms = _signed_permutations(n)
-    for key, c in src.terms.items():
+    for key, c in g.to_sparse().terms.items():
         for perm, sign in perms:
             consts = [r * delta[perm[i]] + key[i] for i in range(n)]
-            if t_value is not None:
-                consts = [cc + t_value for cc in consts]
             new_key = tuple(key[i] + delta[perm[i]] for i in range(n))
+            # prod_i (consts_i + t), split by t power or taken at t_value
             if has_t:
-                for p in range(n + 1):
-                    ek = elementary_eval(n - p, consts)
-                    if ek:
-                        kk = new_key + (p,)
-                        s = acc.get(kk, 0) + sign * c * ek
-                        if s:
-                            acc[kk] = s
-                        else:
-                            acc.pop(kk, None)
+                pieces = [(new_key + (p,), elementary_eval(n - p, consts))
+                          for p in range(n + 1)]
             else:
-                v = Fraction(1)
-                for cc in consts:
-                    v = v * cc
+                pieces = [(new_key, prod(cc + t_value for cc in consts))]
+            for kk, v in pieces:
                 if v:
-                    s = acc.get(new_key, 0) + sign * c * v
+                    s = acc.get(kk, 0) + sign * c * v
                     if s:
-                        acc[new_key] = s
+                        acc[kk] = s
                     else:
-                        acc.pop(new_key, None)
-    total = SparsePoly(n, acc, has_t)
-    total = divide_by_vandermonde(total)
-    if has_t:
-        return {p: _unclear(q, lcm) for p, q in collect_symmetric_t(total).items()}
-    return _unclear(collect_symmetric(total), lcm)
+                        acc.pop(kk, None)
+    return _collect(SparsePoly(n, acc, has_t), lcm)
 
 
 class OperatorMatrix:
@@ -253,19 +238,21 @@ class OperatorMatrix:
 
     @classmethod
     def build(cls, op, n, source, target):
+        return cls.from_images(source, target,
+                               [op(SymPoly.basis(n, mu)) for mu in source])
+
+    @classmethod
+    def from_images(cls, source, target, images):
+        """Column j holds the m-coefficients of images[j], the image of
+        the basis element source[j]."""
         t_index = {mu: i for i, mu in enumerate(target)}
-        cols = []
-        for mu in source:
-            img = op(SymPoly.basis(n, mu))
-            col = [0] * len(target)
+        rows = [[0] * len(source) for _ in target]
+        for j, (mu, img) in enumerate(zip(source, images)):
             for lam, c in img.terms.items():
                 if lam not in t_index:
                     raise ArithmeticError(
                         f"image of {mu} leaves the target space at {lam}")
-                col[t_index[lam]] = c
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(len(source))]
-                for i in range(len(target))]
+                rows[t_index[lam]][j] = c
         return cls(source, target, rows)
 
     def entry(self, lam, mu):

@@ -374,10 +374,17 @@ class UniPoly:
             return self if k else _poly(self.var, 1, (1,))
         return _poly(self.var, self.cont ** k, _zpow(self.prim, k))
 
-    def __divmod__(self, other):
+    def _divisor(self, other):
         o = self._coerce(other)
-        if o is None or o.is_zero():
+        if o is None:
+            raise TypeError(
+                f"no polynomial division by {type(other).__name__}")
+        if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        return o
+
+    def __divmod__(self, other):
+        o = self._divisor(other)
         q, r, m = _zpseudo_divmod(self.prim, o.prim)
         quo = _poly_from_ints(self.var, 1, list(q))
         rem = _poly_from_ints(self.var, 1, list(r))
@@ -391,9 +398,7 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        o = self._coerce(other)
-        if o is None or o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+        o = self._divisor(other)
         if not self.prim:
             return self
         q = _zdiv_exact(self.prim, o.prim)

@@ -546,11 +546,31 @@ def factorial_monomial(n, lam):
     return total
 
 
+def alternant(n, entry):
+    """The n x n determinant det[entry(i, j)] as a SparsePoly.
+
+    entry(i, j) returns the SparsePoly in row i, column j; it is called
+    once per cell, and the signed-permutation sum reuses the table.
+    """
+    table = [[entry(i, j) for j in range(n)] for i in range(n)]
+    det = SparsePoly.zero(n)
+    for perm, sign in _signed_permutations(n):
+        term = SparsePoly.const(n, Fraction(sign))
+        for i in range(n):
+            term = term * table[i][perm[i]]
+        det = det + term
+    return det
+
+
 def vandermonde(n):
-    """Product of (x_i - x_j) over i < j, via the alternating sum."""
+    """Product of (x_i - x_j) over i < j, as the alternant det[x_i^delta_j]."""
     delta = staircase(n)
-    return SparsePoly(n, {tuple(delta[s] for s in sigma): sign
-                          for sigma, sign in _signed_permutations(n)})
+
+    def entry(i, j):
+        key = [0] * n
+        key[i] = delta[j]
+        return SparsePoly(n, {tuple(key): Fraction(1)})
+    return alternant(n, entry)
 
 
 def divide_by_vandermonde(p):

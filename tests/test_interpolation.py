@@ -181,9 +181,10 @@ def test_column_forms_generic_shift():
 
 
 def test_factorial_schur_is_unit_staircase_form():
-    rho = ShiftVector.staircase_multiple(3, Fraction(1))
-    for lam in enumerate_upto(3, 4):
-        assert factorial_schur(lam, 3) == interpolation_polynomial(lam, rho)
+    for n, dmax in ((3, 4), (4, 3)):
+        rho = ShiftVector.staircase_multiple(n, Fraction(1))
+        for lam in enumerate_upto(n, dmax):
+            assert factorial_schur(lam, n) == interpolation_polynomial(lam, rho)
     # classical top components
     assert factorial_schur((2, 0), 2).top_component() == \
         SymPoly(2, {(2, 0): Fraction(1), (1, 1): Fraction(1)})
@@ -227,6 +228,21 @@ def test_cached_polynomial_cannot_be_mutated():
     with pytest.raises(TypeError):
         P.terms[(0, 0)] = Fraction(7)
     assert interpolation_polynomial((1, 0), rho) is P
+    assert run_check("vanishing", 2, 1, r=Fraction(1, 2))["status"] == "pass"
+
+
+def test_cached_basis_cannot_be_mutated():
+    from shifted_symfun.checks import run_check
+    rho = ShiftVector.staircase_multiple(2, Fraction(1, 2))
+    basis = interpolation_basis(2, 1, rho)
+    with pytest.raises(AttributeError):
+        basis.clear()
+    with pytest.raises(TypeError):
+        basis[(1, 0)] = SymPoly.one(2)
+    assert interpolation_basis(2, 1, rho) is basis
+    assert set(basis) == {(1, 0)}
+    P = interpolation_polynomial((1, 0), rho)
+    assert P is basis[(1, 0)]
     assert run_check("vanishing", 2, 1, r=Fraction(1, 2))["status"] == "pass"
 
 

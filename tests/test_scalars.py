@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -61,6 +62,13 @@ def test_unipoly_exact_div():
     assert a.exact_div(T + 2) == 3 * T - 1
     with pytest.raises(ExactDivisionError):
         (T + 1).exact_div(T)
+    # a RationalFunction divisor is a type misuse, not a zero divisor,
+    # even over the same parameter
+    for op in (divmod, operator.floordiv, operator.mod, UniPoly.exact_div):
+        with pytest.raises(TypeError):
+            op(UniPoly.gen("r"), R)
+        with pytest.raises(ZeroDivisionError):
+            op(T, T - T)
 
 
 def test_unipoly_gcd_random():

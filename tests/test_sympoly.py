@@ -6,12 +6,12 @@ import pytest
 from shifted_symfun.partitions import enumerate_upto
 from shifted_symfun.scalars import ExactDivisionError, RationalFunction
 from shifted_symfun.sympoly import (NotSymmetricError, SparsePoly, SymPoly,
-                                    collect_symmetric, collect_symmetric_t,
-                                    complete, complete_eval,
-                                    divide_by_vandermonde, e_basis_expand,
-                                    e_monomial, elementary, elementary_eval,
-                                    factorial_monomial, falling_power,
-                                    m_expand, vandermonde)
+                                    alternant, collect_symmetric,
+                                    collect_symmetric_t, complete,
+                                    complete_eval, divide_by_vandermonde,
+                                    e_basis_expand, e_monomial, elementary,
+                                    elementary_eval, factorial_monomial,
+                                    falling_power, m_expand, vandermonde)
 
 
 def rand_point(rng, n):
@@ -94,6 +94,13 @@ def test_divide_linear_diff():
 
 
 def test_vandermonde():
+    for n in range(1, 5):
+        prod = SparsePoly.const(n, Fraction(1))
+        for i in range(n):
+            for j in range(i + 1, n):
+                prod = prod * (SparsePoly.variable(n, i)
+                               - SparsePoly.variable(n, j))
+        assert vandermonde(n) == prod
     v = vandermonde(3)
     assert all(v.swap_vars(i, i + 1) == -v for i in range(2))
     assert v.evaluate((Fraction(3), Fraction(2), Fraction(1))) == 2
@@ -102,6 +109,22 @@ def test_vandermonde():
         pt = rand_point(rng, 3)
         want = ((pt[0] - pt[1]) * (pt[0] - pt[2]) * (pt[1] - pt[2]))
         assert v.evaluate(pt) == want
+
+
+def test_alternant_expands_and_alternates_in_columns():
+    rng = random.Random(26)
+    for n in range(1, 5):
+        table = [[rand_sym(rng, n, 2).to_sparse() for _ in range(n)]
+                 for _ in range(n)]
+        det = alternant(n, lambda i, j: table[i][j])
+        if n == 2:
+            (a, b), (c, d) = table
+            assert det == a * d - b * c
+        for x in range(n):
+            for y in range(x + 1, n):
+                swap = {x: y, y: x}
+                assert alternant(
+                    n, lambda i, j: table[i][swap.get(j, j)]) == -det
 
 
 def test_divide_by_vandermonde_roundtrip():
