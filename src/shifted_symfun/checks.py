@@ -218,19 +218,13 @@ def check_commutativity(n, dmax, r="symbolic"):
             if not (mats[i] @ mats[j] - mats[j] @ mats[i]).is_zero():
                 return _report("commutativity", params, _w(
                     family="difference", i=i, j=j))
-    raising = {}
-
-    def raise_mat(k, d):
-        got = raising.get((k, d))
-        if got is None:
-            got = operator_matrix("raising", n, d, rr, k=k)
-            raising[(k, d)] = got
-        return got
-
+    # each matrix out of a higher degree serves exactly one product
+    low = {k: operator_matrix("raising", n, dmax, rr, k=k)
+           for k in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ij = raise_mat(i, dmax + j) @ raise_mat(j, dmax)
-            ji = raise_mat(j, dmax + i) @ raise_mat(i, dmax)
+            ij = operator_matrix("raising", n, dmax + j, rr, k=i) @ low[j]
+            ji = operator_matrix("raising", n, dmax + i, rr, k=j) @ low[i]
             if not (ij - ji).is_zero():
                 return _report("commutativity", params, _w(
                     family="raising", i=i, j=j))

@@ -20,10 +20,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .checks import CHECKS, run_check
-from .interpolation import (NonDominantError, ShiftVector, column_forms,
-                            factorial_schur, interpolation_polynomial,
-                            single_row)
+from .checks import CHECKS, _rho, run_check
+from .interpolation import (NonDominantError, column_forms, factorial_schur,
+                            interpolation_polynomial, single_row)
 from .jack import conjecture_expand, jack_J, jack_P, shifted_jack_J
 from .partitions import enumerate_exact, is_partition
 from .scalars import PoleError, RationalFunction
@@ -157,7 +156,7 @@ def _parse_r(text):
 
 
 def _require_dominant(n, r):
-    rho = ShiftVector.staircase_multiple(n, r)
+    rho = _rho(n, r)
     if not rho.is_dominant():
         p, q = rho.offending_ratio()
         raise ConfigError(
@@ -248,12 +247,8 @@ def cmd_compute(args):
                               "drop --r or pass --r 1")
         sym = factorial_schur(lam, n)
     else:
-        if mode == "symbolic":
-            rr = RationalFunction.gen("r")
-            param = "r"
-        else:
-            rr = r
-        rho = ShiftVector.staircase_multiple(n, rr)
+        rho = _rho(n, r)
+        param = "r" if mode == "symbolic" else None
         if what == "P":
             sym = interpolation_polynomial(lam, rho)
         elif what == "P1k":
@@ -271,7 +266,7 @@ def cmd_compute(args):
             if lam[0] == 0:
                 raise ConfigError("one-row needs a nonempty row")
             try:
-                sym = single_row(lam[0], rr, n)
+                sym = single_row(lam[0], rho.r, n)
             except ValueError as exc:  # the closed form's normalizer is 0
                 raise ConfigError(f"one-row closed form: {exc}") from None
         else:

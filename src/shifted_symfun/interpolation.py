@@ -18,7 +18,7 @@ from types import MappingProxyType
 from .partitions import (as_partition, enumerate_exact, enumerate_upto,
                          rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
-                      common_denominator, scalar_key)
+                      common_denominator, memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, alternant, collect_symmetric,
                       complete_eval, divide_by_vandermonde, elementary,
                       factorial_monomial, falling_power)
@@ -230,20 +230,31 @@ def _node_matrix(n, rho, basis):
     return [[m.evaluate(rho.point(mu)) for m in ms] for mu in basis]
 
 
+def _require_shift(n, d, rho):
+    """The shift fits n variables and makes the degree-d solve unique."""
+    if rho.n != n:
+        raise ValueError("shift vector has wrong length")
+    if not rho.is_d_dominant(d):
+        raise NonDominantError(f"shift vector is not {d}-dominant")
+
+
+def _node_values(n, d, values):
+    """The nodes of degree <= d and the values keyed by them, lifted."""
+    basis = enumerate_upto(n, d)
+    vals = {as_partition(mu, n): _lift(c) for mu, c in values.items()}
+    if set(vals) != set(basis):
+        raise ValueError("values must be keyed by the partitions of degree <= d")
+    return basis, vals
+
+
+@memoized(_BASIS_CACHE, lambda n, d, rho: (n, d, rho.key()))
 def interpolation_basis(n, d, rho):
     """All P_lam for |lam| = d at once; cached per (n, d, rho).
 
     One fraction-free solve covers every right-hand side of the degree.
     The result is a read-only {lam: P_lam} view of the cached entry.
     """
-    key = (n, d, rho.key())
-    got = _BASIS_CACHE.get(key)
-    if got is not None:
-        return got
-    if rho.n != n:
-        raise ValueError("shift vector has wrong length")
-    if not rho.is_d_dominant(d):
-        raise NonDominantError(f"shift vector is not {d}-dominant")
+    _require_shift(n, d, rho)
     basis = enumerate_upto(n, d)
     tops = enumerate_exact(n, d)
     A = _node_matrix(n, rho, basis)
@@ -260,8 +271,7 @@ def interpolation_basis(n, d, rho):
                 f"hook-product normalization did not give a unit leading "
                 f"coefficient for {lam}")
         out[lam] = f
-    got = _BASIS_CACHE[key] = MappingProxyType(out)
-    return got
+    return MappingProxyType(out)
 
 
 def interpolation_polynomial(lam, rho):
@@ -276,14 +286,8 @@ def interpolate(n, d, values, rho):
     values maps every partition of degree <= d (padded to n parts) to a
     scalar.  Needs a d-dominant rho; the solution is then unique.
     """
-    basis = enumerate_upto(n, d)
-    vals = {as_partition(mu, n): _lift(c) for mu, c in values.items()}
-    if set(vals) != set(basis):
-        raise ValueError("values must be keyed by the partitions of degree <= d")
-    if rho.n != n:
-        raise ValueError("shift vector has wrong length")
-    if not rho.is_d_dominant(d):
-        raise NonDominantError(f"shift vector is not {d}-dominant")
+    basis, vals = _node_values(n, d, values)
+    _require_shift(n, d, rho)
     A = _node_matrix(n, rho, basis)
     B = [[vals[mu]] for mu in basis]
     col = solve_linear(A, B)[0]
@@ -299,14 +303,8 @@ def interpolate_recursive(n, d, values, rho):
     Entirely independent of the linear solver, so the two construction
     routes cross-check each other.
     """
-    basis = enumerate_upto(n, d)
-    vals = {as_partition(mu, n): _lift(c) for mu, c in values.items()}
-    if set(vals) != set(basis):
-        raise ValueError("values must be keyed by the partitions of degree <= d")
-    if rho.n != n:
-        raise ValueError("shift vector has wrong length")
-    if not rho.is_d_dominant(d):
-        raise NonDominantError(f"shift vector is not {d}-dominant")
+    _, vals = _node_values(n, d, values)
+    _require_shift(n, d, rho)
     return _interp_rec(n, d, vals, rho)
 
 
@@ -339,11 +337,16 @@ def _interp_rec(n, d, vals, rho):
         h_vals[tuple(p - 1 for p in mu)] = \
             (vals[mu] - g_shift.evaluate(pt)) / denom
     h = _interp_rec(n, d - n, h_vals, rho)
+    return collect_symmetric(g_shift + _full_column(h, last))
+
+
+def _full_column(h, last):
+    """prod_i (x_i - last) * h(x - 1): h put back under a full column."""
+    n = h.n
     factor = SparsePoly.const(n, Fraction(1))
     for i in range(n):
         factor = factor * (SparsePoly.variable(n, i) - last)
-    h_shift = h.to_sparse().translate([Fraction(1)] * n)
-    return collect_symmetric(g_shift + factor * h_shift)
+    return factor * h.to_sparse().translate([Fraction(1)] * n)
 
 
 def first_column_reduction(lam, rho):
@@ -355,13 +358,8 @@ def first_column_reduction(lam, rho):
     lam = as_partition(lam, rho.n)
     if lam[-1] < 1:
         raise ValueError(f"{lam} does not contain a full first column")
-    n = rho.n
-    last = rho.entries[-1]
     inner = interpolation_polynomial(tuple(p - 1 for p in lam), rho)
-    factor = SparsePoly.const(n, Fraction(1))
-    for i in range(n):
-        factor = factor * (SparsePoly.variable(n, i) - last)
-    return collect_symmetric(factor * inner.to_sparse().translate([Fraction(1)] * n))
+    return collect_symmetric(_full_column(inner, rho.entries[-1]))
 
 
 def column_forms(k, rho):

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interpolation import ShiftVector, interpolation_polynomial
-from .operators import apply_sekiguchi_debiard, eigenvalue_poly
+from .operators import (OperatorMatrix, apply_sekiguchi_debiard,
+                        eigenvalue_poly)
 from .partitions import (as_partition, dominance_leq, enumerate_exact,
                          hook_product_lower, pieri_coefficient,
                          vertical_strips)
-from .scalars import (RationalFunction, UniPoly, invert_parameter,
+from .scalars import (RationalFunction, UniPoly, invert_parameter, memoized,
                       scalar_key, substitute)
 from .sympoly import SymPoly, elementary
 
@@ -37,7 +38,6 @@ def _r_gen():
     return RationalFunction.gen("r")
 
 
-_TOP_CACHE = {}
 _EIGEN_CACHE = {}
 
 
@@ -50,13 +50,38 @@ def jack_P(lam, n):
     normalization.
     """
     lam = as_partition(lam, n)
-    got = _TOP_CACHE.get((n, lam))
-    if got is None:
-        rho = ShiftVector.staircase_multiple(n, _r_gen())
-        top = interpolation_polynomial(lam, rho).top_component()
-        got = top.map_coeffs(lambda c: invert_parameter(c, ALPHA))
-        _TOP_CACHE[(n, lam)] = got
-    return got
+    rho = ShiftVector.staircase_multiple(n, _r_gen())
+    top = interpolation_polynomial(lam, rho).top_component()
+    return top.map_coeffs(lambda c: invert_parameter(c, ALPHA))
+
+
+@memoized(_EIGEN_CACHE, lambda n, d, alpha: (n, d, scalar_key(alpha)))
+def _eigen_basis(n, d, alpha):
+    """{lam: P_lam} for |lam| = d, from one operator matrix at t = 1.
+
+    A lam whose back-substitution meets a zero gap maps instead to the
+    partition its eigenvalue collides with.
+    """
+    r = 1 / alpha
+    basis = enumerate_exact(n, d)
+    rows = OperatorMatrix.build(
+        lambda f: apply_sekiguchi_debiard(f, r, t_value=Fraction(1)),
+        n, basis, basis).rows
+    out = {}
+    for k, lam in enumerate(basis):
+        eig = sum(eigenvalue_poly(lam, r, n))  # the eigenvalue at t = 1
+        coeffs = [Fraction(0)] * k + [Fraction(1)]
+        for i in range(k - 1, -1, -1):
+            gap = eig - rows[i][i]
+            if not gap:
+                out[lam] = basis[i]
+                break
+            s = sum((rows[i][j] * coeffs[j] for j in range(i + 1, k + 1)
+                     if rows[i][j] and coeffs[j]), Fraction(0))
+            coeffs[i] = s / gap
+        else:
+            out[lam] = SymPoly(n, {mu: c for mu, c in zip(basis, coeffs) if c})
+    return out
 
 
 def jack_P_eigen(lam, n, alpha=None):
@@ -64,41 +89,15 @@ def jack_P_eigen(lam, n, alpha=None):
 
     Works over any symbolic alpha (default: the alpha generator); the
     differential determinant is applied at t = 1, where the candidate
-    eigenvalues of distinct partitions stay distinct.
+    eigenvalues of distinct partitions stay distinct.  Solved one degree
+    at a time: one operator matrix serves every partition of the degree.
     """
     lam = as_partition(lam, n)
     if alpha is None:
         alpha = alpha_gen()
-    key = (n, lam, scalar_key(alpha))
-    got = _EIGEN_CACHE.get(key)
-    if got is not None:
-        return got
-    r = 1 / alpha
-    d = sum(lam)
-    basis = enumerate_exact(n, d)
-    pos = {mu: i for i, mu in enumerate(basis)}
-    images = [apply_sekiguchi_debiard(SymPoly.basis(n, mu), r, t_value=Fraction(1))
-              for mu in basis]
-    rows = [[images[j].coefficient(basis[i]) for j in range(len(basis))]
-            for i in range(len(basis))]
-    eig = sum(eigenvalue_poly(lam, r, n))  # the eigenvalue at t = 1
-    i_lam = pos[lam]
-    coeffs = [None] * len(basis)
-    coeffs[i_lam] = Fraction(1)
-    for j in range(i_lam + 1, len(basis)):
-        coeffs[j] = Fraction(0)
-    for i in range(i_lam - 1, -1, -1):
-        s = Fraction(0)
-        for j in range(i + 1, i_lam + 1):
-            if rows[i][j] and coeffs[j]:
-                s = rows[i][j] * coeffs[j] + s
-        gap = eig - rows[i][i]
-        if not gap:
-            raise ArithmeticError(
-                f"eigenvalue collision between {lam} and {basis[i]}")
-        coeffs[i] = s / gap
-    got = SymPoly(n, {mu: c for mu, c in zip(basis, coeffs) if c})
-    _EIGEN_CACHE[key] = got
+    got = _eigen_basis(n, sum(lam), alpha)[lam]
+    if not isinstance(got, SymPoly):
+        raise ArithmeticError(f"eigenvalue collision between {lam} and {got}")
     return got
 
 

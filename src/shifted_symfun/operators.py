@@ -22,7 +22,7 @@ from itertools import combinations
 from math import prod
 
 from .partitions import enumerate_upto, staircase
-from .scalars import _lift, common_denominator, scalar_key
+from .scalars import _lift, common_denominator, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations, alternant,
                       collect_symmetric, collect_symmetric_t,
                       divide_by_vandermonde, e_basis_expand, elementary_eval)
@@ -77,25 +77,17 @@ _DI_CACHE = {}
 _PHI_CACHE = {}
 
 
+@memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
 def _subset_family(n, r):
-    key = (n, scalar_key(_lift(r)))
-    got = _DI_CACHE.get(key)
-    if got is None:
-        got = [(rows, _subset_coefficient(rows, n, r))
-               for size in range(n + 1)
-               for rows in combinations(range(n), size)]
-        _DI_CACHE[key] = got
-    return got
+    return tuple((rows, _subset_coefficient(rows, n, r))
+                 for size in range(n + 1)
+                 for rows in combinations(range(n), size))
 
 
+@memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
 def _phi_family(n, r, size):
-    key = (n, scalar_key(_lift(r)), size)
-    got = _PHI_CACHE.get(key)
-    if got is None:
-        got = [(rows, cutoff_phi(rows, n, r))
-               for rows in combinations(range(n), size)]
-        _PHI_CACHE[key] = got
-    return got
+    return tuple((rows, cutoff_phi(rows, n, r))
+                 for rows in combinations(range(n), size))
 
 
 def _clear(f):

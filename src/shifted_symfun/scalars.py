@@ -25,6 +25,7 @@ rendering and cache keys only.
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import factorial, gcd
 
 
@@ -498,7 +499,9 @@ def _lift(x):
     return x
 
 
-_ONE_CACHE = {}  # constant-one denominators, keyed per parameter
+# Constant-one denominators per parameter, interned by hand: on this hot
+# path the extra call through ``memoized`` would double each lookup's cost.
+_ONE_CACHE = {}
 
 
 def _one_poly(param):
@@ -766,6 +769,25 @@ def scalar_key(x):
     if isinstance(x, RationalFunction):
         return ("rf", x.param, x.num.coeffs, x.den.coeffs)
     raise TypeError(f"not a scalar: {x!r}")
+
+
+def memoized(table, key):
+    """Decorator: cache results in the dict ``table`` under ``key(...)``.
+
+    ``key`` takes the function's arguments; a miss stores one entry, a hit
+    none, and callers treat values as immutable.  Keys use ``scalar_key``:
+    a constant RationalFunction equals and hashes like its Fraction.
+    """
+    def decorate(fn):
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            k = key(*args, **kwargs)
+            got = table.get(k)
+            if got is None:
+                got = table[k] = fn(*args, **kwargs)
+            return got
+        return wrapper
+    return decorate
 
 
 def substitute(x, value):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shifted_symfun import cli
 from shifted_symfun import jack as jack_module
@@ -292,3 +296,68 @@ def test_scan_text_output(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "lambda=[0, 0] verdict=pass rows=1"
     assert lines[-1] == "scanned 4 partitions: 4 pass, 0 fail"
+
+
+# Each option's values as (well formed, malformed).  Sizes stay small
+# (n <= 3, dmax <= 2, parts <= 4) so every accepted run finishes quickly:
+# a huge partition is not refused up front.  ``--check all`` is left out:
+# it takes about half a second at n = 3.
+FUZZ_VALUES = {
+    "--n": (["1", "2", "3"], ["0", "-1", "x", "1.5"]),
+    "--dmax": (["0", "1", "2"], ["-1", "x"]),
+    "--lambda": (["2,1", "1", "3", "1,,1", "[1,1]"], ["-1", "a", "1,2", ""]),
+    "--r": (["1/2", "-1", "0", "-1/2", "2"], ["1/0", "x"]),
+    "--what": (["P", "P1k", "factorial-schur", "one-row", "jackP", "jackJ",
+                "shiftedJ"], ["bogus"]),
+    "--check": (["vanishing", "cutoff,eigenvalue", "lift,pieri"],
+                ["bogus", ""]),
+    "--output": (["text", "json"], ["xml"]),
+    "--workers": (["1"], ["0", "x"]),
+}
+FUZZ_FLAGS = ["--symbolic", "--strict"]
+NEEDED = {"compute": ["--n", "--what", "--lambda"],
+          "verify": ["--n", "--dmax", "--check"],
+          "scan": ["--n", "--dmax"]}
+OPTIONAL = ["--r", "--symbolic", "--output", "--workers"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-formed command line with up to two faults injected."""
+    command = draw(st.sampled_from(sorted(NEEDED)))
+    optional = OPTIONAL + (["--strict"] if command == "scan" else [])
+    names = NEEDED[command] + [n for n in optional if draw(st.booleans())]
+    opts = {name: draw(st.sampled_from(FUZZ_VALUES[name][0]))
+            if name in FUZZ_VALUES else None for name in names}
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["malformed", "drop", "stray",
+                                      "command"]))
+        if fault == "malformed":
+            name = draw(st.sampled_from(sorted(FUZZ_VALUES)))
+            opts[name] = draw(st.sampled_from(FUZZ_VALUES[name][1]))
+        elif fault == "drop":
+            opts.pop(draw(st.sampled_from(sorted(opts))))
+        elif fault == "stray":
+            name = draw(st.sampled_from(sorted(FUZZ_VALUES) + FUZZ_FLAGS))
+            opts[name] = (draw(st.sampled_from(FUZZ_VALUES[name][0]))
+                          if name in FUZZ_VALUES else None)
+        else:
+            command = "bogus"
+    argv = [command]
+    for name, value in opts.items():
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_fuzz_exit_codes(monkeypatch, argv):
+    monkeypatch.delenv("SHIFTED_SYMFUN_WORKERS", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses malformed argv
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -254,3 +254,29 @@ def test_cached_polynomial_pickles_and_deep_copies():
         assert Q == P and Q is not P
         with pytest.raises(TypeError):
             Q.terms[(0, 0)] = Fraction(7)
+
+
+def test_memo_miss_stores_one_entry_and_hit_none():
+    from shifted_symfun import interpolation, jack
+    rho = ShiftVector.staircase_multiple(2, Fraction(5, 7))
+    before = len(interpolation._BASIS_CACHE)
+    basis = interpolation_basis(2, 2, rho)
+    assert len(interpolation._BASIS_CACHE) == before + 1
+    assert interpolation_basis(2, 2, rho) is basis
+    assert interpolation_basis(2, d=2, rho=rho) is basis
+    assert interpolation_polynomial((1, 1), rho) is basis[(1, 1)]
+    assert len(interpolation._BASIS_CACHE) == before + 1
+    alpha = jack.alpha_gen() + Fraction(5, 7)
+    before = len(jack._EIGEN_CACHE)
+    P = jack.jack_P_eigen((2, 0), 2, alpha)
+    assert len(jack._EIGEN_CACHE) == before + 1
+    assert jack.jack_P_eigen((2, 0), 2, alpha) is P
+    jack.jack_P_eigen((1, 1), 2, alpha)  # same degree: already solved
+    assert len(jack._EIGEN_CACHE) == before + 1
+
+
+def test_memoized_function_stays_a_plain_function():
+    import inspect
+    assert inspect.isfunction(interpolation_basis)
+    assert interpolation_basis.__module__ == "shifted_symfun.interpolation"
+    assert interpolation_basis.__qualname__ == "interpolation_basis"

@@ -189,3 +189,30 @@ def test_pieri_verify_ranges():
                 assert ok and residual.is_zero()
     with pytest.raises(ValueError):
         pieri_verify((1, 0), 3, 2)
+
+
+def test_eigen_route_builds_each_degree_once(monkeypatch):
+    from shifted_symfun import jack
+    calls = []
+    real = jack.apply_sekiguchi_debiard
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jack, "apply_sekiguchi_debiard", counting)
+    alpha = alpha_gen() + 7  # a parameter no other test solves at
+    lams = [lam for lam in enumerate_upto(3, 4) if sum(lam) == 4]
+    assert len(lams) == 4
+    for lam in lams:
+        jack_P_eigen(lam, 3, alpha)
+    assert len(calls) == 4  # one per basis element of the degree
+
+
+def test_eigen_collision_at_alpha_minus_one():
+    alpha = Fraction(-1)
+    for _ in range(2):  # the second pass reads the cached degree
+        with pytest.raises(ArithmeticError, match="collision"):
+            jack_P_eigen((2, 0), 2, alpha=alpha)
+        assert jack_P_eigen((1, 1), 2, alpha=alpha) == \
+            SymPoly(2, {(1, 1): Fraction(1)})

@@ -195,3 +195,18 @@ def test_difference_family_never_raises_degree():
             continue
         for g in apply_difference_family(f, R).values():
             assert g.degree() <= f.degree()
+
+
+def test_families_are_cached_per_scalar_world():
+    from shifted_symfun import operators
+    one_q, one_r = Fraction(1), RationalFunction.const("r", 1)
+    assert one_q == one_r and hash(one_q) == hash(one_r)
+    for family in (lambda r: operators._subset_family(2, r),
+                   lambda r: operators._phi_family(2, r, 1)):
+        over_q, over_r = family(one_q), family(one_r)
+        assert isinstance(over_q, tuple) and isinstance(over_r, tuple)
+        assert over_q is not over_r and family(one_q) is over_q
+        coeffs_q = [c for _, f in over_q for c in f.terms.values()]
+        coeffs_r = [c for _, f in over_r for c in f.terms.values()]
+        assert not any(isinstance(c, RationalFunction) for c in coeffs_q)
+        assert any(isinstance(c, RationalFunction) for c in coeffs_r)
