@@ -11,7 +11,7 @@ polynomials with its positivity scan.
 
 from .scalars import (ExactDivisionError, PoleError, RationalFunction,
                       TagMismatchError, UniPoly, binom_scalar,
-                      common_denominator, falling_factorial,
+                      clear_denominators, falling_factorial,
                       invert_parameter, is_scalar, scalar_key,
                       substitute)
 from .partitions import (as_partition, boxes, conjugate, conjugate_part,

@@ -28,6 +28,9 @@ from .partitions import enumerate_exact, is_partition
 from .scalars import PoleError, RationalFunction
 
 GREEK = {"alpha": "α"}
+# compute refuses larger inputs up front (exit 2); see the README
+MAX_COMPUTE_N = 6
+MAX_COMPUTE_NODES = 64
 JACK_SIDE = ("jackP", "jackJ", "shiftedJ")
 
 
@@ -221,12 +224,31 @@ def _substitute_alpha(sym, value):
 # ---------------------------------------------------------------------------
 # compute
 
+def _compute_partition(args):
+    """The --lambda partition, refused up front when the work explodes:
+    determinants and orbit sums grow like n!, and the degree-|lambda|
+    solve grows with its number of interpolation nodes."""
+    n = args.n
+    if n > MAX_COMPUTE_N:
+        raise ConfigError(f"n = {n} is above the compute bound "
+                          f"{MAX_COMPUTE_N}; refusing to run")
+    lam = _parse_partition(args.lam, n)
+    nodes = 0
+    for d in range(sum(lam) + 1):
+        nodes += len(enumerate_exact(n, d))
+        if nodes > MAX_COMPUTE_NODES:
+            raise ConfigError(
+                f"|lambda| = {sum(lam)} needs more than {MAX_COMPUTE_NODES} "
+                f"interpolation nodes in n = {n} variables; refusing to run")
+    return lam
+
+
 def cmd_compute(args):
     _check_bounds(args)
     n = args.n
     if args.lam is None:
         raise ConfigError("compute needs --lambda")
-    lam = _parse_partition(args.lam, n)
+    lam = _compute_partition(args)
     mode, r = _resolve_parameter(args)
     what = args.what
     param = None
@@ -301,12 +323,12 @@ def cmd_verify(args):
                 names.append(name)
     if not names:
         raise ConfigError("verify needs --check NAME (or --check all)")
-    if "all" in names:
-        names = list(CHECKS)
-    unknown = [name for name in names if name not in CHECKS]
+    unknown = [name for name in names if name != "all" and name not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}; "
                           f"available: {', '.join(CHECKS)}")
+    if "all" in names:
+        names = list(CHECKS)
     mode, r = _resolve_parameter(args)
     r_arg = "symbolic" if mode == "symbolic" else r
     for name in names:

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from .partitions import (as_partition, enumerate_exact, enumerate_upto,
                          rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
-                      common_denominator, memoized, scalar_key)
+                      clear_denominators, memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, alternant, collect_symmetric,
                       complete_eval, divide_by_vandermonde, elementary,
                       factorial_monomial, falling_power)
@@ -121,32 +121,12 @@ class ShiftVector:
 # -- exact linear solving -----------------------------------------------------
 
 def _clear_rows(rows):
-    """Make every row polynomial: multiply by the lcm of its denominators.
+    """Make every row integral: multiply by the lcm of its denominators.
 
     Row scaling does not change the solution set.  Returns rows whose
-    entries are all Fraction or all UniPoly over one parameter.
+    entries are all ints or all UniPolys over Z in one parameter.
     """
-    out = []
-    for row in rows:
-        lcm = common_denominator(row)
-        if lcm is None:
-            if any(isinstance(v, RationalFunction) for v in row):
-                param = next(v.param for v in row
-                             if isinstance(v, RationalFunction))
-                out.append([v.num if isinstance(v, RationalFunction)
-                            else UniPoly.const(param, v) for v in row])
-            else:
-                out.append(list(row))
-            continue
-        new = []
-        for v in row:
-            if isinstance(v, RationalFunction):
-                new.append(v.num * lcm.exact_div(v.den)
-                           if not v.den.is_constant() else v.num * lcm)
-            else:
-                new.append(lcm * v)
-        out.append(new)
-    return out
+    return [clear_denominators(row)[1] for row in rows]
 
 
 def _degree_of(e):
@@ -156,7 +136,7 @@ def _degree_of(e):
 def _exact_div(a, b):
     if isinstance(a, UniPoly):
         return a.exact_div(b)
-    return a / b
+    return a // b  # fraction-free elimination over Z divides exactly
 
 
 def _field_div(a, b):
@@ -164,7 +144,7 @@ def _field_div(a, b):
         if isinstance(a, UniPoly):
             return RationalFunction(a, b)
         return a / b  # a is already a RationalFunction
-    return a / b
+    return _lift(a) / b
 
 
 def solve_linear(A, B):

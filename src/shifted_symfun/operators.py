@@ -14,7 +14,7 @@ eigenfunctions that the top components of the interpolation family hit.
 
 Every d_I and phi_I is one ``sympoly.alternant`` call.  The difference
 and raising families share one shift-and-sum path, and all three
-applications end in the same divide / collect / restore-denominator tail.
+applications end in the same divide / collect tail.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from itertools import combinations
 from math import prod
 
 from .partitions import enumerate_upto, staircase
-from .scalars import _lift, common_denominator, memoized, scalar_key
+from .scalars import _lift, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations, alternant,
                       collect_symmetric, collect_symmetric_t,
                       divide_by_vandermonde, e_basis_expand, elementary_eval)
@@ -90,52 +90,25 @@ def _phi_family(n, r, size):
                  for rows in combinations(range(n), size))
 
 
-def _clear(f):
-    """Factor a common denominator out of the coefficients of f.
-
-    Returns (g, lcm) with f = g / lcm and g polynomial over the parameter,
-    so the heavy sparse products stay gcd-free.  lcm is None when there
-    was nothing to clear.
-    """
-    lcm = common_denominator(f.terms.values())
-    if lcm is None:
-        return f, None
-    return f.map_coeffs(lambda c: c * lcm), lcm
-
-
-def _unclear(f, lcm):
-    if lcm is None:
-        return f
-    return f.map_coeffs(lambda c: c / lcm)
-
-
-def _shifted(sparse, rows):
-    deltas = [1 if i in rows else 0 for i in range(sparse.n)]
-    if not any(deltas):
-        return sparse
-    return sparse.translate(deltas)
-
-
-def _collect(total, lcm):
-    """Divide by the Vandermonde, collect in the m-basis, restore lcm.
+def _collect(total):
+    """Divide by the Vandermonde and collect in the m-basis.
 
     With t the result is {t_power: SymPoly}, without a single SymPoly.
     """
     total = divide_by_vandermonde(total)
     if total.has_t:
-        return {p: _unclear(q, lcm)
-                for p, q in collect_symmetric_t(total).items()}
-    return _unclear(collect_symmetric(total), lcm)
+        return collect_symmetric_t(total)
+    return collect_symmetric(total)
 
 
 def _apply_family(f, family, has_t):
     """Sum coeff_I * f(x - eps_I) over (I, coeff_I) in family, then collect."""
-    g, lcm = _clear(f)
-    src = g.to_sparse(has_t)
+    src = f.to_sparse(has_t)
     total = SparsePoly.zero(f.n, has_t)
     for rows, coeff in family:
-        total = total + coeff * _shifted(src, rows)
-    return _collect(total, lcm)
+        shifted = src.translate([int(i in rows) for i in range(f.n)])
+        total = total + coeff * shifted
+    return _collect(total)
 
 
 def apply_difference_family(f, r):
@@ -190,10 +163,9 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
     delta = staircase(n)
     r = _lift(r)
     has_t = t_value is None
-    g, lcm = _clear(f)
     acc = {}
     perms = _signed_permutations(n)
-    for key, c in g.to_sparse().terms.items():
+    for key, c in f.to_sparse().terms.items():
         for perm, sign in perms:
             consts = [r * delta[perm[i]] + key[i] for i in range(n)]
             new_key = tuple(key[i] + delta[perm[i]] for i in range(n))
@@ -210,7 +182,7 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
                         acc[kk] = s
                     else:
                         acc.pop(kk, None)
-    return _collect(SparsePoly(n, acc, has_t), lcm)
+    return _collect(SparsePoly(n, acc, has_t))
 
 
 class OperatorMatrix:

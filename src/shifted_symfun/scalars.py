@@ -26,7 +26,7 @@ rendering and cache keys only.
 
 from fractions import Fraction
 from functools import wraps
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 
 class TagMismatchError(TypeError):
@@ -819,23 +819,44 @@ def binom_scalar(a, k):
     return falling_factorial(a, k) / factorial(k)
 
 
-def common_denominator(values):
-    """Monic lcm of the denominators of the given scalars, or None.
+def clear_denominators(values):
+    """(den, nums) with values[k] == nums[k] / den for every k.
 
-    None means every value was a Fraction (nothing to clear).  Multiplying
-    through by the returned polynomial makes every RationalFunction value
-    polynomial, which keeps later products on the gcd-free fast path.
+    Over Q den and the nums are ints, and den is the lcm of the
+    denominators.  As soon as one value is a RationalFunction, den and the
+    nums are UniPolys in its parameter with integer coefficients; den is
+    the lcm of the denominators' primitive parts times the lcm of the
+    rational denominators left over.
     """
-    lcm = None
+    params = {v.param for v in values if isinstance(v, RationalFunction)}
+    if not params:
+        den = lcm(*(v.denominator for v in values))
+        return den, [v.numerator * (den // v.denominator) for v in values]
+    if len(params) > 1:
+        raise TagMismatchError(f"rational functions in {sorted(params)} "
+                               "do not mix")
+    param = params.pop()
+    lcm_den = None
     for v in values:
-        if isinstance(v, RationalFunction) and not v.den.is_constant():
+        if isinstance(v, RationalFunction) and len(v.den.prim) > 1:
             d = v.den
-            if lcm is None:
-                lcm = d
-            else:
-                g = lcm.gcd(d)
-                lcm = lcm * (d.exact_div(g) if g.degree() > 0 else d)
-    return lcm
+            if lcm_den is not None:
+                d = lcm_den * d.exact_div(lcm_den.gcd(d))
+            lcm_den = d
+    plcm = lcm_den.prim if lcm_den else (1,)
+    parts = []  # each value as k * prim / plcm, k rational, prim over Z
+    for v in values:
+        if not v:
+            parts.append((0, ()))
+        elif isinstance(v, RationalFunction):
+            parts.append((v.num.cont * v.den.prim[-1],
+                          _zmul(v.num.prim, _zdiv_exact(plcm, v.den.prim))))
+        else:
+            parts.append((v, plcm))
+    q = lcm(*(k.denominator for k, _ in parts))
+    return (_poly(param, q, plcm),
+            [_poly(param, k.numerator * (q // k.denominator), prim)
+             if k else _poly(param, 0, ()) for k, prim in parts])
 
 
 def invert_parameter(x, new_param):

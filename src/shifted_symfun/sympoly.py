@@ -2,22 +2,27 @@
 
 Two containers share the work:
 
-  * SparsePoly -- exponent-keyed dict, optionally with one extra slot for
-    the generating variable t at the end of every key
+  * SparsePoly -- one scalar content times a dict of int coefficients,
+    keyed by exponent tuples with an optional slot for the parameter r
+    and an optional slot for the generating variable t
   * SymPoly    -- symmetric polynomials stored by partition in the m-basis
 
 Conversions go down via to_sparse / m_expand and back up via
-collect_symmetric, which verifies symmetry instead of assuming it.
+collect_symmetric, which verifies symmetry instead of assuming it.  These
+conversions and ``SparsePoly.terms`` are the only places where the ints
+turn back into Fraction or RationalFunction coefficients.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, prod
+from operator import add, getitem
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
-from .scalars import ExactDivisionError, _lift, is_scalar
+from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
+                      UniPoly, _lift, clear_denominators, is_scalar)
 
 
 class NotSymmetricError(ValueError):
@@ -25,7 +30,22 @@ class NotSymmetricError(ValueError):
 
 
 def _perms(key):
-    return set(permutations(key))
+    """Every distinct rearrangement of key once, in lex order: the
+    next-permutation step (Knuth's Algorithm L), so an orbit costs its own
+    size rather than len(key)!."""
+    a = sorted(key)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def _signed_permutations(n):
@@ -38,31 +58,102 @@ def _signed_permutations(n):
     return out
 
 
-class SparsePoly:
-    """Multivariate polynomial over scalars, keys are exponent tuples.
+# -- the integer layer --------------------------------------------------------
 
-    Keys have length n, or n + 1 when has_t is set; the last slot is then
-    the exponent of t.  Zero coefficients are never stored.
+def _cleared(values):
+    """(den, content, nums) with values[k] == content * nums[k].
+
+    content = 1/den.  Over Q, den and the nums are ints and content is a
+    Fraction; over Q(r) they are UniPolys in r with integer coefficients
+    and content is a RationalFunction.
+    """
+    den, nums = clear_denominators(values)
+    if isinstance(den, UniPoly):
+        return den, RationalFunction(UniPoly.const(den.var, 1), den), nums
+    return den, Fraction(1, den), nums
+
+
+def _r_pairs(num):
+    """A cleared numerator as (power of r, int) pairs."""
+    if isinstance(num, UniPoly):
+        return [(j, num.cont * c) for j, c in enumerate(num.prim) if c]
+    return [(0, num)] if num else []
+
+
+def _make(n, has_t, param, cont, ints):
+    p = object.__new__(SparsePoly)
+    p.n, p.has_t, p.param, p.cont, p.ints = n, has_t, param, cont, ints
+    return p
+
+
+def _from_scalars(n, has_t, items):
+    """SparsePoly from (keys, scalar) items: each key, written without the
+    r slot, carries that scalar."""
+    _, cont, nums = _cleared([c for _, c in items])
+    param = getattr(cont, "param", None)
+    ints = {}
+    for (keys, _), num in zip(items, nums):
+        pairs = _r_pairs(num)
+        for key in keys:
+            for j, v in pairs:
+                ints[key[:n] + (j,) + key[n:] if param else key] = v
+    return _make(n, has_t, param, cont, ints)
+
+
+def _imul(a, b):
+    """Product of two int term maps: keys add slot by slot."""
+    out = {}
+    get = out.get
+    items = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in items:
+            k = tuple(map(add, k1, k2))
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _scalars(p, items):
+    """{key without the r slot: scalar} from (key, int) items of p."""
+    c = p.cont
+    if p.param is None:
+        return {k: c * v for k, v in items}
+    n = p.n
+    polys = {}
+    for k, v in items:
+        polys.setdefault(k[:n] + k[n + 1:], {})[k[n]] = v
+    return {k: c * UniPoly(p.param, [d.get(j, 0) for j in range(max(d) + 1)])
+            for k, d in polys.items()}
+
+
+class SparsePoly:
+    """Multivariate polynomial: one scalar content times an int term map.
+
+    Its value is ``cont * sum(c * monomial(key))`` over ``ints``, a dict
+    of nonzero ints.  A key holds the n x-exponents, then the exponent of
+    the parameter r when the polynomial lives over Q(r), then the exponent
+    of t when has_t is set.  Over Q, ``param`` is None and ``cont`` a
+    Fraction; over Q(r), ``param`` names r and ``cont`` is a
+    RationalFunction.  Products, shifts and divisions run on the ints
+    alone; ``terms`` gives the scalar coefficients, keyed without the r
+    slot.
     """
 
-    __slots__ = ("n", "has_t", "terms")
+    __slots__ = ("n", "has_t", "param", "cont", "ints")
 
     def __init__(self, n, terms=None, has_t=False):
-        self.n = n
-        self.has_t = has_t
+        terms = terms or {}
         width = n + 1 if has_t else n
-        clean = {}
-        for key, c in (terms or {}).items():
+        for key in terms:
             if len(key) != width:
                 raise ValueError(f"key {key} has wrong width, expected {width}")
-            c = _lift(c)
-            if c:
-                clean[tuple(key)] = c
-        self.terms = clean
+        p = _from_scalars(n, has_t, [((tuple(k),), c)
+                                     for k, c in terms.items() if c])
+        self.n, self.has_t, self.param = n, has_t, p.param
+        self.cont, self.ints = p.cont, p.ints
 
     @classmethod
     def zero(cls, n, has_t=False):
-        return cls(n, {}, has_t)
+        return _make(n, has_t, None, Fraction(1), {})
 
     @classmethod
     def const(cls, n, c, has_t=False):
@@ -73,90 +164,104 @@ class SparsePoly:
     def variable(cls, n, i):
         key = [0] * n
         key[i] = 1
-        return cls(n, {tuple(key): Fraction(1)})
+        return _make(n, False, None, Fraction(1), {tuple(key): 1})
 
     @classmethod
     def t_var(cls, n):
-        return cls(n, {(0,) * n + (1,): Fraction(1)}, has_t=True)
+        return _make(n, True, None, Fraction(1), {(0,) * n + (1,): 1})
+
+    @property
+    def terms(self):
+        """The coefficients as {key: Fraction or RationalFunction}."""
+        return _scalars(self, self.ints.items())
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def coefficient(self, key):
         return self.terms.get(tuple(key), Fraction(0))
 
     def degree(self):
         """Total degree in the x variables only; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        stop = self.n
-        return max(sum(k[:stop]) for k in self.terms)
+        n = self.n
+        return max((sum(k[:n]) for k in self.ints), default=-1)
 
     def with_t(self):
         if self.has_t:
             return self
-        return SparsePoly(self.n, {k + (0,): c for k, c in self.terms.items()},
-                          has_t=True)
+        return _make(self.n, True, self.param, self.cont,
+                     {k + (0,): c for k, c in self.ints.items()})
 
     def t_components(self):
         """Split by t power into plain polynomials: {t_exponent: poly}."""
         if not self.has_t:
             return {0: self}
         buckets = {}
-        for k, c in self.terms.items():
+        for k, c in self.ints.items():
             buckets.setdefault(k[-1], {})[k[:-1]] = c
-        return {p: SparsePoly(self.n, d) for p, d in sorted(buckets.items())}
+        return {p: _make(self.n, False, self.param, self.cont, d)
+                for p, d in sorted(buckets.items())}
+
+    def _over(self, param):
+        """self over Q(param); unchanged when param is None or its own."""
+        if param is None or param == self.param:
+            return self
+        if self.param is not None:
+            raise TagMismatchError(
+                f"polynomials over {self.param!r} and {param!r} do not mix")
+        n = self.n
+        return _make(n, self.has_t, param,
+                     RationalFunction.const(param, self.cont),
+                     {k[:n] + (0,) + k[n:]: c for k, c in self.ints.items()})
 
     def _pair(self, other):
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        if self.has_t == other.has_t:
-            return self, other
-        return self.with_t(), other.with_t()
+        a, b = self._over(other.param), other._over(self.param)
+        if a.has_t == b.has_t:
+            return a, b
+        return a.with_t(), b.with_t()
+
+    def _times(self, num):
+        """The int map times a cleared numerator (an int, or a UniPoly in r)."""
+        slots = (0,) * self.n, self.param is not None, (0,) * self.has_t
+        return _imul(self.ints, {slots[0] + (j,) * slots[1] + slots[2]: v
+                                 for j, v in _r_pairs(num)})
 
     def __add__(self, other):
-        if is_scalar(other) or isinstance(other, int):
-            return self + SparsePoly.const(self.n, _lift(other), self.has_t)
+        if not isinstance(other, SparsePoly):
+            other = SparsePoly.const(self.n, other, self.has_t)
         a, b = self._pair(other)
-        out = dict(a.terms)
-        for k, c in b.terms.items():
+        cont, out, extra = a.cont, dict(a.ints), b.ints
+        if a.cont != b.cont:  # rescale both to one content
+            _, cont, (ma, mb) = _cleared([a.cont, b.cont])
+            out, extra = dict(a._times(ma)), b._times(mb)
+        for k, c in extra.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return SparsePoly(a.n, out, a.has_t)
+                del out[k]
+        return _make(a.n, a.has_t, a.param, cont, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.n, {k: -c for k, c in self.terms.items()},
-                          self.has_t)
+        return _make(self.n, self.has_t, self.param, -self.cont, self.ints)
 
     def __sub__(self, other):
-        if is_scalar(other) or isinstance(other, int):
-            return self + (-_lift(other))
         return self + (-other)
 
     def __mul__(self, other):
-        if is_scalar(other) or isinstance(other, int):
+        if not isinstance(other, SparsePoly):
             c = _lift(other)
             if not c:
                 return SparsePoly.zero(self.n, self.has_t)
-            return SparsePoly(self.n,
-                              {k: c * v for k, v in self.terms.items()},
-                              self.has_t)
+            p = self._over(getattr(c, "param", None))
+            return _make(p.n, p.has_t, p.param, p.cont * c, p.ints)
         a, b = self._pair(other)
-        out = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return SparsePoly(a.n, out, a.has_t)
+        return _make(a.n, a.has_t, a.param, a.cont * b.cont,
+                     _imul(a.ints, b.ints))
 
     __rmul__ = __mul__
 
@@ -164,10 +269,10 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         a, b = self._pair(other)
-        return a.terms == b.terms
+        return (a.cont == b.cont and a.ints == b.ints) or a.terms == b.terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def evaluate(self, point, t_value=None):
         """Evaluate at scalars; keep has_t polynomials need t_value."""
@@ -175,124 +280,105 @@ class SparsePoly:
             raise ValueError("point has wrong length")
         if self.has_t and t_value is None:
             raise ValueError("need a value for t")
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            v = c
-            for x, e in zip(point, k[:self.n]):
-                for _ in range(e):
-                    v = v * x
-            if self.has_t:
-                for _ in range(k[-1]):
-                    v = v * t_value
-            total = total + v
-        return total
+        coords = list(point) + [t_value] * self.has_t
+        return sum((c * prod(map(pow, coords, k))
+                    for k, c in self.terms.items()), Fraction(0))
 
     def translate(self, deltas):
-        """Substitute x_i -> x_i - deltas[i]; t is untouched."""
+        """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
+
+        One variable at a time: with deltas[i] = a/q,
+        (x - a/q)^e = q^-e sum_k C(e, k) q^k x^k (-a)^(e-k).  Each term is
+        padded to q^-top, top the largest e present, so the content takes
+        one factor q^-top and the map stays integral.
+        """
         if len(deltas) != self.n:
             raise ValueError("need one shift per variable")
-        cache = {}
-
-        def expansion(i, e):
-            # (x_i - d)^e as [(k, scalar)] by the binomial theorem
-            got = cache.get((i, e))
-            if got is None:
-                d = deltas[i]
-                got = []
-                for k in range(e + 1):
-                    c = Fraction(comb(e, k))
-                    for _ in range(e - k):
-                        c = c * (-d)
-                    if c:
-                        got.append((k, c))
-                cache[(i, e)] = got
-            return got
-
-        acc = {}
-        for key, coeff in self.terms.items():
-            partial = [(key[self.n:], coeff)]  # start from the t tail
-            for i in range(self.n - 1, -1, -1):
-                if key[i] == 0:
-                    partial = [((0,) + tail, c) for tail, c in partial]
-                    continue
-                nxt = []
-                for k, bc in expansion(i, key[i]):
-                    for tail, c in partial:
-                        nxt.append(((k,) + tail, bc * c))
-                partial = nxt
-            for tail, c in partial:
-                s = acc.get(tail, 0) + c
-                if s:
-                    acc[tail] = s
-                else:
-                    acc.pop(tail, None)
-        return SparsePoly(self.n, acc, self.has_t)
+        p = self
+        for i, delta in enumerate(deltas):
+            if not delta or not p.ints:
+                continue
+            q, scale, (a,) = _cleared([delta])
+            p = p._over(getattr(scale, "param", None))
+            n, param = p.n, p.param
+            top = max(k[i] for k in p.ints)
+            expansions = {}
+            out = {}
+            get = out.get
+            for key, c in p.ints.items():
+                e = key[i]
+                if e not in expansions:
+                    expansions[e] = [
+                        (k, j, v) for k in range(e + 1)
+                        for j, v in _r_pairs(comb(e, k) * q ** (top - e + k)
+                                             * (-a) ** (e - k))]
+                kk = list(key)
+                for k, j, v in expansions[e]:
+                    kk[i] = k
+                    if param:
+                        kk[n] = key[n] + j
+                    kt = tuple(kk)
+                    out[kt] = get(kt, 0) + c * v
+            cont = p.cont if q == 1 else p.cont * scale ** top
+            p = _make(n, p.has_t, param, cont,
+                      {k: c for k, c in out.items() if c})
+        return p
 
     def swap_vars(self, i, j):
         out = {}
-        for k, c in self.terms.items():
+        for k, c in self.ints.items():
             kk = list(k)
             kk[i], kk[j] = kk[j], kk[i]
             out[tuple(kk)] = c
-        return SparsePoly(self.n, out, self.has_t)
+        return _make(self.n, self.has_t, self.param, self.cont, out)
 
     def is_symmetric(self):
         return all(self.swap_vars(i, i + 1) == self for i in range(self.n - 1))
 
     def divide_linear_diff(self, i, j):
-        """Exact division by (x_i - x_j); raises if a remainder is left."""
+        """Exact division by (x_i - x_j); raises if a remainder is left.
+
+        Synthetic division in x_i from the top power down: with
+        self = sum_e c_e x_i^e, the quotient has q_(e-1) = c_e + x_j q_e
+        and the remainder c_0 + x_j q_0 must vanish.
+        """
         if i == j:
             raise ValueError("need two distinct variables")
-        if self.is_zero():
-            return self
         levels = {}
-        for key, c in self.terms.items():
-            e = key[i]
+        for key, c in self.ints.items():
             kk = list(key)
             kk[i] = 0
-            levels.setdefault(e, {})[tuple(kk)] = c
-        top = max(levels)
-        if top == 0:
-            raise ExactDivisionError(f"not divisible by x{i} - x{j}")
-
-        def add_into(dst, src, bump_j=False):
-            for k, c in src.items():
-                if bump_j:
-                    kk = list(k)
-                    kk[j] += 1
-                    k = tuple(kk)
-                s = dst.get(k, 0) + c
-                if s:
-                    dst[k] = s
-                else:
-                    dst.pop(k, None)
-
-        out = {}
-        cur = dict(levels.get(top, {}))  # q_{top-1}
-        for k in range(top - 1, -1, -1):
+            levels.setdefault(key[i], {})[tuple(kk)] = c
+        out, cur = {}, {}
+        for e in range(max(levels, default=0), -1, -1):
+            nxt = dict(levels.get(e, {}))
             for key, c in cur.items():
                 kk = list(key)
-                kk[i] = k
-                out[tuple(kk)] = c
-            nxt = {}
-            add_into(nxt, cur, bump_j=True)       # x_j * q_k
-            add_into(nxt, levels.get(k, {}))      # + c_k
-            cur = nxt
+                kk[j] += 1
+                kt = tuple(kk)
+                nxt[kt] = nxt.get(kt, 0) + c
+            cur = {k: c for k, c in nxt.items() if c}
+            if e:
+                for key, c in cur.items():
+                    kk = list(key)
+                    kk[i] = e - 1
+                    out[tuple(kk)] = c
         if cur:
             raise ExactDivisionError(f"not divisible by x{i} - x{j}")
-        return SparsePoly(self.n, out, self.has_t)
+        return _make(self.n, self.has_t, self.param, self.cont, out)
 
     def map_coeffs(self, fn):
         return SparsePoly(self.n, {k: fn(c) for k, c in self.terms.items()},
                           self.has_t)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "SparsePoly(0)"
         names = [f"x{i+1}" for i in range(self.n)] + (["t"] if self.has_t else [])
         bits = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
             mono = "*".join(f"{nm}^{e}" if e > 1 else nm
                             for nm, e in zip(names, k) if e)
             bits.append(f"({c})*{mono}" if mono else f"({c})")
@@ -405,25 +491,31 @@ class SymPoly:
                                 for k, c in self.terms.items()})
 
     def to_sparse(self, has_t=False):
-        out = {}
-        for lam, c in self.terms.items():
-            for key in _perms(lam):
-                out[key + (0,) if has_t else key] = c
-        return SparsePoly(self.n, out, has_t)
+        tail = (0,) if has_t else ()
+        return _from_scalars(self.n, has_t,
+                             [([key + tail for key in _perms(lam)], c)
+                              for lam, c in self.terms.items()])
 
     def evaluate(self, point):
+        """The value at a point, one scalar step per partition.
+
+        The point is cleared to one denominator q once; each m_lam orbit
+        is summed in ints (integer polynomials over Q(r)), and each degree
+        d is scaled by q^-d once.
+        """
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        total = Fraction(0)
+        _, scale, elems = _cleared(point)
+        top = max((part for lam in self.terms for part in lam), default=0)
+        pw = [[x ** e if e else 1 for e in range(top + 1)] for x in elems]
+        sums = {}
         for lam, c in self.terms.items():
-            s = Fraction(0)
-            for key in _perms(lam):
-                v = Fraction(1)
-                for x, e in zip(point, key):
-                    for _ in range(e):
-                        v = v * x
-                s = s + v
-            total = total + c * s
+            d = sum(lam)
+            s = sum(prod(map(getitem, pw, key)) for key in _perms(lam))
+            sums[d] = sums.get(d, 0) + c * s
+        total = Fraction(0)
+        for d, s in sums.items():
+            total = total + (s * scale ** d if d else s)
         return total
 
     def __repr__(self):
@@ -450,24 +542,27 @@ def collect_symmetric(p):
     """
     if p.has_t:
         raise ValueError("collect t components separately")
+    n = p.n
     groups = {}
-    for key, c in p.terms.items():
-        rep = tuple(sorted(key, reverse=True))
+    for key, c in p.ints.items():
+        rep = tuple(sorted(key[:n], reverse=True)) + key[n:]
         groups.setdefault(rep, {})[key] = c
-    out = {}
+    out = []
     for rep, seen in groups.items():
-        orbit = _perms(rep)
-        if len(seen) != len(orbit):
-            missing = next(iter(orbit - set(seen)))
+        lam = rep[:n]
+        missing = next((k for k in _perms(lam) if k + rep[n:] not in seen),
+                       None)
+        if missing is not None:
             raise NotSymmetricError(f"missing monomial x^{missing}")
         ref = seen[rep]
         for key, c in seen.items():
             if c != ref:
                 raise NotSymmetricError(
-                    f"coefficients differ on the orbit of x^{rep}: "
-                    f"{c} at x^{key} vs {ref}")
-        out[rep] = ref
-    return SymPoly(p.n, out)
+                    f"coefficients differ on the orbit of x^{lam}: "
+                    f"{p.coefficient(key[:n])} at x^{key[:n]} "
+                    f"vs {p.coefficient(lam)}")
+        out.append((rep, ref))
+    return SymPoly(n, _scalars(p, out))
 
 
 def collect_symmetric_t(p):

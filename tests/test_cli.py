@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from shifted_symfun import cli
 from shifted_symfun import jack as jack_module
+from shifted_symfun.partitions import enumerate_upto
 from shifted_symfun.scalars import RationalFunction
 
 
@@ -151,6 +153,30 @@ def test_verify_unknown_check(capsys):
                                 "--n", "2", "--dmax", "2"])
     assert code == 2
     assert "bogus" in err
+
+
+def test_verify_unknown_check_next_to_all(capsys):
+    # unknown names are looked for before "all" expands to every check
+    code, out, err = run(capsys, ["verify", "--check", "all,bogus",
+                                  "--n", "1", "--dmax", "0"])
+    assert code == 2
+    assert out == ""
+    assert "unknown checks ['bogus']" in err
+
+
+def test_compute_oversized_input_refused_up_front(capsys):
+    for argv in (["--n", "2", "--lambda", "99999999999999999999999"],
+                 ["--n", "2", "--lambda", "15"],
+                 ["--n", str(cli.MAX_COMPUTE_N + 1), "--lambda", "1"],
+                 ["--n", "10000000000000", "--lambda", "1"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["compute", "--what", "P"] + argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "refusing to run" in err
+    # the largest admitted degree in two variables has 64 nodes
+    assert len(enumerate_upto(2, 14)) == cli.MAX_COMPUTE_NODES
 
 
 def test_verify_alpha_check_rejects_r(capsys):
@@ -299,18 +325,19 @@ def test_scan_text_output(capsys):
 
 
 # Each option's values as (well formed, malformed).  Sizes stay small
-# (n <= 3, dmax <= 2, parts <= 4) so every accepted run finishes quickly:
-# a huge partition is not refused up front.  ``--check all`` is left out:
-# it takes about half a second at n = 3.
+# (n <= 3, dmax <= 2, parts <= 4) so every accepted run finishes quickly;
+# the one huge partition is refused up front by compute's size bound.
+# ``--check all`` is left out: it takes about half a second at n = 3.
 FUZZ_VALUES = {
     "--n": (["1", "2", "3"], ["0", "-1", "x", "1.5"]),
     "--dmax": (["0", "1", "2"], ["-1", "x"]),
-    "--lambda": (["2,1", "1", "3", "1,,1", "[1,1]"], ["-1", "a", "1,2", ""]),
+    "--lambda": (["2,1", "1", "3", "1,,1", "[1,1]",
+                  "99999999999999999999999"], ["-1", "a", "1,2", ""]),
     "--r": (["1/2", "-1", "0", "-1/2", "2"], ["1/0", "x"]),
     "--what": (["P", "P1k", "factorial-schur", "one-row", "jackP", "jackJ",
                 "shiftedJ"], ["bogus"]),
     "--check": (["vanishing", "cutoff,eigenvalue", "lift,pieri"],
-                ["bogus", ""]),
+                ["bogus", "", "all,bogus"]),
     "--output": (["text", "json"], ["xml"]),
     "--workers": (["1"], ["0", "x"]),
 }

@@ -1,0 +1,167 @@
+"""Cross-world oracles for the integer polynomial layer.
+
+SparsePoly keeps one scalar content and an int term map, with r as one
+more exponent slot over Q(r).  These tests check it against routes that
+do not share that representation: the symbolic-r operators with r
+substituted afterwards, term-by-term Fraction evaluation, and sympy's
+Poly over QQ.  sympy and hypothesis are test-time dependencies only.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
+                                      apply_raising)
+from shifted_symfun.partitions import enumerate_upto  # noqa: E402
+from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
+                                    UniPoly, substitute)
+from shifted_symfun.sympoly import SparsePoly, SymPoly, _perms  # noqa: E402
+
+PROPS = settings(max_examples=40, deadline=None)
+R = RationalFunction.gen("r")
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+# shifts with r > 1, r < 0 and non-unit denominators all come up
+shifts = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+def sym_polys(n, dmax, coeffs=small_rationals):
+    basis = enumerate_upto(n, dmax)
+    return st.dictionaries(st.sampled_from(basis), coeffs, max_size=5).map(
+        lambda terms: SymPoly(n, terms))
+
+
+def at(f, r):
+    """The SymPoly f over Q(r) with r substituted by a rational."""
+    return f.map_coeffs(lambda c: substitute(c, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_perms_is_the_set_of_permutations(key):
+    got = list(_perms(key))
+    assert len(got) == len(set(got))
+    assert set(got) == set(permutations(key))
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(sym_polys(n, 3), st.integers(0, n))), shifts)
+def test_rational_shift_operators_match_symbolic_then_substituted(case, r):
+    f, k = case
+    assert apply_raising(f, k, r) == at(apply_raising(f, k, R), r)
+    over_q = apply_difference_family(f, r)
+    over_r = apply_difference_family(f, R)
+    zero = SymPoly.zero(f.n)
+    for p in set(over_q) | set(over_r):
+        assert over_q.get(p, zero) == at(over_r.get(p, zero), r)
+
+
+def reference_evaluate(f, point):
+    """The old evaluation: every monomial of every orbit, one scalar
+    product at a time."""
+    total = Fraction(0)
+    for lam, c in f.terms.items():
+        s = Fraction(0)
+        for key in set(permutations(lam)):
+            v = Fraction(1)
+            for x, e in zip(point, key):
+                for _ in range(e):
+                    v = v * x
+            s = s + v
+        total = total + c * s
+    return total
+
+
+linear_in_r = st.builds(lambda a, b: a + b * R, small_rationals,
+                        small_rationals)
+rational_in_r = st.builds(lambda a, b, c: (a + b * R) / (c + R),
+                          small_rationals, small_rationals,
+                          st.integers(1, 5))
+
+
+def points(n):
+    return st.one_of(st.lists(small_rationals, min_size=n, max_size=n),
+                     st.lists(linear_in_r, min_size=n, max_size=n),
+                     st.lists(rational_in_r, min_size=n, max_size=n))
+
+
+mixed_coeffs = st.one_of(small_rationals, rational_in_r)
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    sym_polys(n, 4, coeffs=mixed_coeffs), points(n))))
+def test_evaluate_matches_term_by_term_evaluation(case):
+    f, point = case
+    assert f.evaluate(point) == reference_evaluate(f, point)
+    sparse = f.to_sparse()
+    assert sparse.evaluate(point) == reference_evaluate(f, point)
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    sym_polys(n, 3, coeffs=st.one_of(small_rationals, linear_in_r)),
+    st.lists(st.integers(0, 6), min_size=n, max_size=n))))
+def test_evaluate_over_q_of_r_at_partition_nodes(case):
+    f, mu = case
+    node = [m + R * (f.n - 1 - i) for i, m in enumerate(mu)]
+    assert f.evaluate(node) == reference_evaluate(f, node)
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    sym_polys(n, 3, coeffs=mixed_coeffs), points(n), points(n))))
+def test_translate_by_scalars_of_either_world(case):
+    # shifting by d and evaluating at x is evaluating at x - d, for
+    # rational shifts and for shifts that are polynomials or rational
+    # functions in r (these move exponents into the r slot)
+    f, d, x = case
+    p = f.to_sparse()
+    shifted = [a - b for a, b in zip(x, d)]
+    assert p.translate(d).evaluate(x) == p.evaluate(shifted)
+
+
+def sparse_polys(n):
+    keys = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    return st.dictionaries(keys, small_rationals, max_size=6).map(
+        lambda terms: SparsePoly(n, terms))
+
+
+def to_sympy(p, xs):
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([x ** e for x, e in zip(xs, k)])
+                for k, c in p.terms.items()), sympy.Integer(0))
+    return sympy.Poly(expr, *xs, domain=sympy.QQ)
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(sparse_polys(n), sparse_polys(n))),
+    small_rationals.filter(bool))
+def test_products_with_a_content_match_sympy(case, c):
+    a, b = case
+    a = a * c  # a content other than 1 on one side
+    xs = sympy.symbols(f"x0:{a.n}")
+    want = to_sympy(a, xs) * to_sympy(b, xs)
+    got = a * b
+    assert to_sympy(got, xs) == want
+    assert to_sympy(got + b * a, xs) == 2 * want
+    assert all(isinstance(v, int) for v in got.ints.values())
+
+
+def test_r_is_an_exponent_slot():
+    p = SparsePoly.variable(2, 0) * (R + Fraction(1, 2)) + R / 3
+    assert p.param == "r"
+    assert p.ints == {(1, 0, 1): 6, (1, 0, 0): 3, (0, 0, 1): 2}
+    assert p.cont == RationalFunction(UniPoly.const("r", Fraction(1, 6)))
+    assert p.terms == {(1, 0): R + Fraction(1, 2), (0, 0): R / 3}
+    q = p * (1 / (R + 1))
+    assert q.ints == p.ints
+    assert (q * (R + 1)).terms == p.terms

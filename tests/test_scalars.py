@@ -8,7 +8,7 @@ import pytest
 from shifted_symfun.scalars import (ExactDivisionError, PoleError,
                                     RationalFunction, TagMismatchError,
                                     UniPoly, binom_scalar,
-                                    common_denominator, falling_factorial,
+                                    clear_denominators, falling_factorial,
                                     invert_parameter, scalar_key,
                                     substitute)
 
@@ -179,10 +179,21 @@ def test_falling_factorial_and_binom():
     assert binom_scalar(-R, 2) == R * (R + 1) / 2
 
 
-def test_common_denominator():
-    vals = [1 / (R + 1), R / ((R + 1) * (R - 2)), RationalFunction.const("r", Fraction(3))]
-    lcm = common_denominator(vals)
-    assert lcm is not None
-    for v in vals:
-        assert (v * RationalFunction(lcm)).is_polynomial()
-    assert common_denominator([Fraction(1, 2), Fraction(3)]) is None
+def test_clear_denominators():
+    vals = [1 / (R + 1), R / ((R + 1) * (R - 2)),
+            RationalFunction.const("r", Fraction(3)), Fraction(5, 6),
+            RationalFunction.const("r", 0), R / 4]
+    den, nums = clear_denominators(vals)
+    assert isinstance(den, UniPoly) and den.var == "r"
+    assert den.degree() == 2
+    for v, num in zip(vals, nums):
+        assert isinstance(num, UniPoly) and num.var == "r"
+        assert all(c.denominator == 1 for c in num.coeffs)
+        assert RationalFunction(num, den) == v
+    den, nums = clear_denominators([Fraction(1, 2), Fraction(3), 4,
+                                    Fraction(-5, 6)])
+    assert (den, nums) == (6, [3, 18, 24, -5])
+    assert all(type(x) is int for x in nums)
+    assert clear_denominators([]) == (1, [])
+    with pytest.raises(TagMismatchError):
+        clear_denominators([R, RationalFunction.gen("s")])
