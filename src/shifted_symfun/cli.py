@@ -28,7 +28,8 @@ from .partitions import enumerate_exact, is_partition
 from .scalars import PoleError, RationalFunction
 
 GREEK = {"alpha": "α"}
-# compute refuses larger inputs up front (exit 2); see the README
+# every subcommand refuses more variables, and compute larger
+# partitions, up front (exit 2); see the README
 MAX_COMPUTE_N = 6
 MAX_COMPUTE_NODES = 64
 JACK_SIDE = ("jackP", "jackJ", "shiftedJ")
@@ -181,8 +182,14 @@ def _resolve_parameter(args):
 
 
 def _check_bounds(args, need_dmax=False):
+    """Refuse n and dmax out of range before any work; above
+    MAX_COMPUTE_N, determinants and orbit sums (n! terms) and the
+    partition recursion explode."""
     if args.n < 1:
         raise ConfigError(f"n must be >= 1, got {args.n}")
+    if args.n > MAX_COMPUTE_N:
+        raise ConfigError(f"n = {args.n} is above the bound "
+                          f"{MAX_COMPUTE_N}; refusing to run")
     if need_dmax and args.dmax < 0:
         raise ConfigError(f"dmax must be >= 0, got {args.dmax}")
 
@@ -225,13 +232,9 @@ def _substitute_alpha(sym, value):
 # compute
 
 def _compute_partition(args):
-    """The --lambda partition, refused up front when the work explodes:
-    determinants and orbit sums grow like n!, and the degree-|lambda|
-    solve grows with its number of interpolation nodes."""
+    """The --lambda partition, refused up front when the degree-|lambda|
+    solve would have too many interpolation nodes."""
     n = args.n
-    if n > MAX_COMPUTE_N:
-        raise ConfigError(f"n = {n} is above the compute bound "
-                          f"{MAX_COMPUTE_N}; refusing to run")
     lam = _parse_partition(args.lam, n)
     nodes = 0
     for d in range(sum(lam) + 1):

@@ -14,7 +14,11 @@ eigenfunctions that the top components of the interpolation family hit.
 
 Every d_I and phi_I is one ``sympoly.alternant`` call.  The difference
 and raising families share one shift-and-sum path, and all three
-applications end in the same divide / collect tail.
+applications end in the same tail, ``sympoly.collect_alternating``: each
+sum is alternating in x, so its quotient by the Vandermonde is read off
+the strictly decreasing keys, and only those keys are ever formed.  The
+alternation is proved where it comes from, once per cached family: every
+adjacent transposition s_k must send each coefficient c_I to -c_(s_k I).
 """
 
 from fractions import Fraction
@@ -22,10 +26,11 @@ from itertools import combinations
 from math import prod
 
 from .partitions import enumerate_upto, staircase
-from .scalars import _lift, memoized, scalar_key
-from .sympoly import (SparsePoly, SymPoly, _signed_permutations, alternant,
-                      collect_symmetric, collect_symmetric_t,
-                      divide_by_vandermonde, e_basis_expand, elementary_eval)
+from .scalars import (RationalFunction, UniPoly, _lift, clear_denominators,
+                      memoized, scalar_key)
+from .sympoly import (SparsePoly, SymPoly, _signed_permutations, _strict,
+                      alternant, collect_alternating, e_basis_expand,
+                      elementary_eval, strict_product)
 
 
 def _binomial_power(n, i, base_shift, e):
@@ -73,42 +78,69 @@ def _subset_coefficient(rows, n, r):
     return alternant(n, entry)
 
 
+def _swap(rows, k):
+    """The index set s_k I: k and k + 1 trade places."""
+    return tuple(sorted({k: k + 1, k + 1: k}.get(i, i) for i in rows))
+
+
+def _alternating(family):
+    """The family, once every adjacent transposition s_k sends each c_I
+    to -c_(s_k I).  Then sum_I c_I * f(x - eps_I) alternates for every
+    symmetric f, which is what ``collect_alternating`` relies on.  The
+    test adds the int maps; a failure names its (I, k) witness."""
+    coeffs = dict(family)
+    for rows, c in family:
+        for k in range(c.n - 1):
+            if c.swap_vars(k, k + 1) + coeffs[_swap(rows, k)]:
+                raise ArithmeticError(
+                    f"family is not alternating: s_{k} does not send "
+                    f"c_{rows} to -c_{_swap(rows, k)}")
+    return family
+
+
 _DI_CACHE = {}
 _PHI_CACHE = {}
+_PERM_CACHE = {}
 
 
 @memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
 def _subset_family(n, r):
-    return tuple((rows, _subset_coefficient(rows, n, r))
-                 for size in range(n + 1)
-                 for rows in combinations(range(n), size))
+    return _alternating(tuple((rows, _subset_coefficient(rows, n, r))
+                              for size in range(n + 1)
+                              for rows in combinations(range(n), size)))
 
 
 @memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
 def _phi_family(n, r, size):
-    return tuple((rows, cutoff_phi(rows, n, r))
-                 for rows in combinations(range(n), size))
+    return _alternating(tuple((rows, cutoff_phi(rows, n, r))
+                              for rows in combinations(range(n), size)))
 
 
-def _collect(total):
-    """Divide by the Vandermonde and collect in the m-basis.
-
-    With t the result is {t_power: SymPoly}, without a single SymPoly.
-    """
-    total = divide_by_vandermonde(total)
-    if total.has_t:
-        return collect_symmetric_t(total)
-    return collect_symmetric(total)
+@memoized(_PERM_CACHE, lambda n: n)
+def _alternating_permutations(n):
+    """_signed_permutations(n), once every adjacent transposition of the
+    positions is checked to flip the sign: the Sekiguchi-Debiard sum then
+    alternates for every symmetric input."""
+    perms = tuple(_signed_permutations(n))
+    sign = dict(perms)
+    for perm, s in perms:
+        for k in range(n - 1):
+            swapped = perm[:k] + (perm[k + 1], perm[k]) + perm[k + 2:]
+            if sign.get(swapped) != -s:
+                raise ArithmeticError(
+                    f"permutation signs do not alternate: s_{k} on {perm}")
+    return perms
 
 
 def _apply_family(f, family, has_t):
-    """Sum coeff_I * f(x - eps_I) over (I, coeff_I) in family, then collect."""
+    """Sum coeff_I * f(x - eps_I) over (I, coeff_I) in family on the
+    strictly decreasing keys, then read the quotient off."""
     src = f.to_sparse(has_t)
     total = SparsePoly.zero(f.n, has_t)
     for rows, coeff in family:
         shifted = src.translate([int(i in rows) for i in range(f.n)])
-        total = total + coeff * shifted
-    return _collect(total)
+        total = total + strict_product(coeff, shifted)
+    return collect_alternating(total)
 
 
 def apply_difference_family(f, r):
@@ -153,7 +185,9 @@ def eigenvalue_poly(lam, r, n):
 
 
 def apply_sekiguchi_debiard(f, r, t_value=None):
-    """Apply the differential determinant, per monomial and permutation.
+    """Apply the differential determinant, per monomial and permutation;
+    a pair whose new key does not strictly decrease is skipped before its
+    factors are formed, as the read-off tail never looks at it.
 
     With t_value None the result is {t_power: SymPoly}; otherwise t is
     specialized first and a single SymPoly comes back.  Homogeneous
@@ -164,11 +198,13 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
     r = _lift(r)
     has_t = t_value is None
     acc = {}
-    perms = _signed_permutations(n)
+    perms = _alternating_permutations(n)
     for key, c in f.to_sparse().terms.items():
         for perm, sign in perms:
-            consts = [r * delta[perm[i]] + key[i] for i in range(n)]
             new_key = tuple(key[i] + delta[perm[i]] for i in range(n))
+            if not _strict(new_key):
+                continue
+            consts = [r * delta[perm[i]] + key[i] for i in range(n)]
             # prod_i (consts_i + t), split by t power or taken at t_value
             if has_t:
                 pieces = [(new_key + (p,), elementary_eval(n - p, consts))
@@ -182,7 +218,16 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
                         acc[kk] = s
                     else:
                         acc.pop(kk, None)
-    return _collect(SparsePoly(n, acc, has_t))
+    return collect_alternating(SparsePoly(n, acc, has_t))
+
+
+def _ratio(num, den):
+    """The scalar num / den for cleared ints or integer UniPolys."""
+    if isinstance(den, UniPoly):
+        if not isinstance(num, UniPoly):
+            num = UniPoly.const(den.var, num)
+        return RationalFunction(num, den)
+    return Fraction(num, den)
 
 
 class OperatorMatrix:
@@ -222,19 +267,34 @@ class OperatorMatrix:
     def entry(self, lam, mu):
         return self.rows[self.target.index(lam)][self.source.index(mu)]
 
+    def _cleared(self):
+        """(den, rows of (column, numerator) pairs): self.rows[i][k] is
+        num / den for every listed pair and zero elsewhere.  The
+        numerators are ints, or integer UniPolys over Q(r)."""
+        width = len(self.source)
+        den, nums = clear_denominators([e for row in self.rows for e in row])
+        return den, [[(k, v) for k, v in
+                      enumerate(nums[i * width:(i + 1) * width]) if v]
+                     for i in range(len(self.rows))]
+
     def __matmul__(self, other):
+        """The product on cleared numerators: one scalar division per
+        nonzero entry, by the product of the two denominators."""
         if other.target != self.source:
             raise ValueError("bases do not chain")
+        da, left = self._cleared()
+        db, right = other._cleared()
+        den = da * db
         rows = []
-        for i in range(len(self.target)):
-            row = []
-            for j in range(len(other.source)):
-                s = 0
-                for k in range(len(self.source)):
-                    a, b = self.rows[i][k], other.rows[k][j]
-                    if a and b:
-                        s = a * b + s
-                row.append(s)
+        for pairs in left:
+            acc = {}
+            for k, a in pairs:
+                for j, b in right[k]:
+                    acc[j] = a * b + acc.get(j, 0)
+            row = [0] * len(other.source)
+            for j, v in acc.items():
+                if v:
+                    row[j] = _ratio(v, den)
             rows.append(row)
         return OperatorMatrix(other.source, self.target, rows)
 

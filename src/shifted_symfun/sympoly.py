@@ -8,7 +8,9 @@ Two containers share the work:
   * SymPoly    -- symmetric polynomials stored by partition in the m-basis
 
 Conversions go down via to_sparse / m_expand and back up via
-collect_symmetric, which verifies symmetry instead of assuming it.  These
+collect_symmetric, which verifies symmetry instead of assuming it, or via
+collect_alternating, which reads the quotient of an alternating
+polynomial by the Vandermonde off its strictly decreasing keys.  These
 conversions and ``SparsePoly.terms`` are the only places where the ints
 turn back into Fraction or RationalFunction coefficients.
 """
@@ -16,13 +18,13 @@ turn back into Fraction or RationalFunction coefficients.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, prod
-from operator import add, getitem
+from operator import add, ge, getitem, gt, sub
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
 from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
-                      UniPoly, _lift, clear_denominators, is_scalar)
+                      UniPoly, _lift, clear_denominators, is_scalar, memoized)
 
 
 class NotSymmetricError(ValueError):
@@ -109,6 +111,54 @@ def _imul(a, b):
         for k2, c2 in items:
             k = tuple(map(add, k1, k2))
             out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _strict(x):
+    """True when the exponent tuple x strictly decreases."""
+    return all(map(gt, x, x[1:]))
+
+
+def _x_groups(ints, n):
+    """{x-part: [(r and t slots, int), ...]} of an int term map."""
+    groups = {}
+    for k, c in ints.items():
+        groups.setdefault(k[:n], []).append((k[n:], c))
+    return groups
+
+
+def _gaps(x):
+    return tuple(map(sub, x, x[1:]))
+
+
+def _imul_strict(a, b, n):
+    """The part of the product of two int term maps on keys whose first n
+    slots (the x-exponents) strictly decrease.
+
+    xa + xb strictly decreases when every gap xb_i - xb_(i+1) is at
+    least 1 - (xa_i - xa_(i+1)).  The x-parts of b are sorted by their
+    first gap, so the scan for one x-part of a stops at the first one
+    too small, and the r and t slots of a kept pair add as they are.
+    """
+    if n == 1:
+        return _imul(a, b)
+    right = sorted(((_gaps(x), x, rest) for x, rest in _x_groups(b, n).items()),
+                   key=lambda e: e[0][0], reverse=True)
+    out = {}
+    get = out.get
+    for xa, ra in _x_groups(a, n).items():
+        need = tuple(1 - g for g in _gaps(xa))
+        low = need[0]
+        for gaps, xb, rb in right:
+            if gaps[0] < low:
+                break
+            if not all(map(ge, gaps, need)):
+                continue
+            x = tuple(map(add, xa, xb))
+            for sa, ca in ra:
+                for sb, cb in rb:
+                    k = x + tuple(map(add, sa, sb))
+                    out[k] = get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
@@ -570,6 +620,35 @@ def collect_symmetric_t(p):
     return {tp: collect_symmetric(q) for tp, q in p.t_components().items()}
 
 
+def collect_alternating(p):
+    """The quotient of an alternating SparsePoly by the Vandermonde, in
+    the m-basis; with t, {t_exponent: SymPoly} over the nonzero t powers.
+
+    For p = V * sum_mu c_mu s_mu, c_mu is the coefficient of x^(mu+delta)
+    in p (Macdonald, I.3), so only keys whose x-part strictly decreases
+    are read, and each s_mu goes to the m-basis through its
+    ``schur_expand`` row.  Nothing here proves that p alternates: the
+    other keys are ignored, and the caller vouches for them.
+    """
+    n = p.n
+    delta = staircase(n)
+    out = {}
+    get = out.get
+    for x, rests in _x_groups(p.ints, n).items():
+        if not _strict(x):
+            continue
+        for lam, k in schur_expand(n, tuple(map(sub, x, delta))):
+            for rest, c in rests:
+                kk = lam + rest
+                out[kk] = get(kk, 0) + k * c
+    q = _make(n, p.has_t, p.param, p.cont,
+              {k: c for k, c in out.items() if c})
+    if not p.has_t:
+        return SymPoly(n, _scalars(q, q.ints.items()))
+    return {tp: SymPoly(n, _scalars(part, part.ints.items()))
+            for tp, part in q.t_components().items()}
+
+
 def elementary(k, n):
     """e_k in n variables as a SymPoly (zero when k > n)."""
     if k < 0:
@@ -674,6 +753,35 @@ def divide_by_vandermonde(p):
         for j in range(i + 1, p.n):
             p = p.divide_linear_diff(i, j)
     return p
+
+
+def strict_product(a, b):
+    """The terms of a * b whose x-exponents strictly decrease: all that
+    ``collect_alternating`` reads of an alternating product."""
+    a, b = a._pair(b)
+    return _make(a.n, a.has_t, a.param, a.cont * b.cont,
+                 _imul_strict(a.ints, b.ints, a.n))
+
+
+_SCHUR_CACHE = {}
+
+
+@memoized(_SCHUR_CACHE, lambda n, mu: (n, tuple(mu)))
+def schur_expand(n, mu):
+    """The Schur polynomial s_mu in n variables as ((lam, K), ...) pairs:
+    its m-coefficients, the Kostka numbers K_(mu, lam), as ints.
+
+    Built once per (n, mu) as the bialternant a_(mu+delta) / V, divided
+    and collected by the same code that serves every other quotient.
+    """
+    kappa = tuple(map(add, as_partition(mu, n), staircase(n)))
+
+    def entry(i, j):
+        key = [0] * n
+        key[i] = kappa[j]
+        return _make(n, False, None, Fraction(1), {tuple(key): 1})
+    s = collect_symmetric(divide_by_vandermonde(alternant(n, entry)))
+    return tuple((lam, c.numerator) for lam, c in s.terms.items())
 
 
 def e_monomial(n, exps):

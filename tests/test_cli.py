@@ -179,6 +179,20 @@ def test_compute_oversized_input_refused_up_front(capsys):
     assert len(enumerate_upto(2, 14)) == cli.MAX_COMPUTE_NODES
 
 
+def test_scan_and_verify_oversized_n_refused_up_front(capsys):
+    for argv in (["scan", "--n", "3000", "--dmax", "0"],
+                 ["verify", "--check", "vanishing", "--n", "3000",
+                  "--dmax", "0"],
+                 ["verify", "--check", "cutoff", "--n", "9", "--dmax", "0"],
+                 ["scan", "--n", str(cli.MAX_COMPUTE_N + 1), "--dmax", "0"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "refusing to run" in err
+
+
 def test_verify_alpha_check_rejects_r(capsys):
     code, _, err = run(capsys, ["verify", "--check", "pieri",
                                 "--n", "2", "--dmax", "2", "--r", "1/2"])

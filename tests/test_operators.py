@@ -179,6 +179,28 @@ def test_operator_matrix_algebra():
         _ = e1 @ e1  # bases do not chain
 
 
+def test_operator_matrix_product_matches_the_entrywise_sum():
+    """Products run on cleared numerators; over Q, over Q(r), and with
+    one operand over each, every entry equals the scalar sum."""
+    rng = random.Random(7)
+    pool = {"q": [Fraction(0), Fraction(0), Fraction(3, 4), Fraction(-5),
+                  Fraction(2, 9)],
+            "r": [Fraction(0), R, (R + 1) / (R + 2), Fraction(-1, 3),
+                  R * R / (2 * R - 3)]}
+    basis = enumerate_upto(2, 2)
+    for left, right in (("q", "q"), ("r", "r"), ("q", "r"), ("r", "q")):
+        a = OperatorMatrix(basis, basis, [[rng.choice(pool[left])
+                                           for _ in basis] for _ in basis])
+        b = OperatorMatrix(basis, basis, [[rng.choice(pool[right])
+                                           for _ in basis] for _ in basis])
+        got = a @ b
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                want = sum((a.rows[i][k] * b.rows[k][j]
+                            for k in range(len(basis))), Fraction(0))
+                assert got.rows[i][j] == want
+
+
 def test_inhomogeneous_lift_small():
     # in one box the lift of m_1 is exactly the degree-one interpolation poly
     rho = ShiftVector.staircase_multiple(2, R)

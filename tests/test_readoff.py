@@ -1,0 +1,177 @@
+"""Oracles for the Schur read-off tail of the operators.
+
+Each operator sum is alternating in x, so the operators form only its
+strictly decreasing keys and read the quotient by the Vandermonde off
+them (``sympoly.collect_alternating``).  These tests compare that route
+with the full one, which forms every key, divides by the Vandermonde and
+collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``).
+They also pin the s -> m table to known Kostka rows and check that a
+family which does not alternate is refused when its cache is filled.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from shifted_symfun import operators
+from shifted_symfun.operators import (_subset_coefficient,
+                                      apply_difference_family, apply_raising,
+                                      apply_sekiguchi_debiard, cutoff_phi)
+from shifted_symfun.partitions import enumerate_upto, staircase
+from shifted_symfun.scalars import RationalFunction, _lift, scalar_key
+from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
+                                    collect_alternating, collect_symmetric,
+                                    collect_symmetric_t, complete,
+                                    divide_by_vandermonde, elementary,
+                                    schur_expand, vandermonde)
+
+PROPS = settings(max_examples=25, deadline=None)
+R = RationalFunction.gen("r")
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+# r > 1, r < 0 and non-unit denominators all come up; so does symbolic r
+shifts = st.one_of(st.just(R),
+                   st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)))
+
+
+def sym_polys(n, dmax):
+    basis = enumerate_upto(n, dmax)
+    return st.dictionaries(st.sampled_from(basis), small_rationals,
+                           max_size=5).map(lambda terms: SymPoly(n, terms))
+
+
+cases = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(sym_polys(n, 4), st.integers(0, n)))
+
+
+def full_route(total):
+    """Divide by the Vandermonde and collect every orbit."""
+    q = divide_by_vandermonde(total)
+    return collect_symmetric_t(q) if q.has_t else collect_symmetric(q)
+
+
+def full_family(f, family, has_t):
+    src = f.to_sparse(has_t)
+    total = SparsePoly.zero(f.n, has_t)
+    for rows, coeff in family:
+        total = total + coeff * src.translate(
+            [int(i in rows) for i in range(f.n)])
+    return full_route(total)
+
+
+def full_sekiguchi(f, r, t_value=None):
+    n = f.n
+    delta = staircase(n)
+    r = _lift(r)
+    t = SparsePoly.t_var(n)
+    total = SparsePoly.zero(n, t_value is None)
+    for key, c in f.to_sparse().terms.items():
+        for perm, sign in _signed_permutations(n):
+            consts = [r * delta[perm[i]] + key[i] for i in range(n)]
+            mono = SparsePoly(n, {tuple(key[i] + delta[perm[i]]
+                                        for i in range(n)): sign * c})
+            if t_value is None:
+                total = total + prod((t + cc for cc in consts), start=mono)
+            else:
+                total = total + mono * prod(cc + t_value for cc in consts)
+    return full_route(total)
+
+
+@PROPS
+@given(cases, shifts)
+@example((SymPoly(3, {(2, 1, 0): Fraction(3, 2), (1, 1, 1): -1}), 2),
+         Fraction(5, 3))
+@example((SymPoly(2, {(3, 1): 1, (0, 0): 2}), 1), R)
+def test_difference_and_raising_match_the_full_route(case, r):
+    f, k = case
+    n = f.n
+    subsets = [rows for size in range(n + 1)
+               for rows in combinations(range(n), size)]
+    d_family = [(rows, _subset_coefficient(rows, n, r)) for rows in subsets]
+    assert apply_difference_family(f, r) == full_family(f, d_family, True)
+    phi_family = [(rows, cutoff_phi(rows, n, r))
+                  for rows in combinations(range(n), k)]
+    assert apply_raising(f, k, r) == full_family(f, phi_family, False)
+
+
+@PROPS
+@given(cases, shifts, st.one_of(st.none(), small_rationals))
+@example((SymPoly(3, {(2, 2, 0): 1, (1, 0, 0): Fraction(-1, 3)}), 0),
+         Fraction(7, 2), None)
+def test_sekiguchi_matches_the_full_route(case, r, t_value):
+    f, _ = case
+    assert apply_sekiguchi_debiard(f, r, t_value=t_value) == \
+        full_sekiguchi(f, r, t_value)
+
+
+@PROPS
+@given(st.integers(1, 3).flatmap(lambda n: sym_polys(n, 4)), st.booleans())
+def test_collect_alternating_inverts_the_vandermonde_product(g, with_t):
+    v = vandermonde(g.n)
+    if not with_t:
+        assert collect_alternating(v * g.to_sparse()) == g
+        return
+    # g + t * 2g, split back by the power of t
+    t = SparsePoly.t_var(g.n)
+    total = v.with_t() * (g.to_sparse(True) + t * (g * 2).to_sparse(True))
+    want = {p: h for p, h in ((0, g), (1, g * 2)) if h}
+    assert collect_alternating(total) == want
+
+
+def test_schur_table_matches_kostka_rows():
+    assert dict(schur_expand(3, (2, 1))) == {(2, 1, 0): 1, (1, 1, 1): 2}
+    assert dict(schur_expand(4, (2, 2))) == {
+        (2, 2, 0, 0): 1, (2, 1, 1, 0): 1, (1, 1, 1, 1): 2}
+    for n in (1, 2, 3):
+        for d in range(6):
+            # s_(d) = h_d and s_(1^k) = e_k
+            assert SymPoly(n, dict(schur_expand(n, (d,)))) == complete(d, n)
+            if d <= n:
+                assert SymPoly(n, dict(schur_expand(n, (1,) * d))) == \
+                    elementary(d, n)
+    assert all(type(k) is int for _, k in schur_expand(3, (3, 1)))
+
+
+def test_scaled_phi_member_is_refused_when_the_cache_fills(monkeypatch):
+    real = operators.cutoff_phi
+    r = Fraction(1, 2)
+
+    def skewed(rows, n, rr):
+        phi = real(rows, n, rr)
+        return phi * 2 if rows == (0,) else phi
+    monkeypatch.setattr(operators, "cutoff_phi", skewed)
+    key = (3, scalar_key(r), 1)
+    monkeypatch.delitem(operators._PHI_CACHE, key, raising=False)
+    with pytest.raises(ArithmeticError, match=r"s_0 .* c_\(0,\)"):
+        operators._phi_family(3, r, 1)
+    assert key not in operators._PHI_CACHE
+
+
+def test_scaled_subset_member_is_refused_when_the_cache_fills(monkeypatch):
+    real = operators._subset_coefficient
+    r = Fraction(1, 2)
+
+    def skewed(rows, n, rr):
+        d_i = real(rows, n, rr)
+        return d_i * 2 if rows == (1, 2) else d_i
+    monkeypatch.setattr(operators, "_subset_coefficient", skewed)
+    key = (3, scalar_key(r))
+    monkeypatch.delitem(operators._DI_CACHE, key, raising=False)
+    with pytest.raises(ArithmeticError, match="not alternating"):
+        operators._subset_family(3, r)
+    assert key not in operators._DI_CACHE
+
+
+def test_sekiguchi_refuses_signs_that_do_not_alternate(monkeypatch):
+    def flipped(n):
+        perms = _signed_permutations(n)
+        return [(perms[0][0], -perms[0][1])] + perms[1:]
+    monkeypatch.setattr(operators, "_signed_permutations", flipped)
+    monkeypatch.delitem(operators._PERM_CACHE, 3, raising=False)
+    with pytest.raises(ArithmeticError, match="do not alternate"):
+        apply_sekiguchi_debiard(SymPoly.one(3), R)
+    assert 3 not in operators._PERM_CACHE
