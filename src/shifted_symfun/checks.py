@@ -21,9 +21,9 @@ from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             single_row)
 from .jack import (alpha_gen, jack_J, jack_P, jack_P_at, jack_P_eigen,
                    pieri_verify)
-from .operators import (OperatorMatrix, apply_difference_family,
-                        apply_raising, cutoff_phi, eigenvalue_poly,
-                        inhomogeneous_lift, operator_matrix)
+from .operators import (OperatorMatrix, _phi_family, apply_difference_family,
+                        apply_raising, eigenvalue_poly, inhomogeneous_lift,
+                        operator_matrix)
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product)
@@ -232,17 +232,18 @@ def check_commutativity(n, dmax, r="symbolic"):
 
 
 def check_cutoff(n, dmax, r="symbolic"):
-    """Cut-off determinants vanish where the shifted index set breaks."""
-    from itertools import combinations
+    """Cut-off determinants vanish where the shifted index set breaks.
+
+    The phi_I are the cached families the raising operators use; the
+    empty I is left out, as mu - eps_I = mu never breaks.
+    """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    phis = {}
-    for size in range(n + 1):
-        for rows in combinations(range(n), size):
-            phis[rows] = cutoff_phi(rows, n, rho.r)
+    phis = [item for size in range(1, n + 1)
+            for item in _phi_family(n, rho.r, size)]
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
-        for rows, phi in phis.items():
+        for rows, phi in phis:
             shifted = list(mu)
             for i in rows:
                 shifted[i] -= 1

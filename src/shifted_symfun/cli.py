@@ -22,8 +22,10 @@ from fractions import Fraction
 
 from .checks import CHECKS, _rho, run_check
 from .interpolation import (NonDominantError, column_forms, factorial_schur,
-                            interpolation_polynomial, single_row)
-from .jack import conjecture_expand, jack_J, jack_P, shifted_jack_J
+                            interpolation_basis, interpolation_polynomial,
+                            single_row)
+from .jack import (conjecture_expand, jack_J, jack_P, shifted_jack_J,
+                   staircase_shift)
 from .partitions import enumerate_exact, is_partition
 from .scalars import PoleError, RationalFunction
 
@@ -373,6 +375,9 @@ def cmd_scan(args):
     tasks = [(args.n, lam)
              for d in range(args.dmax + 1)
              for lam in enumerate_exact(args.n, d)]
+    # every basis is solved here, once: forked workers inherit the cache
+    # and only grade
+    interpolation_basis(args.n, args.dmax, staircase_shift(args.n))
     reports = _run_tasks(_scan_one, tasks, workers)
     npass = sum(1 for rep in reports if rep["verdict"] == "pass")
     nfail = len(reports) - npass

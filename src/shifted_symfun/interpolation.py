@@ -205,9 +205,9 @@ def solve_linear(A, B):
 _BASIS_CACHE = {}
 
 
-def _node_matrix(n, rho, basis):
-    ms = [SymPoly.basis(n, nu) for nu in basis]
-    return [[m.evaluate(rho.point(mu)) for m in ms] for mu in basis]
+def _node_matrix(rho, nodes, polys):
+    """Row mu, column j: the value of polys[j] at the node mu + rho."""
+    return [[f.evaluate(rho.point(mu)) for f in polys] for mu in nodes]
 
 
 def _require_shift(n, d, rho):
@@ -231,21 +231,39 @@ def _node_values(n, d, values):
 def interpolation_basis(n, d, rho):
     """All P_lam for |lam| = d at once; cached per (n, d, rho).
 
-    One fraction-free solve covers every right-hand side of the degree.
-    The result is a read-only {lam: P_lam} view of the cached entry.
+    Newton's construction on top of the cached lower degrees.  Each m_nu
+    of degree d is first reduced against every lower P_kappa in
+    increasing degree, Q <- Q - (Q(kappa + rho) / hook_kappa) P_kappa:
+    P_kappa vanishes at the other nodes of degree <= |kappa|, so each
+    step keeps the zeros made so far, and the reduced Q_nu vanish at
+    every node below degree d.  P_lam is then the combination of the Q_nu
+    with the hook product at lam + rho and zeros at the other degree-d
+    nodes: one fraction-free p_n(d) x p_n(d) solve covers every lam.  The
+    result is a read-only {lam: P_lam} view of the cached entry.
     """
     _require_shift(n, d, rho)
-    basis = enumerate_upto(n, d)
+    lower = [(rho.point(kappa), P, rho_hook_product(kappa, rho.entries))
+             for e in range(d)
+             for kappa, P in interpolation_basis(n, e, rho).items()]
     tops = enumerate_exact(n, d)
-    A = _node_matrix(n, rho, basis)
-    index = {mu: i for i, mu in enumerate(basis)}
-    B = [[0] * len(tops) for _ in basis]
-    for j, lam in enumerate(tops):
-        B[index[lam]][j] = rho_hook_product(lam, rho.entries)
+    reduced = []
+    for nu in tops:
+        q = SymPoly.basis(n, nu)
+        for pt, P, hook in lower:
+            v = q.evaluate(pt)
+            if v:
+                q = q - P * (v / hook)
+        reduced.append(q)
+    A = _node_matrix(rho, tops, reduced)
+    B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
+          for lam in tops] for mu in tops]
     cols = solve_linear(A, B)
     out = {}
     for j, lam in enumerate(tops):
-        f = SymPoly(n, {nu: c for nu, c in zip(basis, cols[j])})
+        f = SymPoly.zero(n)
+        for x, q in zip(cols[j], reduced):
+            if x:
+                f = f + q * x
         if f.coefficient(lam) != 1:
             raise ArithmeticError(
                 f"hook-product normalization did not give a unit leading "
@@ -268,7 +286,7 @@ def interpolate(n, d, values, rho):
     """
     basis, vals = _node_values(n, d, values)
     _require_shift(n, d, rho)
-    A = _node_matrix(n, rho, basis)
+    A = _node_matrix(rho, basis, [SymPoly.basis(n, nu) for nu in basis])
     B = [[vals[mu]] for mu in basis]
     col = solve_linear(A, B)[0]
     return SymPoly(n, {nu: c for nu, c in zip(basis, col)})

@@ -24,7 +24,8 @@ from types import MappingProxyType
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
 from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
-                      UniPoly, _lift, clear_denominators, is_scalar, memoized)
+                      UniPoly, _lift, clear_denominators, is_scalar, memoized,
+                      scalar_key)
 
 
 class NotSymmetricError(ValueError):
@@ -549,23 +550,20 @@ class SymPoly:
     def evaluate(self, point):
         """The value at a point, one scalar step per partition.
 
-        The point is cleared to one denominator q once; each m_lam orbit
-        is summed in ints (integer polynomials over Q(r)), and each degree
-        d is scaled by q^-d once.
+        The point's evaluation row (see ``_point_row``) supplies the int
+        orbit sum of each m_lam (integer polynomials over Q(r)); each
+        degree d is scaled by q^-d once, where q clears the point.
         """
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        _, scale, elems = _cleared(point)
-        top = max((part for lam in self.terms for part in lam), default=0)
-        pw = [[x ** e if e else 1 for e in range(top + 1)] for x in elems]
+        row = _point_row(tuple(point))
         sums = {}
         for lam, c in self.terms.items():
             d = sum(lam)
-            s = sum(prod(map(getitem, pw, key)) for key in _perms(lam))
-            sums[d] = sums.get(d, 0) + c * s
+            sums[d] = sums.get(d, 0) + c * row.orbit(lam)
         total = Fraction(0)
         for d, s in sums.items():
-            total = total + (s * scale ** d if d else s)
+            total = total + (s * row.scale ** d if d else s)
         return total
 
     def __repr__(self):
@@ -575,6 +573,45 @@ class SymPoly:
         for lam in self.partitions():
             bits.append(f"({self.terms[lam]})*m{list(trim(lam))}")
         return " + ".join(bits)
+
+
+# -- evaluation rows ----------------------------------------------------------
+
+_ROW_CACHE = {}
+
+
+class _Row:
+    """One point, cleared to one denominator q (scale = 1/q), with the
+    power table of its cleared coordinates and the int orbit sum of every
+    partition evaluated there so far; both grow on demand."""
+
+    __slots__ = ("scale", "powers", "orbits")
+
+    def __init__(self, point):
+        _, self.scale, elems = _cleared(point)
+        self.powers = [[1, x] for x in elems]
+        self.orbits = {}
+
+    def orbit(self, lam):
+        """The sum of the cleared coordinates' monomials over the orbit of
+        the partition lam."""
+        s = self.orbits.get(lam)
+        if s is None:
+            pw = self.powers
+            top = max(lam, default=0)
+            for p in pw:
+                while len(p) <= top:
+                    p.append(p[-1] * p[1])
+            s = self.orbits[lam] = sum(prod(map(getitem, pw, key))
+                                       for key in _perms(lam))
+        return s
+
+
+@memoized(_ROW_CACHE, lambda point: tuple(scalar_key(_lift(x)) for x in point))
+def _point_row(point):
+    """The evaluation row of a point, per process; scalar_key keeps the
+    rows of Q and Q(r) points apart."""
+    return _Row(point)
 
 
 # -- constructors and conversions --------------------------------------------

@@ -64,3 +64,48 @@ def test_commutativity_detects_broken_family(monkeypatch):
     monkeypatch.setattr(checks, "apply_difference_family", skewed)
     report = checks.check_commutativity(2, 2)
     assert report["status"] == "fail"
+
+
+def test_node_checks_read_the_coefficients(monkeypatch):
+    # one coefficient of P_(1,1,0) moved: the value at the empty node,
+    # which does not contain (1,1), is no longer 0
+    real = checks.interpolation_basis
+    target = (1, 1, 0)
+
+    def perturbed(n, d, rho):
+        basis = dict(real(n, d, rho))
+        if target in basis:
+            basis[target] = basis[target] + SymPoly.one(n)
+        return basis
+
+    monkeypatch.setattr(checks, "interpolation_basis", perturbed)
+    monkeypatch.setattr(checks, "interpolation_polynomial",
+                        lambda lam, rho: perturbed(rho.n, sum(lam), rho)[lam])
+    for name in ("vanishing", "extra-vanishing", "ideal-stability"):
+        report = checks.run_check(name, 3, 3, r="2")
+        assert report["status"] == "fail", name
+
+
+def test_cutoff_reads_the_raising_families(monkeypatch):
+    from fractions import Fraction
+
+    from shifted_symfun import operators
+    real = operators.cutoff_phi
+    calls = []
+
+    def counted(rows, n, r):
+        calls.append(rows)
+        return real(rows, n, r)
+
+    monkeypatch.setattr(operators, "cutoff_phi", counted)
+    r = Fraction(7, 3)  # a shift no other test builds families at
+    assert checks.check_raising_stability(3, 1, r=r)["status"] == "pass"
+    built = len(calls)
+    assert built == 7  # every nonempty I of {0, 1, 2}, once
+    assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
+    assert len(calls) == built
+    # on its own the check builds each nonempty I once
+    r = Fraction(11, 4)
+    assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
+    assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
+    assert len(calls) == 2 * built

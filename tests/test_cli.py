@@ -249,6 +249,29 @@ def test_scan_worker_determinism(capsys):
     assert out1 == out2
 
 
+def test_scan_solves_every_basis_before_the_pool(capsys, monkeypatch):
+    from shifted_symfun import interpolation
+    rho = jack_module.staircase_shift(3)
+    seen = []
+    real = cli._run_tasks
+
+    def wrapped(fn, tasks, requested):
+        seen.extend(d for d in range(5) if (3, d, rho.key())
+                    in interpolation._BASIS_CACHE)
+        return real(fn, tasks, requested)
+
+    monkeypatch.setattr(cli, "_run_tasks", wrapped)
+    cache = interpolation._BASIS_CACHE
+    saved = dict(cache)
+    cache.clear()
+    try:
+        code, _, _ = run(capsys, ["scan", "--n", "3", "--dmax", "4",
+                                  "--workers", "1", "--output", "json"])
+    finally:
+        cache.update(saved)
+    assert code == 0 and seen == [0, 1, 2, 3, 4]
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records the worker count and
     maps in this process, so no worker process is started."""

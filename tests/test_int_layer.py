@@ -4,21 +4,28 @@ SparsePoly keeps one scalar content and an int term map, with r as one
 more exponent slot over Q(r).  These tests check it against routes that
 do not share that representation: the symbolic-r operators with r
 substituted afterwards, term-by-term Fraction evaluation, and sympy's
-Poly over QQ.  sympy and hypothesis are test-time dependencies only.
+Poly over QQ.  The cached evaluation rows are checked against cold and
+term-by-term evaluation, and the Newton basis against one full solve.
+sympy and hypothesis are test-time dependencies only.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from shifted_symfun import sympoly  # noqa: E402
+from shifted_symfun.interpolation import (ShiftVector,  # noqa: E402
+                                          _node_matrix, interpolation_basis,
+                                          solve_linear)
 from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
                                       apply_raising)
-from shifted_symfun.partitions import enumerate_upto  # noqa: E402
+from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
+                                       enumerate_upto, rho_hook_product)
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
                                     UniPoly, substitute)
 from shifted_symfun.sympoly import SparsePoly, SymPoly, _perms  # noqa: E402
@@ -165,3 +172,76 @@ def test_r_is_an_exponent_slot():
     q = p * (1 / (R + 1))
     assert q.ints == p.ints
     assert (q * (R + 1)).terms == p.terms
+
+
+# -- evaluation rows and the Newton basis -------------------------------------
+
+def cold_evaluate(f, point):
+    """f at point from an empty row table, which is then put back."""
+    saved = dict(sympoly._ROW_CACHE)
+    sympoly._ROW_CACHE.clear()
+    try:
+        return f.evaluate(point)
+    finally:
+        sympoly._ROW_CACHE.clear()
+        sympoly._ROW_CACHE.update(saved)
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    sym_polys(n, 2, coeffs=mixed_coeffs), sym_polys(n, 5, coeffs=mixed_coeffs),
+    points(n))))
+def test_row_cached_evaluate_matches_a_cold_evaluation(case):
+    # the low polynomial opens the point's row with a short power table;
+    # the high one makes it grow
+    low, high, point = case
+    for f in (low, high, low, high):
+        want = reference_evaluate(f, point)
+        assert cold_evaluate(f, point) == want
+        assert f.evaluate(point) == want
+
+
+def test_rows_of_q_and_q_of_r_points_stay_apart():
+    f = SymPoly(2, {(2, 1): Fraction(3), (1, 0): Fraction(1, 2)})
+    q_point = [Fraction(2), Fraction(5)]
+    r_point = [RationalFunction.const("r", 2), RationalFunction.const("r", 5)]
+    assert q_point == r_point  # equal scalars from two worlds
+    for first, second in ((q_point, r_point), (r_point, q_point)):
+        sympoly._ROW_CACHE.clear()
+        for point in (first, second):
+            value = f.evaluate(point)
+            assert type(value) is type(point[0])
+            assert value == reference_evaluate(f, point)
+
+
+def full_solve(n, d, rho):
+    """Every P_lam of degree d from one solve over all nodes of degree <= d,
+    with the monomials as unknowns: the construction before Newton's."""
+    nodes = enumerate_upto(n, d)
+    tops = enumerate_exact(n, d)
+    A = _node_matrix(rho, nodes, [SymPoly.basis(n, nu) for nu in nodes])
+    B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
+          for lam in tops] for mu in nodes]
+    cols = solve_linear(A, B)
+    return {lam: SymPoly(n, dict(zip(nodes, col)))
+            for lam, col in zip(tops, cols)}
+
+
+symbolic_shifts = st.one_of(
+    st.just(R),
+    st.builds(lambda c: R * c, small_rationals.filter(bool)),
+    st.builds(lambda c: R + c, small_rationals))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.one_of(shifts, symbolic_shifts))
+def test_newton_basis_equals_the_full_solve(n, d, r):
+    rho = ShiftVector.staircase_multiple(n, r)
+    assume(rho.is_d_dominant(d))
+    assert dict(interpolation_basis(n, d, rho)) == full_solve(n, d, rho)
+
+
+def test_newton_basis_equals_the_full_solve_at_n4():
+    rho = ShiftVector.staircase_multiple(4, R)
+    for d in range(5):
+        assert dict(interpolation_basis(4, d, rho)) == full_solve(4, d, rho)

@@ -259,6 +259,9 @@ def test_cached_polynomial_pickles_and_deep_copies():
 def test_memo_miss_stores_one_entry_and_hit_none():
     from shifted_symfun import interpolation, jack
     rho = ShiftVector.staircase_multiple(2, Fraction(5, 7))
+    # a degree is built on the lower ones; with those cached, a miss
+    # stores its own entry only
+    interpolation_basis(2, 1, rho)
     before = len(interpolation._BASIS_CACHE)
     basis = interpolation_basis(2, 2, rho)
     assert len(interpolation._BASIS_CACHE) == before + 1
@@ -273,6 +276,24 @@ def test_memo_miss_stores_one_entry_and_hit_none():
     assert jack.jack_P_eigen((2, 0), 2, alpha) is P
     jack.jack_P_eigen((1, 1), 2, alpha)  # same degree: already solved
     assert len(jack._EIGEN_CACHE) == before + 1
+
+
+def test_newton_solves_one_block_per_degree(monkeypatch):
+    from shifted_symfun import interpolation
+    real = interpolation.solve_linear
+    blocks = []
+
+    def counted(A, B):
+        blocks.append(len(A))
+        return real(A, B)
+
+    monkeypatch.setattr(interpolation, "solve_linear", counted)
+    rho = ShiftVector.staircase_multiple(4, 3 * R)  # not cached yet
+    interpolation_basis(4, 6, rho)
+    # p_4(d) unknowns at degree d, lowest degree first
+    assert blocks == [1, 1, 2, 3, 5, 6, 9]
+    interpolation_basis(4, 6, rho)
+    assert len(blocks) == 7
 
 
 def test_memoized_function_stays_a_plain_function():
