@@ -32,10 +32,9 @@ from .interpolation import (NonDominantError, ShiftVector, column_forms,
                             interpolate_recursive, interpolation_basis,
                             interpolation_polynomial, single_row,
                             solve_linear)
-from .operators import (OperatorMatrix, apply_difference_component,
-                        apply_difference_family, apply_raising,
-                        apply_sekiguchi_debiard, cutoff_phi, eigenvalue_poly,
-                        inhomogeneous_lift, operator_matrix)
+from .operators import (OperatorMatrix, apply_difference_family,
+                        apply_raising, apply_sekiguchi_debiard, cutoff_phi,
+                        eigenvalue_poly, inhomogeneous_lift)
 from .jack import (ConjectureReport, ConjectureRow, alpha_gen,
                    conjecture_expand, jack_J, jack_P, jack_P_at,
                    jack_P_eigen, pieri_verify, shifted_jack_J)

@@ -22,12 +22,11 @@ from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
 from .jack import (alpha_gen, jack_J, jack_P, jack_P_at, jack_P_eigen,
                    pieri_verify)
 from .operators import (OperatorMatrix, _phi_family, apply_difference_family,
-                        apply_raising, eigenvalue_poly, inhomogeneous_lift,
-                        operator_matrix)
+                        apply_raising, eigenvalue_poly, inhomogeneous_lift)
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product)
-from .scalars import RationalFunction
+from .scalars import RationalFunction, substitute
 from .sympoly import SymPoly, elementary
 
 DEFAULT_SEED = 20260814
@@ -218,13 +217,20 @@ def check_commutativity(n, dmax, r="symbolic"):
             if not (mats[i] @ mats[j] - mats[j] @ mats[i]).is_zero():
                 return _report("commutativity", params, _w(
                     family="difference", i=i, j=j))
-    # each matrix out of a higher degree serves exactly one product
-    low = {k: operator_matrix("raising", n, dmax, rr, k=k)
-           for k in range(1, n + 1)}
+    images = {}  # (k, mu) -> raising by k applied to m_mu, formed once
+
+    def raising(k, d):
+        source = enumerate_upto(n, d)
+        for mu in source:
+            if (k, mu) not in images:
+                images[k, mu] = apply_raising(SymPoly.basis(n, mu), k, rr)
+        return OperatorMatrix.from_images(source, enumerate_upto(n, d + k),
+                                          [images[k, mu] for mu in source])
+    low = {k: raising(k, dmax) for k in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ij = operator_matrix("raising", n, dmax + j, rr, k=i) @ low[j]
-            ji = operator_matrix("raising", n, dmax + i, rr, k=j) @ low[i]
+            ij = raising(i, dmax + j) @ low[j]
+            ji = raising(j, dmax + i) @ low[i]
             if not (ij - ji).is_zero():
                 return _report("commutativity", params, _w(
                     family="raising", i=i, j=j))
@@ -354,8 +360,7 @@ def check_jack_agreement(n, dmax):
                 return _report("jack-agreement", params, _w(
                     n=nn, lam=lam, kind="alpha=1"))
             scaled = jack_J(lam, nn).map_coeffs(
-                lambda c: c.substitute(Fraction(1))
-                if isinstance(c, RationalFunction) else c)
+                lambda c: substitute(c, Fraction(1)))
             if scaled != schur * hook_product_lower(lam, Fraction(1)):
                 return _report("jack-agreement", params, _w(
                     n=nn, lam=lam, kind="integral-form-alpha=1"))

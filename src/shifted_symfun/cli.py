@@ -27,7 +27,7 @@ from .interpolation import (NonDominantError, column_forms, factorial_schur,
 from .jack import (conjecture_expand, jack_J, jack_P, shifted_jack_J,
                    staircase_shift)
 from .partitions import enumerate_exact, is_partition
-from .scalars import PoleError, RationalFunction
+from .scalars import PoleError, RationalFunction, substitute
 
 GREEK = {"alpha": "α"}
 # every subcommand refuses more variables, and compute larger
@@ -222,9 +222,7 @@ def _run_tasks(fn, tasks, requested):
 
 def _substitute_alpha(sym, value):
     try:
-        return sym.map_coeffs(
-            lambda c: c.substitute(value)
-            if isinstance(c, RationalFunction) else c)
+        return sym.map_coeffs(lambda c: substitute(c, value))
     except PoleError:
         raise ConfigError(
             f"alpha = {value} is a pole of a coefficient") from None

@@ -120,15 +120,6 @@ class ShiftVector:
 
 # -- exact linear solving -----------------------------------------------------
 
-def _clear_rows(rows):
-    """Make every row integral: multiply by the lcm of its denominators.
-
-    Row scaling does not change the solution set.  Returns rows whose
-    entries are all ints or all UniPolys over Z in one parameter.
-    """
-    return [clear_denominators(row)[1] for row in rows]
-
-
 def _degree_of(e):
     return e.degree() if isinstance(e, UniPoly) else 0
 
@@ -158,7 +149,8 @@ def solve_linear(A, B):
     """
     k = len(A)
     m = len(B[0]) if k and B else 0
-    aug = _clear_rows([list(A[i]) + list(B[i]) for i in range(k)])
+    # every row made integral: scaling a row keeps the solution set
+    aug = [clear_denominators(list(A[i]) + list(B[i]))[1] for i in range(k)]
     prev = None
     for col in range(k):
         piv, best = None, None

@@ -12,7 +12,10 @@ A differential relative (the Sekiguchi-Debiard determinant) acts on the
 monomial basis directly and is used to pin down the homogeneous
 eigenfunctions that the top components of the interpolation family hit.
 
-Every d_I and phi_I is one ``sympoly.alternant`` call.  The difference
+Every phi_I is one ``sympoly.alternant`` call.  The d_I expand no
+determinant of their own: multilinearity in the rows gives
+d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, formed from the
+cached phi_I families.  The difference
 and raising families share one shift-and-sum path, and all three
 applications end in the same tail, ``sympoly.collect_alternating``: each
 sum is alternating in x, so its quotient by the Vandermonde is read off
@@ -25,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .partitions import enumerate_upto, staircase
+from .partitions import staircase
 from .scalars import (RationalFunction, UniPoly, _lift, clear_denominators,
                       memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations, _strict,
@@ -59,25 +62,6 @@ def cutoff_phi(rows, n, r):
     return alternant(n, entry)
 
 
-def _subset_coefficient(rows, n, r):
-    """d_I: the subset coefficient of the generating determinant, with t.
-
-    Row i inside I carries -x_i^(delta_j + 1); outside,
-    (x_i + t)(x_i + r)^delta_j.
-    """
-    rows = frozenset(rows)
-    delta = staircase(n)
-    r = _lift(r)
-    t = SparsePoly.t_var(n)
-
-    def entry(i, j):
-        if i in rows:
-            return -_binomial_power(n, i, 0, delta[j] + 1)
-        xi_t = SparsePoly.variable(n, i) + t
-        return xi_t * _binomial_power(n, i, r, delta[j])
-    return alternant(n, entry)
-
-
 def _swap(rows, k):
     """The index set s_k I: k and k + 1 trade places."""
     return tuple(sorted({k: k + 1, k + 1: k}.get(i, i) for i in rows))
@@ -103,17 +87,30 @@ _PHI_CACHE = {}
 _PERM_CACHE = {}
 
 
-@memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
-def _subset_family(n, r):
-    return _alternating(tuple((rows, _subset_coefficient(rows, n, r))
-                              for size in range(n + 1)
-                              for rows in combinations(range(n), size)))
-
-
 @memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
 def _phi_family(n, r, size):
     return _alternating(tuple((rows, cutoff_phi(rows, n, r))
                               for rows in combinations(range(n), size)))
+
+
+@memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
+def _subset_family(n, r):
+    """The subset coefficients d_I of the generating determinant, whose
+    row i is -x_i^(delta_j + 1) inside I and (x_i + t)(x_i + r)^delta_j
+    outside.  Multilinearity in the rows gives
+    d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I."""
+    t = SparsePoly.t_var(n)
+    family = []
+    for size in range(n + 1):
+        # the sign as a polynomial, not a scalar: it lands in the int map,
+        # so every d_I keeps the content of its phi_I and the sums in
+        # _apply_family never rescale one content to another
+        sign = SparsePoly.const(n, (-1) ** size)
+        for rows, phi in _phi_family(n, r, size):
+            outside = (SparsePoly.variable(n, i) + t
+                       for i in range(n) if i not in rows)
+            family.append((rows, prod(outside, start=sign * phi)))
+    return _alternating(tuple(family))
 
 
 @memoized(_PERM_CACHE, lambda n: n)
@@ -150,14 +147,6 @@ def apply_difference_family(f, r):
     are the nontrivial operators.  Degrees never go up.
     """
     return _apply_family(f, _subset_family(f.n, r), True)
-
-
-def apply_difference_component(f, k, r):
-    """The t^(n-k) member of the family; k = 0 is the identity."""
-    if not 0 <= k <= f.n:
-        raise ValueError(f"component index {k} out of range")
-    fam = apply_difference_family(f, r)
-    return fam.get(f.n - k, SymPoly.zero(f.n))
 
 
 def apply_raising(f, k, r):
@@ -315,33 +304,6 @@ class OperatorMatrix:
                 if self.rows[i][j] and not order_leq(lam, mu):
                     return False
         return True
-
-
-def operator_matrix(kind, n, d, r, k=None, t_value=None):
-    """Matrix of one named operator on the degree <= d slice.
-
-    kind "difference" (square, needs k), "raising" (rectangular into
-    degree d + k, needs k) or "sekiguchi" (square, needs t_value).
-    """
-    source = enumerate_upto(n, d)
-    if kind == "difference":
-        if k is None:
-            raise ValueError("difference component needs k")
-        return OperatorMatrix.build(
-            lambda f: apply_difference_component(f, k, r), n, source, source)
-    if kind == "raising":
-        if k is None:
-            raise ValueError("raising operator needs k")
-        target = enumerate_upto(n, d + k)
-        return OperatorMatrix.build(
-            lambda f: apply_raising(f, k, r), n, source, target)
-    if kind == "sekiguchi":
-        if t_value is None:
-            raise ValueError("sekiguchi matrix needs a t value")
-        return OperatorMatrix.build(
-            lambda f: apply_sekiguchi_debiard(f, r, t_value=t_value),
-            n, source, source)
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def inhomogeneous_lift(f, r):

@@ -66,6 +66,21 @@ def test_commutativity_detects_broken_family(monkeypatch):
     assert report["status"] == "fail"
 
 
+def test_commutativity_forms_each_raising_image_once(monkeypatch):
+    real = checks.apply_raising
+    calls = []
+
+    def counted(f, k, r):
+        calls.append((k, tuple(f.terms)))
+        return real(f, k, r)
+
+    monkeypatch.setattr(checks, "apply_raising", counted)
+    assert checks.check_commutativity(3, 5)["status"] == "pass"
+    # by k = 1 and 2 on the 41 partitions of size <= 5 + 3, by k = 3 on
+    # the 31 of size <= 5 + 2: the largest sources the products need
+    assert len(calls) == len(set(calls)) == 41 + 41 + 31
+
+
 def test_node_checks_read_the_coefficients(monkeypatch):
     # one coefficient of P_(1,1,0) moved: the value at the empty node,
     # which does not contain (1,1), is no longer 0

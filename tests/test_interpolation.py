@@ -256,9 +256,12 @@ def test_cached_polynomial_pickles_and_deep_copies():
             Q.terms[(0, 0)] = Fraction(7)
 
 
-def test_memo_miss_stores_one_entry_and_hit_none():
+def test_memo_miss_stores_one_entry_and_hit_none(monkeypatch):
     from shifted_symfun import interpolation, jack
     rho = ShiftVector.staircase_multiple(2, Fraction(5, 7))
+    # another test may have drawn this shift already: start it cold
+    for key in [k for k in interpolation._BASIS_CACHE if k[2] == rho.key()]:
+        monkeypatch.delitem(interpolation._BASIS_CACHE, key)
     # a degree is built on the lower ones; with those cached, a miss
     # stores its own entry only
     interpolation_basis(2, 1, rho)

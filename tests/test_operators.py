@@ -6,16 +6,16 @@ import pytest
 
 from shifted_symfun.interpolation import (ShiftVector, interpolation_basis,
                                           interpolation_polynomial)
-from shifted_symfun.operators import (OperatorMatrix, _subset_coefficient,
-                                      apply_difference_component,
-                                      apply_difference_family, apply_raising,
-                                      apply_sekiguchi_debiard, cutoff_phi,
-                                      eigenvalue_poly, inhomogeneous_lift,
-                                      operator_matrix)
-from shifted_symfun.partitions import (dominance_leq, enumerate_upto,
-                                       staircase)
+from shifted_symfun import operators
+from shifted_symfun.operators import (OperatorMatrix, apply_difference_family,
+                                      apply_raising, apply_sekiguchi_debiard,
+                                      cutoff_phi, eigenvalue_poly,
+                                      inhomogeneous_lift)
+from shifted_symfun.partitions import dominance_leq, enumerate_upto
 from shifted_symfun.scalars import RationalFunction
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
+
+from reference_determinants import subset_determinant
 
 R = RationalFunction.gen("r")
 
@@ -29,19 +29,16 @@ def rand_sym(rng, n, d):
 
 
 def test_subset_coefficient_factorization():
-    """d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, for every I."""
-    for n in (1, 2, 3):
-        t = SparsePoly.t_var(n)
-        for size in range(n + 1):
-            for rows in combinations(range(n), size):
-                d_i = _subset_coefficient(rows, n, R)
-                phi = cutoff_phi(rows, n, R).with_t()
-                expected = phi * Fraction((-1) ** size)
-                for i in range(n):
-                    if i not in rows:
-                        xi = SparsePoly.variable(n, i).with_t()
-                        expected = expected * (xi + t)
-                assert d_i == expected
+    """The d_I formed as (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I
+    equal the generating determinant's own subset coefficients."""
+    for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
+        for n in (1, 2, 3, 4):
+            family = operators._subset_family(n, r)
+            assert [rows for rows, _ in family] == [
+                rows for size in range(n + 1)
+                for rows in combinations(range(n), size)]
+            for rows, d_i in family:
+                assert d_i == subset_determinant(rows, n, r), (n, r, rows)
 
 
 def test_cutoff_phi_frozen_small():
@@ -112,9 +109,7 @@ def test_interpolation_polynomials_are_eigenfunctions():
 def test_difference_component_identity():
     rng = random.Random(41)
     f = rand_sym(rng, 2, 3)
-    assert apply_difference_component(f, 0, R) == f
-    with pytest.raises(ValueError):
-        apply_difference_component(f, 3, R)
+    assert apply_difference_family(f, R)[f.n] == f
 
 
 def test_raising_creates_columns():
@@ -143,7 +138,10 @@ def test_raising_top_component():
 def test_sekiguchi_triangular_with_eigenvalue_diagonal():
     t0 = Fraction(1)
     for n in (2, 3):
-        mat = operator_matrix("sekiguchi", n, 3, R, t_value=t0)
+        basis = enumerate_upto(n, 3)
+        mat = OperatorMatrix.build(
+            lambda f: apply_sekiguchi_debiard(f, R, t_value=t0),
+            n, basis, basis)
         same_degree = lambda a, b: sum(a) == sum(b) and dominance_leq(a, b)
         assert mat.is_triangular(same_degree)
         for mu in mat.source:
@@ -153,7 +151,10 @@ def test_sekiguchi_triangular_with_eigenvalue_diagonal():
 def test_sekiguchi_on_random_input_matches_matrix():
     rng = random.Random(43)
     n, d = 2, 3
-    mat = operator_matrix("sekiguchi", n, d, R, t_value=Fraction(1))
+    basis = enumerate_upto(n, d)
+    mat = OperatorMatrix.build(
+        lambda g: apply_sekiguchi_debiard(g, R, t_value=Fraction(1)),
+        n, basis, basis)
     f = rand_sym(rng, n, d)
     img = apply_sekiguchi_debiard(f, R, t_value=Fraction(1))
     want = SymPoly.zero(n)
@@ -169,8 +170,11 @@ def test_sekiguchi_on_random_input_matches_matrix():
 
 def test_operator_matrix_algebra():
     n, d = 2, 2
-    e1 = operator_matrix("raising", n, d, R, k=1)
-    e1_up = operator_matrix("raising", n, d + 1, R, k=1)
+    raise_1 = lambda f: apply_raising(f, 1, R)
+    e1 = OperatorMatrix.build(raise_1, n, enumerate_upto(n, d),
+                              enumerate_upto(n, d + 1))
+    e1_up = OperatorMatrix.build(raise_1, n, enumerate_upto(n, d + 1),
+                                 enumerate_upto(n, d + 2))
     comp = e1_up @ e1
     assert comp.source == e1.source and comp.target == e1_up.target
     diff = comp - comp
@@ -220,7 +224,6 @@ def test_difference_family_never_raises_degree():
 
 
 def test_families_are_cached_per_scalar_world():
-    from shifted_symfun import operators
     one_q, one_r = Fraction(1), RationalFunction.const("r", 1)
     assert one_q == one_r and hash(one_q) == hash(one_r)
     for family in (lambda r: operators._subset_family(2, r),

@@ -4,7 +4,8 @@ Each operator sum is alternating in x, so the operators form only its
 strictly decreasing keys and read the quotient by the Vandermonde off
 them (``sympoly.collect_alternating``).  These tests compare that route
 with the full one, which forms every key, divides by the Vandermonde and
-collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``).
+collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
+with each d_I expanded from the determinant that defines it.
 They also pin the s -> m table to known Kostka rows and check that a
 family which does not alternate is refused when its cache is filled.
 """
@@ -18,8 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shifted_symfun import operators
-from shifted_symfun.operators import (_subset_coefficient,
-                                      apply_difference_family, apply_raising,
+from shifted_symfun.operators import (apply_difference_family, apply_raising,
                                       apply_sekiguchi_debiard, cutoff_phi)
 from shifted_symfun.partitions import enumerate_upto, staircase
 from shifted_symfun.scalars import RationalFunction, _lift, scalar_key
@@ -28,6 +28,8 @@ from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
                                     collect_symmetric_t, complete,
                                     divide_by_vandermonde, elementary,
                                     schur_expand, vandermonde)
+
+from reference_determinants import subset_determinant
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -91,7 +93,7 @@ def test_difference_and_raising_match_the_full_route(case, r):
     n = f.n
     subsets = [rows for size in range(n + 1)
                for rows in combinations(range(n), size)]
-    d_family = [(rows, _subset_coefficient(rows, n, r)) for rows in subsets]
+    d_family = [(rows, subset_determinant(rows, n, r)) for rows in subsets]
     assert apply_difference_family(f, r) == full_family(f, d_family, True)
     phi_family = [(rows, cutoff_phi(rows, n, r))
                   for rows in combinations(range(n), k)]
@@ -152,13 +154,15 @@ def test_scaled_phi_member_is_refused_when_the_cache_fills(monkeypatch):
 
 
 def test_scaled_subset_member_is_refused_when_the_cache_fills(monkeypatch):
-    real = operators._subset_coefficient
+    # the phi_I families pass their own check; the d_I formed from them
+    # must pass the d family's check too
+    real = operators._phi_family
     r = Fraction(1, 2)
 
-    def skewed(rows, n, rr):
-        d_i = real(rows, n, rr)
-        return d_i * 2 if rows == (1, 2) else d_i
-    monkeypatch.setattr(operators, "_subset_coefficient", skewed)
+    def skewed(n, rr, size):
+        return tuple((rows, phi * 2 if rows == (1, 2) else phi)
+                     for rows, phi in real(n, rr, size))
+    monkeypatch.setattr(operators, "_phi_family", skewed)
     key = (3, scalar_key(r))
     monkeypatch.delitem(operators._DI_CACHE, key, raising=False)
     with pytest.raises(ArithmeticError, match="not alternating"):
