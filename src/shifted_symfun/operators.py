@@ -12,8 +12,9 @@ A differential relative (the Sekiguchi-Debiard determinant) acts on the
 monomial basis directly and is used to pin down the homogeneous
 eigenfunctions that the top components of the interpolation family hit.
 
-Every phi_I is one ``sympoly.alternant`` call.  The d_I expand no
-determinant of their own: multilinearity in the rows gives
+Every phi_I is a product of linear factors (the Vandermonde identity),
+so no n!-term determinant is expanded.  The d_I expand no determinant of
+their own either: multilinearity in the rows gives
 d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, formed from the
 cached phi_I families.  The difference
 and raising families share one shift-and-sum path, and all three
@@ -32,34 +33,26 @@ from .partitions import staircase
 from .scalars import (RationalFunction, UniPoly, _lift, clear_denominators,
                       memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations, _strict,
-                      alternant, collect_alternating, e_basis_expand,
-                      elementary_eval, strict_product)
-
-
-def _binomial_power(n, i, base_shift, e):
-    """(x_i + base_shift)^e as a SparsePoly."""
-    out = SparsePoly.const(n, Fraction(1))
-    xi = SparsePoly.variable(n, i)
-    for _ in range(e):
-        out = out * (xi + base_shift)
-    return out
+                      collect_alternating, e_basis_expand, elementary_eval,
+                      strict_product)
 
 
 def cutoff_phi(rows, n, r):
     """Cut-off determinant phi_I for the 0-based index set I = rows.
 
     Row i inside I carries x_i^(delta_j + 1); outside, (x_i + r)^delta_j.
+    With y_i = x_i inside I and x_i + r outside, row i is y_i^delta_j,
+    times x_i inside I, so the Vandermonde identity gives
+    phi_I = prod_{i in I} x_i * prod_{i<j} (y_i - y_j).
     Vanishes at mu + r*delta whenever mu - eps_I is not a partition.
     """
-    rows = frozenset(rows)
-    delta = staircase(n)
     r = _lift(r)
-
-    def entry(i, j):
-        if i in rows:
-            return _binomial_power(n, i, 0, delta[j] + 1)
-        return _binomial_power(n, i, r, delta[j])
-    return alternant(n, entry)
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    phi = prod((x[i] for i in rows), start=SparsePoly.const(n, Fraction(1)))
+    for i, j in combinations(range(n), 2):
+        shift = (j in rows) - (i in rows)
+        phi = phi * (x[i] - x[j] + r * shift if shift else x[i] - x[j])
+    return phi
 
 
 def _swap(rows, k):

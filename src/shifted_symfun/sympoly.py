@@ -284,9 +284,12 @@ class SparsePoly:
             other = SparsePoly.const(self.n, other, self.has_t)
         a, b = self._pair(other)
         cont, out, extra = a.cont, dict(a.ints), b.ints
-        if a.cont != b.cont:  # rescale both to one content
-            _, cont, (ma, mb) = _cleared([a.cont, b.cont])
-            out, extra = dict(a._times(ma)), b._times(mb)
+        if a.cont != b.cont:
+            if a.cont == -b.cont:  # only the sign differs
+                extra = {k: -c for k, c in extra.items()}
+            else:  # rescale both to one content
+                _, cont, (ma, mb) = _cleared([a.cont, b.cont])
+                out, extra = dict(a._times(ma)), b._times(mb)
         for k, c in extra.items():
             s = out.get(k, 0) + c
             if s:
@@ -325,15 +328,28 @@ class SparsePoly:
     def __bool__(self):
         return bool(self.ints)
 
-    def evaluate(self, point, t_value=None):
-        """Evaluate at scalars; keep has_t polynomials need t_value."""
+    def evaluate(self, point):
+        """The value at a point: each monomial is read off an evaluation
+        row built for the call (see ``_Row``), the ints are summed per
+        x-degree d and power of r, and each d is scaled by q^-d once."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        if self.has_t and t_value is None:
-            raise ValueError("need a value for t")
-        coords = list(point) + [t_value] * self.has_t
-        return sum((c * prod(map(pow, coords, k))
-                    for k, c in self.terms.items()), Fraction(0))
+        if self.has_t:
+            raise ValueError("evaluate t components separately")
+        n, param = self.n, self.param
+        row = _Row(point)
+        pw = row.table(max((max(k[:n]) for k in self.ints), default=0))
+        sums = {}
+        for k, c in self.ints.items():
+            by_r = sums.setdefault(sum(k[:n]), {})
+            j = k[n] if param else 0
+            by_r[j] = by_r.get(j, 0) + c * prod(map(getitem, pw, k[:n]))
+        r = UniPoly.gen(param) if param else 1  # over Q every j is 0
+        total = Fraction(0)
+        for d, by_r in sums.items():
+            s = sum(v * r ** j for j, v in by_r.items())
+            total = total + (s * row.scale ** d if d else s)
+        return self.cont * total
 
     def translate(self, deltas):
         """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
@@ -592,16 +608,20 @@ class _Row:
         self.powers = [[1, x] for x in elems]
         self.orbits = {}
 
+    def table(self, top):
+        """The power table, each coordinate's powers grown up to top."""
+        pw = self.powers
+        for p in pw:
+            while len(p) <= top:
+                p.append(p[-1] * p[1])
+        return pw
+
     def orbit(self, lam):
         """The sum of the cleared coordinates' monomials over the orbit of
         the partition lam."""
         s = self.orbits.get(lam)
         if s is None:
-            pw = self.powers
-            top = max(lam, default=0)
-            for p in pw:
-                while len(p) <= top:
-                    p.append(p[-1] * p[1])
+            pw = self.table(max(lam, default=0))
             s = self.orbits[lam] = sum(prod(map(getitem, pw, key))
                                        for key in _perms(lam))
         return s

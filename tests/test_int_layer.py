@@ -174,6 +174,30 @@ def test_r_is_an_exponent_slot():
     assert (q * (R + 1)).terms == p.terms
 
 
+def test_sign_only_content_difference_is_added_without_clearing(monkeypatch):
+    # contents c and -c: the sum negates one int map and rescales nothing
+    p = SparsePoly.variable(2, 0) * (R + Fraction(1, 2)) + R / 3
+    x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    pairs = [(p, -p), (p, p * (-1)), (x0, -x1)]
+    want = []
+    for a, b in pairs:
+        terms = dict(a.terms)
+        for k, c in b.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        want.append({k: c for k, c in terms.items() if c})
+    calls = []
+    real = sympoly.clear_denominators
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+    monkeypatch.setattr(sympoly, "clear_denominators", counted)
+    got = [p - p, p + p * (-1), x0 - x1]
+    monkeypatch.undo()
+    assert calls == []
+    assert [g.terms for g in got] == want
+
+
 # -- evaluation rows and the Newton basis -------------------------------------
 
 def cold_evaluate(f, point):
@@ -212,6 +236,16 @@ def test_rows_of_q_and_q_of_r_points_stay_apart():
             value = f.evaluate(point)
             assert type(value) is type(point[0])
             assert value == reference_evaluate(f, point)
+
+
+def test_sparse_evaluate_keeps_no_row_and_refuses_t():
+    p = (SparsePoly.variable(2, 0) + R) * SparsePoly.variable(2, 1)
+    point = [Fraction(5, 11), R + Fraction(2, 13)]  # met nowhere else
+    before = len(sympoly._ROW_CACHE)
+    assert p.evaluate(point) == (point[0] + R) * point[1]
+    assert len(sympoly._ROW_CACHE) == before
+    with pytest.raises(ValueError, match="t components"):
+        (p + SparsePoly.t_var(2)).evaluate(point)
 
 
 def full_solve(n, d, rho):

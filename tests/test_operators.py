@@ -15,7 +15,7 @@ from shifted_symfun.partitions import dominance_leq, enumerate_upto
 from shifted_symfun.scalars import RationalFunction
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
-from reference_determinants import subset_determinant
+from reference_determinants import cutoff_determinant, subset_determinant
 
 R = RationalFunction.gen("r")
 
@@ -39,6 +39,18 @@ def test_subset_coefficient_factorization():
                 for rows in combinations(range(n), size)]
             for rows, d_i in family:
                 assert d_i == subset_determinant(rows, n, r), (n, r, rows)
+
+
+def test_cutoff_phi_equals_its_determinant():
+    """The product of linear factors equals the cut-off determinant
+    expanded from its definition, for every I at n <= 5.  Contents may
+    differ while the polynomials agree, so the test compares with ==."""
+    for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
+        for n in range(1, 6):
+            for size in range(n + 1):
+                for rows in combinations(range(n), size):
+                    assert cutoff_phi(rows, n, r) == \
+                        cutoff_determinant(rows, n, r), (n, r, rows)
 
 
 def test_cutoff_phi_frozen_small():

@@ -5,7 +5,7 @@ strictly decreasing keys and read the quotient by the Vandermonde off
 them (``sympoly.collect_alternating``).  These tests compare that route
 with the full one, which forms every key, divides by the Vandermonde and
 collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
-with each d_I expanded from the determinant that defines it.
+with each d_I and phi_I expanded from the determinant that defines it.
 They also pin the s -> m table to known Kostka rows and check that a
 family which does not alternate is refused when its cache is filled.
 """
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from shifted_symfun import operators
 from shifted_symfun.operators import (apply_difference_family, apply_raising,
-                                      apply_sekiguchi_debiard, cutoff_phi)
+                                      apply_sekiguchi_debiard)
 from shifted_symfun.partitions import enumerate_upto, staircase
 from shifted_symfun.scalars import RationalFunction, _lift, scalar_key
 from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
@@ -29,7 +29,7 @@ from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
                                     divide_by_vandermonde, elementary,
                                     schur_expand, vandermonde)
 
-from reference_determinants import subset_determinant
+from reference_determinants import cutoff_determinant, subset_determinant
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -95,7 +95,7 @@ def test_difference_and_raising_match_the_full_route(case, r):
                for rows in combinations(range(n), size)]
     d_family = [(rows, subset_determinant(rows, n, r)) for rows in subsets]
     assert apply_difference_family(f, r) == full_family(f, d_family, True)
-    phi_family = [(rows, cutoff_phi(rows, n, r))
+    phi_family = [(rows, cutoff_determinant(rows, n, r))
                   for rows in combinations(range(n), k)]
     assert apply_raising(f, k, r) == full_family(f, phi_family, False)
 
