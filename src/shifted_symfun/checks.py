@@ -13,6 +13,7 @@ at their full documented ranges.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             factorial_schur, first_column_reduction,
@@ -27,7 +28,7 @@ from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product)
 from .scalars import RationalFunction, substitute
-from .sympoly import SymPoly, elementary
+from .sympoly import SymPoly, _sign, elementary
 
 DEFAULT_SEED = 20260814
 
@@ -240,25 +241,24 @@ def check_commutativity(n, dmax, r="symbolic"):
 def check_cutoff(n, dmax, r="symbolic"):
     """Cut-off determinants vanish where the shifted index set breaks.
 
-    The phi_I are the cached families the raising operators use; the
-    empty I is left out, as mu - eps_I = mu never breaks.
+    Each phi_I is read off the cached phi_(I0) the operators multiply by,
+    phi_I(x) = sgn(tau) phi_(I0)(x_tau) with tau listing I, then the rest;
+    the empty I is left out, as mu - eps_I = mu never breaks.
     """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
-    phis = [item for size in range(1, n + 1)
-            for item in _phi_family(n, rho.r, size)]
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
-        for rows, phi in phis:
-            shifted = list(mu)
-            for i in rows:
-                shifted[i] -= 1
-            if is_partition(shifted):
-                continue
-            val = phi.evaluate(pt)
-            if val:
-                return _report("cutoff", params, _w(
-                    mu=mu, rows=list(rows), value=val))
+        for size in range(1, n + 1):
+            phi = _phi_family(n, rho.r, size)
+            for rows in combinations(range(n), size):
+                if is_partition([m - (i in rows) for i, m in enumerate(mu)]):
+                    continue
+                tau = rows + tuple(i for i in range(n) if i not in rows)
+                val = _sign(tau) * phi.evaluate([pt[i] for i in tau])
+                if val:
+                    return _report("cutoff", params, _w(
+                        mu=mu, rows=list(rows), value=val))
     return _report("cutoff", params)
 
 

@@ -19,9 +19,9 @@ from .partitions import (as_partition, enumerate_exact, enumerate_upto,
                          rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       clear_denominators, memoized, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, alternant, collect_symmetric,
-                      complete_eval, divide_by_vandermonde, elementary,
-                      factorial_monomial, falling_power)
+from .sympoly import (SparsePoly, SymPoly, _point_row, _Row, alternant,
+                      collect_symmetric, complete_eval, divide_by_vandermonde,
+                      elementary, factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -197,9 +197,11 @@ def solve_linear(A, B):
 _BASIS_CACHE = {}
 
 
-def _node_matrix(rho, nodes, polys):
-    """Row mu, column j: the value of polys[j] at the node mu + rho."""
-    return [[f.evaluate(rho.point(mu)) for f in polys] for mu in nodes]
+def _node_matrix(rho, nodes, polys, row_of=_point_row):
+    """Row mu, column j: polys[j] at the node mu + rho, read off one
+    evaluation row per node (kept per process unless row_of says not)."""
+    return [[row.evaluate(f) for f in polys]
+            for row in (row_of(rho.point(mu)) for mu in nodes)]
 
 
 def _require_shift(n, d, rho):
@@ -278,7 +280,8 @@ def interpolate(n, d, values, rho):
     """
     basis, vals = _node_values(n, d, values)
     _require_shift(n, d, rho)
-    A = _node_matrix(rho, basis, [SymPoly.basis(n, nu) for nu in basis])
+    A = _node_matrix(rho, basis, [SymPoly.basis(n, nu) for nu in basis],
+                     _Row)
     B = [[vals[mu]] for mu in basis]
     col = solve_linear(A, B)[0]
     return SymPoly(n, {nu: c for nu, c in zip(basis, col)})

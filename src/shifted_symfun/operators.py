@@ -13,16 +13,17 @@ monomial basis directly and is used to pin down the homogeneous
 eigenfunctions that the top components of the interpolation family hit.
 
 Every phi_I is a product of linear factors (the Vandermonde identity),
-so no n!-term determinant is expanded.  The d_I expand no determinant of
-their own either: multilinearity in the rows gives
-d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, formed from the
-cached phi_I families.  The difference
-and raising families share one shift-and-sum path, and all three
-applications end in the same tail, ``sympoly.collect_alternating``: each
-sum is alternating in x, so its quotient by the Vandermonde is read off
-the strictly decreasing keys, and only those keys are ever formed.  The
-alternation is proved where it comes from, once per cached family: every
-adjacent transposition s_k must send each coefficient c_I to -c_(s_k I).
+and multilinearity in the rows gives
+d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, so no n!-term
+determinant is expanded.  Permuting rows gives
+c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma) with I0 = {0, ..., k-1}, so
+for symmetric f the sum of c_I * f(x - eps_I) over |I| = k is the
+antisymmetrization of g_k = c_(I0) * f(x - eps_(I0)) over k!(n - k)!
+(Macdonald I.3): one representative and one product per size.  That
+needs g_k to alternate inside I0 and inside its complement; each c_(I0)
+is checked for it before it is cached.  All three applications end in
+``sympoly.collect_alternating``, which reads the quotient by the
+Vandermonde off the strictly decreasing keys, the only ones formed.
 """
 
 from fractions import Fraction
@@ -55,24 +56,15 @@ def cutoff_phi(rows, n, r):
     return phi
 
 
-def _swap(rows, k):
-    """The index set s_k I: k and k + 1 trade places."""
-    return tuple(sorted({k: k + 1, k + 1: k}.get(i, i) for i in rows))
-
-
-def _alternating(family):
-    """The family, once every adjacent transposition s_k sends each c_I
-    to -c_(s_k I).  Then sum_I c_I * f(x - eps_I) alternates for every
-    symmetric f, which is what ``collect_alternating`` relies on.  The
-    test adds the int maps; a failure names its (I, k) witness."""
-    coeffs = dict(family)
-    for rows, c in family:
-        for k in range(c.n - 1):
-            if c.swap_vars(k, k + 1) + coeffs[_swap(rows, k)]:
-                raise ArithmeticError(
-                    f"family is not alternating: s_{k} does not send "
-                    f"c_{rows} to -c_{_swap(rows, k)}")
-    return family
+def _block_alternating(c, size):
+    """c = c_(I0), once every adjacent transposition s_i inside the
+    blocks [0, size) and [size, n) sends it to -c."""
+    for i in range(c.n - 1):
+        if i != size - 1 and c.swap_vars(i, i + 1) + c:
+            raise ArithmeticError(
+                f"representative c_{tuple(range(size))} does not alternate "
+                f"inside its blocks: s_{i} does not send it to -c")
+    return c
 
 
 _DI_CACHE = {}
@@ -82,28 +74,26 @@ _PERM_CACHE = {}
 
 @memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
 def _phi_family(n, r, size):
-    return _alternating(tuple((rows, cutoff_phi(rows, n, r))
-                              for rows in combinations(range(n), size)))
+    """phi_(I0), I0 = {0, ..., size - 1}: the raising family's one member."""
+    return _block_alternating(cutoff_phi(tuple(range(size)), n, r), size)
 
 
 @memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
 def _subset_family(n, r):
-    """The subset coefficients d_I of the generating determinant, whose
-    row i is -x_i^(delta_j + 1) inside I and (x_i + t)(x_i + r)^delta_j
-    outside.  Multilinearity in the rows gives
+    """The subset coefficients d_(I0) of the generating determinant, one
+    per size, whose row i is -x_i^(delta_j + 1) inside I and
+    (x_i + t)(x_i + r)^delta_j outside: by multilinearity in the rows,
     d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I."""
     t = SparsePoly.t_var(n)
     family = []
     for size in range(n + 1):
         # the sign as a polynomial, not a scalar: it lands in the int map,
-        # so every d_I keeps the content of its phi_I and the sums in
-        # _apply_family never rescale one content to another
+        # so every d_(I0) keeps the content of its phi_(I0)
         sign = SparsePoly.const(n, (-1) ** size)
-        for rows, phi in _phi_family(n, r, size):
-            outside = (SparsePoly.variable(n, i) + t
-                       for i in range(n) if i not in rows)
-            family.append((rows, prod(outside, start=sign * phi)))
-    return _alternating(tuple(family))
+        outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
+        d = prod(outside, start=sign * _phi_family(n, r, size))
+        family.append(_block_alternating(d, size))
+    return tuple(family)
 
 
 @memoized(_PERM_CACHE, lambda n: n)
@@ -123,13 +113,13 @@ def _alternating_permutations(n):
 
 
 def _apply_family(f, family, has_t):
-    """Sum coeff_I * f(x - eps_I) over (I, coeff_I) in family on the
-    strictly decreasing keys, then read the quotient off."""
+    """Sum coeff_I * f(x - eps_I) over every I, one product per
+    (size, coeff_(I0)) in family, then read the quotient off."""
     src = f.to_sparse(has_t)
     total = SparsePoly.zero(f.n, has_t)
-    for rows, coeff in family:
-        shifted = src.translate([int(i in rows) for i in range(f.n)])
-        total = total + strict_product(coeff, shifted)
+    for size, coeff in family:
+        shifted = src.translate([int(i < size) for i in range(f.n)])
+        total = total + strict_product(coeff, shifted, size)
     return collect_alternating(total)
 
 
@@ -139,7 +129,7 @@ def apply_difference_family(f, r):
     The t^n piece is f itself (the family is monic in t); lower pieces
     are the nontrivial operators.  Degrees never go up.
     """
-    return _apply_family(f, _subset_family(f.n, r), True)
+    return _apply_family(f, enumerate(_subset_family(f.n, r)), True)
 
 
 def apply_raising(f, k, r):
@@ -149,7 +139,7 @@ def apply_raising(f, k, r):
     """
     if not 0 <= k <= f.n:
         raise ValueError(f"raising index {k} out of range")
-    return _apply_family(f, _phi_family(f.n, r, k), False)
+    return _apply_family(f, [(k, _phi_family(f.n, r, k))], False)
 
 
 def eigenvalue_poly(lam, r, n):

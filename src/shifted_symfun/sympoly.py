@@ -51,14 +51,14 @@ def _perms(key):
         a[i + 1:] = a[:i:-1]
 
 
+def _sign(perm):
+    """The sign of a permutation, from the parity of its inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
 def _signed_permutations(n):
     """Every permutation of range(n) with its sign, as (perm, +-1) pairs."""
-    out = []
-    for perm in permutations(range(n)):
-        inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                  if perm[a] > perm[b])
-        out.append((perm, -1 if inv % 2 else 1))
-    return out
+    return [(perm, _sign(perm)) for perm in permutations(range(n))]
 
 
 # -- the integer layer --------------------------------------------------------
@@ -128,39 +128,52 @@ def _x_groups(ints, n):
     return groups
 
 
-def _gaps(x):
-    return tuple(map(sub, x, x[1:]))
+def _imul_strict(a, b, n, k):
+    """The strictly decreasing part of the antisymmetrization, over
+    k!(n - k)!, of a product of two int term maps that alternates inside
+    the x blocks [0, k) and [k, n): a key whose x-part (the first n
+    slots) strictly decreases inside both blocks and repeats no entry
+    moves to its sorted key, times the sign of the sort; the rest drop.
 
-
-def _imul_strict(a, b, n):
-    """The part of the product of two int term maps on keys whose first n
-    slots (the x-exponents) strictly decrease.
-
-    xa + xb strictly decreases when every gap xb_i - xb_(i+1) is at
-    least 1 - (xa_i - xa_(i+1)).  The x-parts of b are sorted by their
-    first gap, so the scan for one x-part of a stops at the first one
-    too small, and the r and t slots of a kept pair add as they are.
+    xa + xb strictly decreases inside the blocks when every gap
+    xb_i - xb_(i+1) inside a block is at least 1 - (xa_i - xa_(i+1)).
+    The x-parts of b are sorted by one such gap, so the scan for one
+    x-part of a stops at the first one too small, and the r and t slots
+    of a kept pair add as they are.
     """
     if n == 1:
         return _imul(a, b)
-    right = sorted(((_gaps(x), x, rest) for x, rest in _x_groups(b, n).items()),
-                   key=lambda e: e[0][0], reverse=True)
+    cut = k - 1 if 0 < k < n else None  # the gap between the blocks
+    by = 1 if cut == 0 and n > 2 else 0  # a gap inside a block, if any
+    right = sorted(((tuple(map(sub, x, x[1:])), x, rest)
+                    for x, rest in _x_groups(b, n).items()),
+                   key=lambda e: e[0][by], reverse=True)
     out = {}
     get = out.get
+    moved = {}  # x -> (sorted x, sign of the sort, 0 on a repeat)
     for xa, ra in _x_groups(a, n).items():
-        need = tuple(1 - g for g in _gaps(xa))
-        low = need[0]
+        need = [1 - g for g in map(sub, xa, xa[1:])]
+        if cut is not None:
+            need[cut] = float("-inf")
+        low = need[by]
         for gaps, xb, rb in right:
-            if gaps[0] < low:
+            if gaps[by] < low:
                 break
             if not all(map(ge, gaps, need)):
                 continue
             x = tuple(map(add, xa, xb))
+            if x not in moved:
+                y = tuple(sorted(x, reverse=True))
+                swaps = sum(h < t for h in x[:k] for t in x[k:])
+                moved[x] = y, (-1) ** swaps if _strict(y) else 0
+            y, sign = moved[x]
+            if not sign:
+                continue
             for sa, ca in ra:
                 for sb, cb in rb:
-                    k = x + tuple(map(add, sa, sb))
-                    out[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+                    kk = y + tuple(map(add, sa, sb))
+                    out[kk] = get(kk, 0) + sign * ca * cb
+    return {key: c for key, c in out.items() if c}
 
 
 def _scalars(p, items):
@@ -345,11 +358,9 @@ class SparsePoly:
             j = k[n] if param else 0
             by_r[j] = by_r.get(j, 0) + c * prod(map(getitem, pw, k[:n]))
         r = UniPoly.gen(param) if param else 1  # over Q every j is 0
-        total = Fraction(0)
-        for d, by_r in sums.items():
-            s = sum(v * r ** j for j, v in by_r.items())
-            total = total + (s * row.scale ** d if d else s)
-        return self.cont * total
+        return self.cont * row.descale(
+            {d: sum(v * r ** j for j, v in by_r.items())
+             for d, by_r in sums.items()})
 
     def translate(self, deltas):
         """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
@@ -564,23 +575,10 @@ class SymPoly:
                               for lam, c in self.terms.items()])
 
     def evaluate(self, point):
-        """The value at a point, one scalar step per partition.
-
-        The point's evaluation row (see ``_point_row``) supplies the int
-        orbit sum of each m_lam (integer polynomials over Q(r)); each
-        degree d is scaled by q^-d once, where q clears the point.
-        """
+        """The value at a point, off its per-process ``_point_row``."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        row = _point_row(tuple(point))
-        sums = {}
-        for lam, c in self.terms.items():
-            d = sum(lam)
-            sums[d] = sums.get(d, 0) + c * row.orbit(lam)
-        total = Fraction(0)
-        for d, s in sums.items():
-            total = total + (s * row.scale ** d if d else s)
-        return total
+        return _point_row(tuple(point)).evaluate(self)
 
     def __repr__(self):
         if not self.terms:
@@ -625,6 +623,23 @@ class _Row:
             s = self.orbits[lam] = sum(prod(map(getitem, pw, key))
                                        for key in _perms(lam))
         return s
+
+    def descale(self, sums):
+        """sum_d sums[d] * q^-d, from sums per x-degree d over the cleared
+        point: each d is scaled once."""
+        total = Fraction(0)
+        for d, s in sums.items():
+            total = total + (s * self.scale ** d if d else s)
+        return total
+
+    def evaluate(self, f):
+        """The SymPoly f at the point, one scalar step per partition on
+        the int orbit sums (integer polynomials over Q(r))."""
+        sums = {}
+        for lam, c in f.terms.items():
+            d = sum(lam)
+            sums[d] = sums.get(d, 0) + c * self.orbit(lam)
+        return self.descale(sums)
 
 
 @memoized(_ROW_CACHE, lambda point: tuple(scalar_key(_lift(x)) for x in point))
@@ -726,28 +741,19 @@ def elementary_eval(k, values):
     """e_k at a list of scalars."""
     if k < 0:
         raise ValueError("negative elementary index")
-    if k > len(values):
-        return Fraction(0)
-    total = Fraction(0)
-    for sub in combinations(values, k):
-        v = Fraction(1)
-        for x in sub:
-            v = v * x
-        total = total + v
-    return total
+    return _sum_of_products(combinations(values, k))
 
 
 def complete_eval(j, values):
     """h_j at a list of scalars."""
     if j < 0:
         raise ValueError("negative complete index")
-    total = Fraction(0)
-    for sub in combinations_with_replacement(values, j):
-        v = Fraction(1)
-        for x in sub:
-            v = v * x
-        total = total + v
-    return total
+    return _sum_of_products(combinations_with_replacement(values, j))
+
+
+def _sum_of_products(factor_lists):
+    return sum((prod(f, start=Fraction(1)) for f in factor_lists),
+               Fraction(0))
 
 
 def falling_power(n, i, m, offset=0):
@@ -795,12 +801,17 @@ def alternant(n, entry):
 
 def vandermonde(n):
     """Product of (x_i - x_j) over i < j, as the alternant det[x_i^delta_j]."""
-    delta = staircase(n)
+    return _monomial_alternant(staircase(n))
+
+
+def _monomial_alternant(kappa):
+    """The alternant det[x_i^kappa_j]."""
+    n = len(kappa)
 
     def entry(i, j):
         key = [0] * n
-        key[i] = delta[j]
-        return SparsePoly(n, {tuple(key): Fraction(1)})
+        key[i] = kappa[j]
+        return _make(n, False, None, Fraction(1), {tuple(key): 1})
     return alternant(n, entry)
 
 
@@ -812,12 +823,12 @@ def divide_by_vandermonde(p):
     return p
 
 
-def strict_product(a, b):
-    """The terms of a * b whose x-exponents strictly decrease: all that
-    ``collect_alternating`` reads of an alternating product."""
+def strict_product(a, b, k):
+    """a * b on the keys ``_imul_strict`` keeps for the x blocks [0, k)
+    and [k, n): all that ``collect_alternating`` reads of it."""
     a, b = a._pair(b)
     return _make(a.n, a.has_t, a.param, a.cont * b.cont,
-                 _imul_strict(a.ints, b.ints, a.n))
+                 _imul_strict(a.ints, b.ints, a.n, k))
 
 
 _SCHUR_CACHE = {}
@@ -832,12 +843,7 @@ def schur_expand(n, mu):
     and collected by the same code that serves every other quotient.
     """
     kappa = tuple(map(add, as_partition(mu, n), staircase(n)))
-
-    def entry(i, j):
-        key = [0] * n
-        key[i] = kappa[j]
-        return _make(n, False, None, Fraction(1), {tuple(key): 1})
-    s = collect_symmetric(divide_by_vandermonde(alternant(n, entry)))
+    s = collect_symmetric(divide_by_vandermonde(_monomial_alternant(kappa)))
     return tuple((lam, c.numerator) for lam, c in s.terms.items())
 
 

@@ -115,12 +115,30 @@ def test_cutoff_reads_the_raising_families(monkeypatch):
     monkeypatch.setattr(operators, "cutoff_phi", counted)
     r = Fraction(7, 3)  # a shift no other test builds families at
     assert checks.check_raising_stability(3, 1, r=r)["status"] == "pass"
+    # one representative phi_(I0) per nonempty size, not one per I
+    assert sorted(calls) == [(0,), (0, 1), (0, 1, 2)]
     built = len(calls)
-    assert built == 7  # every nonempty I of {0, 1, 2}, once
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert len(calls) == built
-    # on its own the check builds each nonempty I once
+    # on its own the check builds each representative once
     r = Fraction(11, 4)
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert len(calls) == 2 * built
+
+
+def test_cutoff_reads_each_member_off_its_representative(monkeypatch):
+    # adding x_2 to phi_(0, 1) adds sgn(tau) * x_(tau(2)) to phi_I: 0 at
+    # the node (4, 2, 0) for I = (0, 1), -2 for I = (0, 2), tau = (0, 2, 1)
+    from shifted_symfun.sympoly import SparsePoly
+    real = checks._phi_family
+
+    def skewed(n, r, size):
+        phi = real(n, r, size)
+        return phi + SparsePoly.variable(n, 2) if size == 2 else phi
+
+    monkeypatch.setattr(checks, "_phi_family", skewed)
+    report = checks.check_cutoff(3, 0, r="2")
+    assert report["status"] == "fail"
+    assert report["witness"] == {"mu": [0, 0, 0], "rows": [0, 2],
+                                 "value": "-2"}

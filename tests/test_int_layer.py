@@ -20,8 +20,9 @@ sympy = pytest.importorskip("sympy")
 
 from shifted_symfun import sympoly  # noqa: E402
 from shifted_symfun.interpolation import (ShiftVector,  # noqa: E402
-                                          _node_matrix, interpolation_basis,
-                                          solve_linear)
+                                          _node_matrix, interpolate,
+                                          interpolate_recursive,
+                                          interpolation_basis, solve_linear)
 from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
                                       apply_raising)
 from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
@@ -246,6 +247,20 @@ def test_sparse_evaluate_keeps_no_row_and_refuses_t():
     assert len(sympoly._ROW_CACHE) == before
     with pytest.raises(ValueError, match="t components"):
         (p + SparsePoly.t_var(2)).evaluate(point)
+
+
+def test_interpolate_keeps_no_row():
+    # a one-off shift: interpolate reads its node matrix off uncached rows,
+    # and its solution still matches the recursive construction
+    rho = ShiftVector.generic((Fraction(37, 3), Fraction(-11, 7), R / 5))
+    values = {mu: Fraction(sum(mu) ** 2 - 3, 1 + mu[0])
+              for mu in enumerate_upto(3, 3)}
+    before = len(sympoly._ROW_CACHE)
+    got = interpolate(3, 3, values, rho)
+    assert len(sympoly._ROW_CACHE) == before
+    assert got == interpolate_recursive(3, 3, values, rho)
+    for mu, v in values.items():
+        assert got.evaluate(rho.point(mu)) == v
 
 
 def full_solve(n, d, rho):

@@ -28,17 +28,34 @@ def rand_sym(rng, n, d):
     return SymPoly(n, terms)
 
 
+def orbit_member(rep, rows):
+    """c_I from the family representative c_(I0), |I0| = |I|: permuting
+    the rows of the determinant gives c_I(x) = sgn(tau) c_(I0)(x_tau),
+    where tau lists I, then the rest, and (x_tau)_i = x_(tau(i))."""
+    n = rep.n
+    tau = tuple(rows) + tuple(i for i in range(n) if i not in rows)
+    sign = (-1) ** sum(1 for a, b in combinations(tau, 2) if a > b)
+    terms = {}
+    for key, c in rep.terms.items():
+        moved = [0] * n
+        for i, e in enumerate(key[:n]):
+            moved[tau[i]] = e
+        terms[tuple(moved) + key[n:]] = sign * c
+    return SparsePoly(n, terms, rep.has_t)
+
+
 def test_subset_coefficient_factorization():
-    """The d_I formed as (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I
-    equal the generating determinant's own subset coefficients."""
+    """The d_(I0) formed as (-1)^|I0| * prod_{i not in I0} (x_i + t) *
+    phi_(I0), one per size, give every d_I of the generating determinant
+    through the orbit identity."""
     for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
         for n in (1, 2, 3, 4):
             family = operators._subset_family(n, r)
-            assert [rows for rows, _ in family] == [
-                rows for size in range(n + 1)
-                for rows in combinations(range(n), size)]
-            for rows, d_i in family:
-                assert d_i == subset_determinant(rows, n, r), (n, r, rows)
+            assert len(family) == n + 1
+            for size, rep in enumerate(family):
+                for rows in combinations(range(n), size):
+                    assert orbit_member(rep, rows) == \
+                        subset_determinant(rows, n, r), (n, r, rows)
 
 
 def test_cutoff_phi_equals_its_determinant():
@@ -236,14 +253,32 @@ def test_difference_family_never_raises_degree():
 
 
 def test_families_are_cached_per_scalar_world():
+    """Equal shifts from Q and Q(r) fill separate cache entries, and the
+    representatives of each world give every member of its family."""
     one_q, one_r = Fraction(1), RationalFunction.const("r", 1)
     assert one_q == one_r and hash(one_q) == hash(one_r)
-    for family in (lambda r: operators._subset_family(2, r),
-                   lambda r: operators._phi_family(2, r, 1)):
-        over_q, over_r = family(one_q), family(one_r)
-        assert isinstance(over_q, tuple) and isinstance(over_r, tuple)
-        assert over_q is not over_r and family(one_q) is over_q
-        coeffs_q = [c for _, f in over_q for c in f.terms.values()]
-        coeffs_r = [c for _, f in over_r for c in f.terms.values()]
-        assert not any(isinstance(c, RationalFunction) for c in coeffs_q)
-        assert any(isinstance(c, RationalFunction) for c in coeffs_r)
+    for n in (1, 2, 3, 4):
+        worlds = []  # (phi_(I0) per size, d_(I0) per size) over Q, Q(r)
+        for one in (one_q, one_r):
+            subset = operators._subset_family(n, one)
+            assert isinstance(subset, tuple) and len(subset) == n + 1
+            assert operators._subset_family(n, one) is subset
+            phis = [operators._phi_family(n, one, size)
+                    for size in range(n + 1)]
+            assert all(operators._phi_family(n, one, size) is phi
+                       for size, phi in enumerate(phis))
+            worlds.append((phis, subset))
+        (phis_q, subset_q), (phis_r, subset_r) = worlds
+        assert subset_q is not subset_r
+        assert all(a is not b for a, b in zip(phis_q, phis_r))
+        for (phis, subset), world_r in zip(worlds, (False, True)):
+            # r enters through the factors x_i - x_j -+ r, so from n = 2 on
+            coeffs = [c for p in phis + list(subset) for c in p.terms.values()]
+            assert any(isinstance(c, RationalFunction) for c in coeffs) \
+                == (world_r and n > 1)
+            for size in range(n + 1):
+                for rows in combinations(range(n), size):
+                    assert orbit_member(phis[size], rows) == \
+                        cutoff_determinant(rows, n, one_q), (n, rows)
+                    assert orbit_member(subset[size], rows) == \
+                        subset_determinant(rows, n, one_q), (n, rows)

@@ -7,7 +7,8 @@ with the full one, which forms every key, divides by the Vandermonde and
 collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
 with each d_I and phi_I expanded from the determinant that defines it.
 They also pin the s -> m table to known Kostka rows and check that a
-family which does not alternate is refused when its cache is filled.
+family representative which does not alternate inside its blocks is
+refused when its cache is filled.
 """
 
 from fractions import Fraction
@@ -48,6 +49,10 @@ def sym_polys(n, dmax):
 
 cases = st.integers(1, 3).flatmap(
     lambda n: st.tuples(sym_polys(n, 4), st.integers(0, n)))
+# the operators form one member per size; at n = 4 the middle size has
+# C(4, 2) = 6 members, so the comparison with every member reaches n = 4
+family_cases = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(sym_polys(n, 4 if n < 4 else 3), st.integers(0, n)))
 
 
 def full_route(total):
@@ -84,11 +89,17 @@ def full_sekiguchi(f, r, t_value=None):
 
 
 @PROPS
-@given(cases, shifts)
+@given(family_cases, shifts)
 @example((SymPoly(3, {(2, 1, 0): Fraction(3, 2), (1, 1, 1): -1}), 2),
          Fraction(5, 3))
 @example((SymPoly(2, {(3, 1): 1, (0, 0): 2}), 1), R)
+@example((SymPoly(4, {(2, 1, 0, 0): 1, (1, 1, 1, 0): Fraction(-2, 3),
+                      (0, 0, 0, 0): 5}), 2), R)
+@example((SymPoly(4, {(3, 0, 0, 0): Fraction(1, 2), (1, 1, 0, 0): 3}), 1),
+         Fraction(3, 2))
 def test_difference_and_raising_match_the_full_route(case, r):
+    """One product per size, antisymmetrized, against the sum over every
+    index set I with each c_I its own determinant."""
     f, k = case
     n = f.n
     subsets = [rows for size in range(n + 1)
@@ -138,34 +149,42 @@ def test_schur_table_matches_kostka_rows():
     assert all(type(k) is int for _, k in schur_expand(3, (3, 1)))
 
 
-def test_scaled_phi_member_is_refused_when_the_cache_fills(monkeypatch):
+def flip_one_term(p):
+    """p with the sign of its first term flipped."""
+    terms = dict(p.terms)
+    key = next(iter(terms))
+    terms[key] = -terms[key]
+    return SparsePoly(p.n, terms, p.has_t)
+
+
+def test_skewed_phi_representative_is_refused_when_the_cache_fills(
+        monkeypatch):
     real = operators.cutoff_phi
     r = Fraction(1, 2)
-
-    def skewed(rows, n, rr):
-        phi = real(rows, n, rr)
-        return phi * 2 if rows == (0,) else phi
-    monkeypatch.setattr(operators, "cutoff_phi", skewed)
+    monkeypatch.setattr(operators, "cutoff_phi",
+                        lambda rows, n, rr: flip_one_term(real(rows, n, rr)))
     key = (3, scalar_key(r), 1)
     monkeypatch.delitem(operators._PHI_CACHE, key, raising=False)
-    with pytest.raises(ArithmeticError, match=r"s_0 .* c_\(0,\)"):
+    # I0 = {0}: the blocks are {0} and {1, 2}, so only s_1 is checked
+    with pytest.raises(ArithmeticError, match=r"c_\(0,\) .* s_1 "):
         operators._phi_family(3, r, 1)
     assert key not in operators._PHI_CACHE
 
 
-def test_scaled_subset_member_is_refused_when_the_cache_fills(monkeypatch):
-    # the phi_I families pass their own check; the d_I formed from them
-    # must pass the d family's check too
+def test_skewed_subset_representative_is_refused_when_the_cache_fills(
+        monkeypatch):
+    # the phi_(I0) pass their own check; the d_(I0) formed from them must
+    # pass the d family's check too
     real = operators._phi_family
     r = Fraction(1, 2)
 
     def skewed(n, rr, size):
-        return tuple((rows, phi * 2 if rows == (1, 2) else phi)
-                     for rows, phi in real(n, rr, size))
+        phi = real(n, rr, size)
+        return flip_one_term(phi) if size == 2 else phi
     monkeypatch.setattr(operators, "_phi_family", skewed)
     key = (3, scalar_key(r))
     monkeypatch.delitem(operators._DI_CACHE, key, raising=False)
-    with pytest.raises(ArithmeticError, match="not alternating"):
+    with pytest.raises(ArithmeticError, match=r"c_\(0, 1\) .* s_0 "):
         operators._subset_family(3, r)
     assert key not in operators._DI_CACHE
 
