@@ -18,7 +18,7 @@ turn back into Fraction or RationalFunction coefficients.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, prod
-from operator import add, ge, getitem, gt, sub
+from operator import add, ge, getitem, gt, mul, sub
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
@@ -76,17 +76,52 @@ def _cleared(values):
     return den, Fraction(1, den), nums
 
 
+def _zcoeffs(num):
+    """A cleared numerator (an int, or a UniPoly in r with integer
+    coefficients) as its int coefficient tuple in r; () for zero."""
+    if isinstance(num, UniPoly):
+        return tuple([num.cont * c for c in num.prim])
+    return (num,) if num else ()
+
+
 def _r_pairs(num):
     """A cleared numerator as (power of r, int) pairs."""
-    if isinstance(num, UniPoly):
-        return [(j, num.cont * c) for j, c in enumerate(num.prim) if c]
-    return [(0, num)] if num else []
+    return [(j, c) for j, c in enumerate(_zcoeffs(num)) if c]
+
+
+def _pack(coeffs, bits):
+    """An int polynomial in r (coefficients lowest first) at r = 2^bits."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(v, bits):
+    """The coefficients, lowest first, of the int polynomial whose value
+    at r = 2^bits is v; each must be below 2^(bits - 1) in size."""
+    out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> bits
+    return out
 
 
 def _make(n, has_t, param, cont, ints):
     p = object.__new__(SparsePoly)
     p.n, p.has_t, p.param, p.cont, p.ints = n, has_t, param, cont, ints
     return p
+
+
+def _sym(n, clean):
+    """SymPoly from terms already canonical: partitions padded to n parts
+    as keys, nonzero Fraction or RationalFunction values."""
+    f = object.__new__(SymPoly)
+    f.n, f.terms, f._ints = n, MappingProxyType(clean), None
+    return f
 
 
 def _from_scalars(n, has_t, items):
@@ -342,25 +377,65 @@ class SparsePoly:
         return bool(self.ints)
 
     def evaluate(self, point):
-        """The value at a point: each monomial is read off an evaluation
-        row built for the call (see ``_Row``), the ints are summed per
-        x-degree d and power of r, and each d is scaled by q^-d once."""
+        """The value at a point, by Horner over the variables (as sympy's
+        ``dmp_eval_tail``) on ints.
+
+        The point is cleared to one denominator q.  With E_i the top
+        exponent of x_i, x_i^e is read off the column x_i^e q^(E_i - e) of
+        the cleared coordinate, formed once per call.  The terms are
+        summed from the last variable out, so each prefix of exponents is
+        multiplied once.  Over Q(r) every int polynomial in r is packed
+        into one int, its value at r = 2^bits (Kronecker substitution;
+        see ``_pack``), so both worlds run the same int loop.  The sum
+        leaves the int layer in one step, over q^(E_0 + ... + E_(n-1))
+        and the content.
+        """
         if len(point) != self.n:
             raise ValueError("point has wrong length")
         if self.has_t:
             raise ValueError("evaluate t components separately")
-        n, param = self.n, self.param
-        row = _Row(point)
-        pw = row.table(max((max(k[:n]) for k in self.ints), default=0))
-        sums = {}
-        for k, c in self.ints.items():
-            by_r = sums.setdefault(sum(k[:n]), {})
-            j = k[n] if param else 0
-            by_r[j] = by_r.get(j, 0) + c * prod(map(getitem, pw, k[:n]))
-        r = UniPoly.gen(param) if param else 1  # over Q every j is 0
-        return self.cont * row.descale(
-            {d: sum(v * r ** j for j, v in by_r.items())
-             for d, by_r in sums.items()})
+        if not self.ints:
+            return Fraction(0)
+        n, param, cont, vals = self.n, self.param, self.cont, self.ints
+        q, xs = clear_denominators(point)
+        tops = [max(col) for col in zip(*vals)][:n]
+        e = sum(tops)
+        den = q ** e if e else 1
+        qvar = getattr(q, "var", None) if e else None
+        if param and qvar and qvar != param:
+            raise TagMismatchError(
+                f"polynomial over {param!r} at a point over {qvar!r}")
+        var = param or qvar
+        if var is not None:
+            q, *xs = map(_zcoeffs, (q, *xs))
+            # |every coefficient of the sum| <= sum |c| * norm^e (l1 norms)
+            norm = max(sum(map(abs, z)) for z in (q, *xs))
+            bits = (sum(map(abs, vals.values())) * norm ** e).bit_length() + 1
+            q, *xs = (_pack(z, bits) for z in (q, *xs))
+            if param:  # the r slot moves into the ints
+                packed = {}
+                for k, c in vals.items():
+                    x = k[:n]
+                    packed[x] = packed.get(x, 0) + (c << bits * k[n])
+                vals = packed
+        for i in reversed(range(n)):
+            top = tops[i]
+            if not top:
+                continue
+            col = [xs[i] ** k * q ** (top - k) for k in range(top + 1)]
+            out = {}
+            get = out.get
+            for x, v in vals.items():
+                head = x[:i]
+                out[head] = get(head, 0) + col[x[i]] * v
+            vals = out
+        total, = vals.values()  # every exponent left is 0
+        if var is None:
+            return Fraction(cont.numerator * total, cont.denominator * den)
+        a, b = (cont.num, cont.den) if param else (cont.numerator,
+                                                   cont.denominator)
+        return RationalFunction(UniPoly(var, _unpack(total, bits)) * a,
+                                den * b)
 
     def translate(self, deltas):
         """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
@@ -467,10 +542,12 @@ class SymPoly:
     """Symmetric polynomial in n variables, stored by partition (m-basis).
 
     ``terms`` is a read-only view: interpolation and Jack results are
-    cached per process, and a caller must not be able to edit them.
+    cached per process, and a caller must not be able to edit them.  The
+    first evaluation keeps the coefficients cleared to ints on the object
+    (``_int_form``); every other operation returns a new object.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_ints")
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -481,9 +558,11 @@ class SymPoly:
             if c:
                 clean[lam] = c
         self.terms = MappingProxyType(clean)
+        self._ints = None
 
     def __reduce__(self):
-        # a mappingproxy does not pickle; rebuild from a plain dict
+        # a mappingproxy does not pickle; rebuild from a plain dict (the
+        # cleared form is not sent, the copy clears its own on demand)
         return SymPoly, (self.n, dict(self.terms))
 
     @classmethod
@@ -513,8 +592,8 @@ class SymPoly:
 
     def top_component(self):
         d = self.degree()
-        return SymPoly(self.n, {p: c for p, c in self.terms.items()
-                                if sum(p) == d})
+        return _sym(self.n, {p: c for p, c in self.terms.items()
+                             if sum(p) == d})
 
     def __add__(self, other):
         if is_scalar(other) or isinstance(other, int):
@@ -528,12 +607,12 @@ class SymPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return SymPoly(self.n, out)
+        return _sym(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return _sym(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if is_scalar(other) or isinstance(other, int):
@@ -545,7 +624,7 @@ class SymPoly:
             c = _lift(other)
             if not c:
                 return SymPoly.zero(self.n)
-            return SymPoly(self.n, {k: c * v for k, v in self.terms.items()})
+            return _sym(self.n, {k: c * v for k, v in self.terms.items()})
         if not isinstance(other, SymPoly):
             return NotImplemented
         return collect_symmetric(self.to_sparse() * other.to_sparse())
@@ -565,8 +644,8 @@ class SymPoly:
 
     def negate_variables(self):
         """Substitute x -> -x; each m_mu picks up (-1)^|mu|."""
-        return SymPoly(self.n, {k: c if sum(k) % 2 == 0 else -c
-                                for k, c in self.terms.items()})
+        return _sym(self.n, {k: c if sum(k) % 2 == 0 else -c
+                             for k, c in self.terms.items()})
 
     def to_sparse(self, has_t=False):
         tail = (0,) if has_t else ()
@@ -579,6 +658,20 @@ class SymPoly:
         if len(point) != self.n:
             raise ValueError("point has wrong length")
         return _point_row(tuple(point)).evaluate(self)
+
+    def _int_form(self):
+        """(den, {degree: (lams, nums)}) with terms[lam] == num / den:
+        the coefficients cleared once per object, on first evaluation.
+        ``terms`` is read-only, so the form cannot go stale."""
+        form = self._ints
+        if form is None:
+            den, nums = clear_denominators(list(self.terms.values()))
+            groups = {}
+            for lam, num in zip(self.terms, nums):
+                groups.setdefault(sum(lam), []).append((lam, num))
+            form = self._ints = den, {d: tuple(zip(*g))
+                                      for d, g in groups.items()}
+        return form
 
     def __repr__(self):
         if not self.terms:
@@ -595,14 +688,14 @@ _ROW_CACHE = {}
 
 
 class _Row:
-    """One point, cleared to one denominator q (scale = 1/q), with the
-    power table of its cleared coordinates and the int orbit sum of every
-    partition evaluated there so far; both grow on demand."""
+    """One point, cleared to one denominator q, with the power table of
+    its cleared coordinates and the int orbit sum of every partition
+    evaluated there so far; both grow on demand."""
 
-    __slots__ = ("scale", "powers", "orbits")
+    __slots__ = ("den", "powers", "orbits")
 
     def __init__(self, point):
-        _, self.scale, elems = _cleared(point)
+        self.den, elems = clear_denominators(point)
         self.powers = [[1, x] for x in elems]
         self.orbits = {}
 
@@ -624,22 +717,33 @@ class _Row:
                                        for key in _perms(lam))
         return s
 
-    def descale(self, sums):
-        """sum_d sums[d] * q^-d, from sums per x-degree d over the cleared
-        point: each d is scaled once."""
-        total = Fraction(0)
-        for d, s in sums.items():
-            total = total + (s * self.scale ** d if d else s)
-        return total
+    def descale(self, den, sums):
+        """sum_d sums[d] q^-d / den, from sums per x-degree d over the
+        cleared point: Horner in q over the degrees, then one quotient by
+        den q^top."""
+        q, top = self.den, max(sums)
+        if q == 1:  # an integral point, such as a node at a symbolic shift
+            acc = sum(sums.values())
+        else:
+            acc = sums.get(0, 0)
+            for d in range(1, top + 1):
+                acc = acc * q + sums.get(d, 0)
+        if top:
+            den = den * q ** top
+        if isinstance(den, UniPoly):
+            return RationalFunction(acc, den)
+        return Fraction(acc, den)
 
     def evaluate(self, f):
-        """The SymPoly f at the point, one scalar step per partition on
-        the int orbit sums (integer polynomials over Q(r))."""
-        sums = {}
-        for lam, c in f.terms.items():
-            d = sum(lam)
-            sums[d] = sums.get(d, 0) + c * self.orbit(lam)
-        return self.descale(sums)
+        """The SymPoly f at the point, on ints: f's cleared numerators
+        times the int orbit sums (integer UniPolys over Q(r)), summed per
+        degree and descaled once."""
+        den, by_degree = f._int_form()
+        if not by_degree:
+            return Fraction(0)
+        return self.descale(den, {
+            d: sum(map(mul, nums, map(self.orbit, lams)))
+            for d, (lams, nums) in by_degree.items()})
 
 
 @memoized(_ROW_CACHE, lambda point: tuple(scalar_key(_lift(x)) for x in point))
@@ -684,7 +788,7 @@ def collect_symmetric(p):
                     f"{p.coefficient(key[:n])} at x^{key[:n]} "
                     f"vs {p.coefficient(lam)}")
         out.append((rep, ref))
-    return SymPoly(n, _scalars(p, out))
+    return _sym(n, _scalars(p, out))
 
 
 def collect_symmetric_t(p):
@@ -716,8 +820,8 @@ def collect_alternating(p):
     q = _make(n, p.has_t, p.param, p.cont,
               {k: c for k, c in out.items() if c})
     if not p.has_t:
-        return SymPoly(n, _scalars(q, q.ints.items()))
-    return {tp: SymPoly(n, _scalars(part, part.ints.items()))
+        return _sym(n, _scalars(q, q.ints.items()))
+    return {tp: _sym(n, _scalars(part, part.ints.items()))
             for tp, part in q.t_components().items()}
 
 

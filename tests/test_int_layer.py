@@ -9,6 +9,7 @@ term-by-term evaluation, and the Newton basis against one full solve.
 sympy and hypothesis are test-time dependencies only.
 """
 
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,7 +29,7 @@ from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
 from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
                                        enumerate_upto, rho_hook_product)
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
-                                    UniPoly, substitute)
+                                    TagMismatchError, UniPoly, substitute)
 from shifted_symfun.sympoly import SparsePoly, SymPoly, _perms  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
@@ -103,14 +104,48 @@ def points(n):
 mixed_coeffs = st.one_of(small_rationals, rational_in_r)
 
 
-@PROPS
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    sym_polys(n, 4, coeffs=mixed_coeffs), points(n))))
-def test_evaluate_matches_term_by_term_evaluation(case):
-    f, point = case
-    assert f.evaluate(point) == reference_evaluate(f, point)
-    sparse = f.to_sparse()
-    assert sparse.evaluate(point) == reference_evaluate(f, point)
+def sparse_reference(p, point):
+    """p at point, one scalar product per variable per monomial."""
+    total = Fraction(0)
+    for key, c in p.terms.items():
+        v = c
+        for x, e in zip(point, key):
+            for _ in range(e):
+                v = v * x
+        total = total + v
+    return total
+
+
+def points_maybe_zero(n):
+    """A point over Q or Q(r); at most one coordinate is the zero of the
+    point's own world."""
+    return st.tuples(points(n), st.integers(-1, n - 1)).map(
+        lambda case: [x * 0 if i == case[1] else x
+                      for i, x in enumerate(case[0])])
+
+
+def assert_same_value_and_type(got, want):
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_matches_term_by_term_evaluation(data):
+    # polynomials over Q or Q(r) at points over Q or Q(r): both mixed
+    # worlds come up, as do the zero polynomial and a zero coordinate
+    n = data.draw(st.integers(1, 4))
+    coeffs = data.draw(st.sampled_from([
+        small_rationals,
+        st.one_of(small_rationals, linear_in_r, rational_in_r)]))
+    f = data.draw(sym_polys(n, 4, coeffs=coeffs))
+    keys = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    p = SparsePoly(n, data.draw(st.dictionaries(keys, coeffs, max_size=6)))
+    point = data.draw(points_maybe_zero(n))
+    assert_same_value_and_type(f.evaluate(point), reference_evaluate(f, point))
+    assert_same_value_and_type(f.to_sparse().evaluate(point),
+                               reference_evaluate(f, point))
+    assert_same_value_and_type(p.evaluate(point), sparse_reference(p, point))
 
 
 @PROPS
@@ -261,6 +296,56 @@ def test_interpolate_keeps_no_row():
     assert got == interpolate_recursive(3, 3, values, rho)
     for mu, v in values.items():
         assert got.evaluate(rho.point(mu)) == v
+
+
+# -- one integer evaluation path ----------------------------------------------
+
+def test_evaluate_edge_cases_keep_the_reference_type():
+    q_point = [Fraction(3, 2), Fraction(0), Fraction(-2)]
+    r_point = [R + 1, R * 0, 1 / (R + 2)]
+    polys = [SymPoly.zero(3),
+             SymPoly(3, {(0, 0, 0): Fraction(7)}),
+             SymPoly(3, {(2, 1, 0): Fraction(3, 4), (0, 0, 0): Fraction(5)}),
+             SymPoly(3, {(1, 0, 0): R / 3, (0, 0, 0): 1 / (R + 1)}),
+             SymPoly(3, {(0, 0, 0): RationalFunction.const("r", 2)})]
+    for f in polys:
+        for point in (q_point, r_point):
+            want = reference_evaluate(f, point)
+            assert_same_value_and_type(f.evaluate(point), want)
+            assert_same_value_and_type(f.to_sparse().evaluate(point), want)
+    # a map emptied by cancellation over Q(r) is the zero of Q
+    p = SparsePoly.variable(3, 0) * R
+    for point in (q_point, r_point):
+        assert_same_value_and_type((p - p).evaluate(point), Fraction(0))
+
+
+def test_evaluate_refuses_a_point_over_another_parameter():
+    s_point = [RationalFunction.gen("s")] * 2
+    f = SymPoly(2, {(1, 0): R})
+    for g in (f, f.to_sparse()):
+        with pytest.raises(TagMismatchError):
+            g.evaluate(s_point)
+
+
+@pytest.mark.parametrize("r", [R, Fraction(1, 2)])
+def test_cleared_form_does_not_leak_between_objects(r):
+    # P's cleared coefficients are kept on P after its first evaluation;
+    # every object built from P must evaluate from its own coefficients
+    rho = ShiftVector.staircase_multiple(3, r)
+    P = interpolation_basis(3, 3, rho)[(2, 1, 0)]
+    nodes = [rho.point(mu) for mu in enumerate_upto(3, 4)]
+    values = [P.evaluate(pt) for pt in nodes]
+    assert values == [reference_evaluate(P, pt) for pt in nodes]
+    assert any(values) and not all(values)
+    built = [(P + 1, lambda v: v + 1),
+             (-P, lambda v: -v),
+             (P * Fraction(2, 3), lambda v: v * Fraction(2, 3)),
+             (pickle.loads(pickle.dumps(P)), lambda v: v)]
+    for g, expected in built:
+        for pt, v in zip(nodes, values):
+            got = g.evaluate(pt)
+            assert got == expected(v) == reference_evaluate(g, pt)
+    assert [P.evaluate(pt) for pt in nodes] == values
 
 
 def full_solve(n, d, rho):

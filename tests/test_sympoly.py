@@ -197,6 +197,14 @@ def test_negate_variables():
                             (0, 0): Fraction(-1)})
 
 
+def test_public_constructor_validates_keys():
+    # the arithmetic builds its canonical results without this check
+    with pytest.raises(ValueError):
+        SymPoly(3, {(1, 2, 0): 1})
+    with pytest.raises(ValueError):
+        SymPoly(2, {(1, 1, 1): 1})
+
+
 def test_mixed_scalar_coefficients():
     alpha = RationalFunction.gen("alpha")
     f = SymPoly.basis(2, (1, 0), alpha) + SymPoly.basis(2, (1, 0))
