@@ -218,15 +218,14 @@ def check_commutativity(n, dmax, r="symbolic"):
             if not (mats[i] @ mats[j] - mats[j] @ mats[i]).is_zero():
                 return _report("commutativity", params, _w(
                     family="difference", i=i, j=j))
-    images = {}  # (k, mu) -> raising by k applied to m_mu, formed once
+    # done with the t-family: free its images and matrices before the
+    # larger raising matrices are built, where the check peaks in memory
+    del columns, mats
 
     def raising(k, d):
-        source = enumerate_upto(n, d)
-        for mu in source:
-            if (k, mu) not in images:
-                images[k, mu] = apply_raising(SymPoly.basis(n, mu), k, rr)
-        return OperatorMatrix.from_images(source, enumerate_upto(n, d + k),
-                                          [images[k, mu] for mu in source])
+        return OperatorMatrix.build(lambda f: apply_raising(f, k, rr), n,
+                                    enumerate_upto(n, d),
+                                    enumerate_upto(n, d + k))
     low = {k: raising(k, dmax) for k in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -24,6 +24,13 @@ needs g_k to alternate inside I0 and inside its complement; each c_(I0)
 is checked for it before it is cached.  All three applications end in
 ``sympoly.collect_alternating``, which reads the quotient by the
 Vandermonde off the strictly decreasing keys, the only ones formed.
+
+The difference and raising operators are linear, so each is fixed by
+its images on the monomial basis.  Each image of an m_mu is formed by
+that kernel once per process and kept in cleared int form only (a
+denominator, then the partitions and numerators as tuples, per power
+of t); a general input goes by linearity, sum_mu f[mu] * image(m_mu),
+on cleared numerators, with one scalar built per output coefficient.
 """
 
 from fractions import Fraction
@@ -34,8 +41,8 @@ from .partitions import staircase
 from .scalars import (RationalFunction, UniPoly, _lift, clear_denominators,
                       memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, _signed_permutations, _strict,
-                      collect_alternating, e_basis_expand, elementary_eval,
-                      strict_product)
+                      _sym, collect_alternating, e_basis_expand,
+                      elementary_eval, strict_product)
 
 
 def cutoff_phi(rows, n, r):
@@ -70,6 +77,8 @@ def _block_alternating(c, size):
 _DI_CACHE = {}
 _PHI_CACHE = {}
 _PERM_CACHE = {}
+_IMAGE_CACHE = {}
+_PARTITION_CACHE = {}
 
 
 @memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
@@ -123,13 +132,90 @@ def _apply_family(f, family, has_t):
     return collect_alternating(total)
 
 
+_T_FAMILY = "t"  # the image key of the generating t-family
+
+
+@memoized(_PARTITION_CACHE, lambda lam: lam)
+def _partition(lam):
+    """One shared tuple per partition: the cached images hold each
+    partition once, not once per term."""
+    return lam
+
+
+@memoized(_IMAGE_CACHE,
+          lambda n, r, k, mu: (n, scalar_key(_lift(r)), k, mu))
+def _image(n, r, k, mu):
+    """The image of the basis element m_mu under the t-family
+    (k = _T_FAMILY) or the k-th raising operator, formed by
+    ``_apply_family`` and kept in cleared form only: a tuple of
+    (t power, den, lams, nums) over the nonzero t powers, ascending,
+    where the t power's coefficient at lams[i] is nums[i] / den (the
+    raising operators have the one power 0)."""
+    f = SymPoly.basis(n, mu)
+    if k == _T_FAMILY:
+        parts = _apply_family(f, enumerate(_subset_family(n, r)), True)
+    else:
+        parts = {0: _apply_family(f, [(k, _phi_family(n, r, k))], False)}
+    out = []
+    for p, g in parts.items():
+        if g:
+            den, nums = clear_denominators(list(g.terms.values()))
+            out.append((p, den, tuple(map(_partition, g.terms)),
+                        tuple(nums)))
+    return tuple(out)
+
+
+def _common(dens):
+    """(L, {den: L / den}) for cleared image denominators: ints, or
+    integer UniPolys over Q(r)."""
+    dens = list(dict.fromkeys(dens))
+    if len(dens) == 1:
+        return dens[0], {dens[0]: 1}
+    common, mults = clear_denominators([_ratio(1, d) for d in dens])
+    return common, dict(zip(dens, mults))
+
+
+def _by_linearity(f, r, k):
+    """sum_mu f[mu] * image(m_mu) as {t power: SymPoly} over the nonzero
+    t powers, ascending: f's cleared numerators times the images',
+    summed per t power over one common image denominator, with one
+    scalar per output coefficient."""
+    n = f.n
+    fden, by_degree = f._int_form()
+    terms = [(a, _image(n, r, k, mu))
+             for lams, nums in by_degree.values() for mu, a in zip(lams, nums)]
+    dens = {}
+    for _, image in terms:
+        for p, den, _, _ in image:
+            dens.setdefault(p, []).append(den)
+    scales = {p: _common(ds) for p, ds in sorted(dens.items())}
+    sums = {p: {} for p in scales}
+    for a, image in terms:
+        for p, den, lams, nums in image:
+            acc = sums[p]
+            get = acc.get
+            c = a * scales[p][1][den]
+            if c != 1:  # a basis element's own image is read as it is
+                nums = [c * b for b in nums]
+            for lam, b in zip(lams, nums):
+                v = get(lam)
+                acc[lam] = b if v is None else v + b
+    out = {}
+    for p, acc in sums.items():
+        den = fden * scales[p][0]
+        clean = {lam: _ratio(v, den) for lam, v in acc.items() if v}
+        if clean:
+            out[p] = _sym(n, clean)
+    return out
+
+
 def apply_difference_family(f, r):
     """Apply the full t-family to a SymPoly: {t_power: SymPoly}.
 
     The t^n piece is f itself (the family is monic in t); lower pieces
     are the nontrivial operators.  Degrees never go up.
     """
-    return _apply_family(f, enumerate(_subset_family(f.n, r)), True)
+    return _by_linearity(f, r, _T_FAMILY)
 
 
 def apply_raising(f, k, r):
@@ -139,7 +225,7 @@ def apply_raising(f, k, r):
     """
     if not 0 <= k <= f.n:
         raise ValueError(f"raising index {k} out of range")
-    return _apply_family(f, [(k, _phi_family(f.n, r, k))], False)
+    return _by_linearity(f, r, k).get(0, SymPoly.zero(f.n))
 
 
 def eigenvalue_poly(lam, r, n):

@@ -1,6 +1,10 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from shifted_symfun import checks
+from shifted_symfun import checks, operators
+from shifted_symfun.scalars import scalar_key
 from shifted_symfun.sympoly import SymPoly
 
 
@@ -66,19 +70,80 @@ def test_commutativity_detects_broken_family(monkeypatch):
     assert report["status"] == "fail"
 
 
-def test_commutativity_forms_each_raising_image_once(monkeypatch):
-    real = checks.apply_raising
-    calls = []
+@pytest.fixture
+def restored_operator_caches():
+    """The operator caches, put back exactly as they were after the test,
+    so entries a mutant fills do not outlive it."""
+    tables = (operators._PHI_CACHE, operators._DI_CACHE,
+              operators._IMAGE_CACHE)
+    saved = [dict(table) for table in tables]
+    yield
+    for table, entries in zip(tables, saved):
+        table.clear()
+        table.update(entries)
 
-    def counted(f, k, r):
-        calls.append((k, tuple(f.terms)))
-        return real(f, k, r)
 
-    monkeypatch.setattr(checks, "apply_raising", counted)
+def test_commutativity_forms_each_raising_image_once(
+        restored_operator_caches):
+    images = operators._IMAGE_CACHE
+    images.clear()
+
+    def misses():
+        """Entries per operator: the t-family, then raising k = 1, 2, 3."""
+        count = Counter(key[2] for key in images)
+        return [count[k] for k in (operators._T_FAMILY, 1, 2, 3)]
+
     assert checks.check_commutativity(3, 5)["status"] == "pass"
-    # by k = 1 and 2 on the 41 partitions of size <= 5 + 3, by k = 3 on
-    # the 31 of size <= 5 + 2: the largest sources the products need
-    assert len(calls) == len(set(calls)) == 41 + 41 + 31
+    # the t-family on the 16 partitions of size <= 5; raising by k = 1 and
+    # 2 on the 41 of size <= 5 + 3, by k = 3 on the 31 of size <= 5 + 2:
+    # the largest sources the products need, each formed once
+    assert misses() == [16, 41, 41, 31]
+    # raising stability reads the same images of the m_mu, |mu| <= 5
+    assert checks.check_raising_stability(3, 5)["status"] == "pass"
+    assert misses() == [16, 41, 41, 31]
+
+
+def test_checks_read_the_operator_coefficients_through_the_cache(
+        monkeypatch, restored_operator_caches):
+    n, dmax, r = 3, 2, Fraction(13, 4)
+    assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "pass"
+    assert checks.check_raising_stability(n, dmax, r=r)["status"] == "pass"
+    # 2 * phi_(0) still alternates inside its blocks, so only the checks
+    # can tell it from phi_(0)
+    real = operators._phi_family
+    monkeypatch.setattr(
+        operators, "_phi_family",
+        lambda nn, rr, size: real(nn, rr, size) * (2 if size == 1 else 1))
+    key = scalar_key(r)
+    del operators._PHI_CACHE[n, key, 1]
+    del operators._DI_CACHE[n, key]
+    for image in [k for k in operators._IMAGE_CACHE if k[:2] == (n, key)]:
+        del operators._IMAGE_CACHE[image]
+    assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "fail"
+    assert checks.check_raising_stability(n, dmax, r=r)["status"] == "fail"
+
+
+def test_operator_results_cannot_edit_the_cache():
+    r = Fraction(13, 4)
+    f = SymPoly(3, {(1, 0, 0): Fraction(2, 3), (0, 0, 0): 1})
+    family = operators.apply_difference_family(f, r)
+    raised = operators.apply_raising(f, 1, r)
+    before = dict(operators._IMAGE_CACHE)
+    # every entry is a tuple of ints and tuples: nothing in it is mutable
+    stack = [e for k, e in before.items() if k[1] == scalar_key(r)]
+    assert stack
+    while stack:
+        item = stack.pop()
+        assert type(item) in (tuple, int), type(item)
+        if type(item) is tuple:
+            stack.extend(item)
+    with pytest.raises(TypeError):
+        raised.terms[(1, 0, 0)] = Fraction(5)
+    family.clear()
+    again = operators.apply_raising(f, 1, r)
+    assert again == raised and again is not raised
+    assert operators.apply_difference_family(f, r)
+    assert operators._IMAGE_CACHE == before
 
 
 def test_node_checks_read_the_coefficients(monkeypatch):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shifted_symfun.interpolation import (ShiftVector, interpolation_basis,
                                           interpolation_polynomial)
@@ -12,7 +14,7 @@ from shifted_symfun.operators import (OperatorMatrix, apply_difference_family,
                                       cutoff_phi, eigenvalue_poly,
                                       inhomogeneous_lift)
 from shifted_symfun.partitions import dominance_leq, enumerate_upto
-from shifted_symfun.scalars import RationalFunction
+from shifted_symfun.scalars import RationalFunction, TagMismatchError
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
 from reference_determinants import cutoff_determinant, subset_determinant
@@ -282,3 +284,77 @@ def test_families_are_cached_per_scalar_world():
                         cutoff_determinant(rows, n, one_q), (n, rows)
                     assert orbit_member(subset[size], rows) == \
                         subset_determinant(rows, n, one_q), (n, rows)
+
+
+# -- application by linearity -------------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+# coefficients over Q(r): polynomials in r and quotients by r + c
+r_coeffs = st.one_of(
+    small_rationals,
+    st.builds(lambda a, b: a * R + b, small_rationals, small_rationals),
+    st.builds(lambda a, b: a / (R + b), small_rationals,
+              st.integers(-3, 3)))
+shifts = st.one_of(st.just(R),
+                   st.builds(Fraction, st.integers(-12, 12),
+                             st.integers(1, 7)))
+
+
+def general_inputs(n):
+    """SymPolys of degree <= 3 over Q or over Q(r), with mixed contents;
+    the empty dict gives the zero polynomial."""
+    basis = enumerate_upto(n, 3)
+    return st.sampled_from((small_rationals, r_coeffs)).flatmap(
+        lambda coeffs: st.dictionaries(st.sampled_from(basis), coeffs,
+                                       max_size=5)).map(
+        lambda terms: SymPoly(n, terms))
+
+
+def same(got, want):
+    """Equal, with every coefficient of the same scalar type."""
+    assert got == want
+    assert {lam: type(c) for lam, c in got.terms.items()} == \
+        {lam: type(c) for lam, c in want.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(general_inputs(n), st.integers(0, n))), shifts)
+@example((SymPoly.zero(2), 0), R)
+@example((SymPoly.zero(3), 3), Fraction(1, 2))
+@example((SymPoly.one(3), 3), R)
+@example((SymPoly.basis(2, (0, 0), Fraction(-7, 3)), 0), Fraction(3, 2))
+@example((SymPoly(3, {(2, 1, 0): Fraction(1, 2), (1, 1, 0): Fraction(2, 3),
+                      (0, 0, 0): 5}), 1), Fraction(-2, 5))
+@example((SymPoly(3, {(1, 0, 0): 2, (2, 0, 0): Fraction(-3, 7)}), 2), R)
+@example((SymPoly(3, {(1, 1, 0): (R + 1) / (R - 2), (0, 0, 0): R}), 2),
+         Fraction(3, 4))
+@example((SymPoly(2, {(2, 1): R / 3, (1, 0): Fraction(1, 5)}), 2), R)
+def test_linearity_matches_the_kernel(case, r):
+    """The images of the m_mu, cached once per process and extended by
+    linearity, against the one kernel applied to f directly: Q and Q(r)
+    inputs at rational and symbolic shifts, k = 0 to n."""
+    f, k = case
+    n = f.n
+    want = operators._apply_family(
+        f, enumerate(operators._subset_family(n, r)), True)
+    got = apply_difference_family(f, r)
+    assert list(got) == sorted(got) == list(want)
+    for p in want:
+        same(got[p], want[p])
+    same(apply_raising(f, k, r),
+         operators._apply_family(f, [(k, operators._phi_family(n, r, k))],
+                                 False))
+
+
+def test_linearity_refuses_an_input_over_another_parameter():
+    # r enters phi_(0) through x_0 - x_1 - r; the input lives over Q(s)
+    s = RationalFunction.gen("s")
+    f = SymPoly(2, {(1, 0): s, (0, 0): Fraction(1, 2)})
+    with pytest.raises(TagMismatchError):
+        operators._apply_family(f, [(1, operators._phi_family(2, R, 1))],
+                                False)
+    with pytest.raises(TagMismatchError):
+        apply_raising(f, 1, R)
+    with pytest.raises(TagMismatchError):
+        apply_difference_family(f, R)
