@@ -305,17 +305,11 @@ class OperatorMatrix:
 
     @classmethod
     def build(cls, op, n, source, target):
-        return cls.from_images(source, target,
-                               [op(SymPoly.basis(n, mu)) for mu in source])
-
-    @classmethod
-    def from_images(cls, source, target, images):
-        """Column j holds the m-coefficients of images[j], the image of
-        the basis element source[j]."""
+        """Column j holds the m-coefficients of op(m_(source[j]))."""
         t_index = {mu: i for i, mu in enumerate(target)}
         rows = [[0] * len(source) for _ in target]
-        for j, (mu, img) in enumerate(zip(source, images)):
-            for lam, c in img.terms.items():
+        for j, mu in enumerate(source):
+            for lam, c in op(SymPoly.basis(n, mu)).terms.items():
                 if lam not in t_index:
                     raise ArithmeticError(
                         f"image of {mu} leaves the target space at {lam}")
@@ -325,35 +319,19 @@ class OperatorMatrix:
     def entry(self, lam, mu):
         return self.rows[self.target.index(lam)][self.source.index(mu)]
 
-    def _cleared(self):
-        """(den, rows of (column, numerator) pairs): self.rows[i][k] is
-        num / den for every listed pair and zero elsewhere.  The
-        numerators are ints, or integer UniPolys over Q(r)."""
-        width = len(self.source)
-        den, nums = clear_denominators([e for row in self.rows for e in row])
-        return den, [[(k, v) for k, v in
-                      enumerate(nums[i * width:(i + 1) * width]) if v]
-                     for i in range(len(self.rows))]
-
     def __matmul__(self, other):
-        """The product on cleared numerators: one scalar division per
-        nonzero entry, by the product of the two denominators."""
+        """The product: entry (i, j) is sum_k self[i][k] * other[k][j]."""
         if other.target != self.source:
             raise ValueError("bases do not chain")
-        da, left = self._cleared()
-        db, right = other._cleared()
-        den = da * db
         rows = []
-        for pairs in left:
-            acc = {}
-            for k, a in pairs:
-                for j, b in right[k]:
-                    acc[j] = a * b + acc.get(j, 0)
-            row = [0] * len(other.source)
-            for j, v in acc.items():
-                if v:
-                    row[j] = _ratio(v, den)
-            rows.append(row)
+        for row in self.rows:
+            acc = [0] * len(other.source)
+            for a, right in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(right):
+                        if b:
+                            acc[j] = acc[j] + a * b
+            rows.append(acc)
         return OperatorMatrix(other.source, self.target, rows)
 
     def __sub__(self, other):

@@ -60,7 +60,7 @@ def test_commutativity_detects_broken_family(monkeypatch):
 
     def skewed(f, r):
         fam = dict(real(f, r))
-        # bump the constant row of one component; the bumped matrix
+        # bump the constant row of one component; the bumped operator
         # no longer commutes with the rest of the family
         fam[0] = fam.get(0, SymPoly.zero(f.n)) + SymPoly.one(f.n)
         return fam
@@ -68,6 +68,26 @@ def test_commutativity_detects_broken_family(monkeypatch):
     monkeypatch.setattr(checks, "apply_difference_family", skewed)
     report = checks.check_commutativity(2, 2)
     assert report["status"] == "fail"
+    report = checks.check_commutativity(3, 2)
+    assert report["witness"] == {"family": "difference", "i": 1, "j": 3}
+
+
+def test_commutativity_detects_broken_raising_operator(monkeypatch):
+    real = checks.apply_raising
+
+    def skewed(f, k, r):
+        # R_1 f also gains f's constant coefficient times m_(1): still
+        # linear, but it no longer commutes with R_2
+        img = real(f, k, r)
+        if k == 1:
+            img = img + SymPoly.basis(f.n, (1,), f.coefficient(()))
+        return img
+
+    monkeypatch.setattr(checks, "apply_raising", skewed)
+    for n, dmax, r in ((2, 2, "symbolic"), (3, 3, Fraction(3, 2))):
+        report = checks.check_commutativity(n, dmax, r=r)
+        assert report["status"] == "fail"
+        assert report["witness"] == {"family": "raising", "i": 1, "j": 2}
 
 
 @pytest.fixture
@@ -83,7 +103,7 @@ def restored_operator_caches():
         table.update(entries)
 
 
-def test_commutativity_forms_each_raising_image_once(
+def test_commutativity_forms_only_the_images_it_composes(
         restored_operator_caches):
     images = operators._IMAGE_CACHE
     images.clear()
@@ -94,13 +114,13 @@ def test_commutativity_forms_each_raising_image_once(
         return [count[k] for k in (operators._T_FAMILY, 1, 2, 3)]
 
     assert checks.check_commutativity(3, 5)["status"] == "pass"
-    # the t-family on the 16 partitions of size <= 5; raising by k = 1 and
-    # 2 on the 41 of size <= 5 + 3, by k = 3 on the 31 of size <= 5 + 2:
-    # the largest sources the products need, each formed once
-    assert misses() == [16, 41, 41, 31]
+    # the t-family on the 16 partitions of size <= 5, which hold every
+    # D_j m_mu; raising by k on the m_mu, |mu| <= 5, and on the support
+    # of every R_j m_mu, j != k, each image formed once
+    assert misses() == [16, 35, 32, 30]
     # raising stability reads the same images of the m_mu, |mu| <= 5
     assert checks.check_raising_stability(3, 5)["status"] == "pass"
-    assert misses() == [16, 41, 41, 31]
+    assert misses() == [16, 35, 32, 30]
 
 
 def test_checks_read_the_operator_coefficients_through_the_cache(

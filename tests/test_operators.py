@@ -215,8 +215,8 @@ def test_operator_matrix_algebra():
 
 
 def test_operator_matrix_product_matches_the_entrywise_sum():
-    """Products run on cleared numerators; over Q, over Q(r), and with
-    one operand over each, every entry equals the scalar sum."""
+    """Over Q, over Q(r), and with one operand over each, every entry
+    of a product equals the scalar sum."""
     rng = random.Random(7)
     pool = {"q": [Fraction(0), Fraction(0), Fraction(3, 4), Fraction(-5),
                   Fraction(2, 9)],
@@ -234,6 +234,34 @@ def test_operator_matrix_product_matches_the_entrywise_sum():
                 want = sum((a.rows[i][k] * b.rows[k][j]
                             for k in range(len(basis))), Fraction(0))
                 assert got.rows[i][j] == want
+
+
+@pytest.mark.parametrize("r", [R, Fraction(3, 2)], ids=["symbolic", "3/2"])
+def test_matrix_products_match_the_composed_operators(r):
+    """Column mu of M_i @ M_j is op_i(op_j m_mu), for two raising
+    operators and for two components of the t-family."""
+    n, d = 3, 3
+    zero = SymPoly.zero(n)
+
+    def raising(k):
+        return lambda f: apply_raising(f, k, r)
+
+    def difference(k):
+        return lambda f: apply_difference_family(f, r).get(n - k, zero)
+
+    def upto(e):
+        return enumerate_upto(n, e)
+
+    i, j = 1, 2
+    # op_j sends degree <= d into degree <= mid, op_i that into <= top
+    for op, mid, top in ((raising, d + j, d + j + i), (difference, d, d)):
+        product = (OperatorMatrix.build(op(i), n, upto(mid), upto(top))
+                   @ OperatorMatrix.build(op(j), n, upto(d), upto(mid)))
+        for col, mu in enumerate(product.source):
+            want = op(i)(op(j)(SymPoly.basis(n, mu)))
+            got = {lam: row[col] for lam, row in zip(product.target,
+                                                      product.rows)}
+            assert SymPoly(n, got) == want
 
 
 def test_inhomogeneous_lift_small():
