@@ -231,18 +231,24 @@ def _substitute_alpha(sym, value):
 # ---------------------------------------------------------------------------
 # compute
 
+def _require_nodes(n, d, what):
+    """Refuse up front a degree-d solve in n variables that needs more
+    than MAX_COMPUTE_NODES interpolation nodes (every partition of degree
+    <= d with at most n parts)."""
+    nodes = 0
+    for e in range(d + 1):
+        nodes += len(enumerate_exact(n, e))
+        if nodes > MAX_COMPUTE_NODES:
+            raise ConfigError(
+                f"{what} = {d} needs more than {MAX_COMPUTE_NODES} "
+                f"interpolation nodes in n = {n} variables; refusing to run")
+
+
 def _compute_partition(args):
     """The --lambda partition, refused up front when the degree-|lambda|
     solve would have too many interpolation nodes."""
-    n = args.n
-    lam = _parse_partition(args.lam, n)
-    nodes = 0
-    for d in range(sum(lam) + 1):
-        nodes += len(enumerate_exact(n, d))
-        if nodes > MAX_COMPUTE_NODES:
-            raise ConfigError(
-                f"|lambda| = {sum(lam)} needs more than {MAX_COMPUTE_NODES} "
-                f"interpolation nodes in n = {n} variables; refusing to run")
+    lam = _parse_partition(args.lam, args.n)
+    _require_nodes(args.n, sum(lam), "|lambda|")
     return lam
 
 
@@ -369,6 +375,7 @@ def cmd_scan(args):
     _check_bounds(args, need_dmax=True)
     if args.r is not None:
         raise ConfigError("scan runs symbolically; drop --r")
+    _require_nodes(args.n, args.dmax, "dmax")
     workers = _resolve_workers(args.workers)
     tasks = [(args.n, lam)
              for d in range(args.dmax + 1)

@@ -19,9 +19,10 @@ from .partitions import (as_partition, enumerate_exact, enumerate_upto,
                          rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       clear_denominators, memoized, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, _point_row, _Row, alternant,
-                      collect_symmetric, complete_eval, divide_by_vandermonde,
-                      elementary, factorial_monomial, falling_power)
+from .sympoly import (SparsePoly, SymPoly, _combine, _common, _from_cleared,
+                      _point_row, _Row, alternant, collect_symmetric,
+                      complete_eval, divide_by_vandermonde, elementary,
+                      factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -197,10 +198,11 @@ def solve_linear(A, B):
 _BASIS_CACHE = {}
 
 
-def _node_matrix(rho, nodes, polys, row_of=_point_row):
-    """Row mu, column j: polys[j] at the node mu + rho, read off one
-    evaluation row per node (kept per process unless row_of says not)."""
-    return [[row.evaluate(f) for f in polys]
+def _node_matrix(rho, nodes, forms, row_of=_point_row):
+    """Row mu, column j: the polynomial with the cleared form forms[j]
+    (den, lams, nums) at the node mu + rho, read off one evaluation row
+    per node (kept per process unless row_of says not)."""
+    return [[row.value(*form) for form in forms]
             for row in (row_of(rho.point(mu)) for mu in nodes)]
 
 
@@ -232,38 +234,57 @@ def interpolation_basis(n, d, rho):
     step keeps the zeros made so far, and the reduced Q_nu vanish at
     every node below degree d.  P_lam is then the combination of the Q_nu
     with the hook product at lam + rho and zeros at the other degree-d
-    nodes: one fraction-free p_n(d) x p_n(d) solve covers every lam.  The
-    result is a read-only {lam: P_lam} view of the cached entry.
+    nodes: one fraction-free p_n(d) x p_n(d) solve covers every lam.
+
+    No polynomial is built before P_lam itself: each Q_nu stays a cleared
+    form (den, lams, nums) whose values are read off the nodes' evaluation
+    rows, each step and each P_lam is one ``sympoly._combine`` on cleared
+    numerators, and only P_lam's coefficients become scalars.  The result
+    is a read-only {lam: P_lam} view of the cached entry.
     """
     _require_shift(n, d, rho)
-    lower = [(rho.point(kappa), P, rho_hook_product(kappa, rho.entries))
+    lower = [(_point_row(rho.point(kappa)), P._int_form(),
+              rho_hook_product(kappa, rho.entries))
              for e in range(d)
              for kappa, P in interpolation_basis(n, e, rho).items()]
     tops = enumerate_exact(n, d)
-    reduced = []
-    for nu in tops:
-        q = SymPoly.basis(n, nu)
-        for pt, P, hook in lower:
-            v = q.evaluate(pt)
-            if v:
-                q = q - P * (v / hook)
-        reduced.append(q)
+    reduced = [_reduce(nu, lower) for nu in tops]
     A = _node_matrix(rho, tops, reduced)
     B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
           for lam in tops] for mu in tops]
     cols = solve_linear(A, B)
+    # the Q_nu over one denominator, so each P_lam needs no common multiple
+    common, mults = _common([den for den, _, _ in reduced])
     out = {}
     for j, lam in enumerate(tops):
-        f = SymPoly.zero(n)
-        for x, q in zip(cols[j], reduced):
-            if x:
-                f = f + q * x
+        xden, xs = clear_denominators(cols[j])
+        den, acc = _combine([(x * mults[qden], common, lams, nums)
+                             for x, (qden, lams, nums) in zip(xs, reduced)
+                             if x])
+        f = _from_cleared(n, xden * den, acc)
         if f.coefficient(lam) != 1:
             raise ArithmeticError(
                 f"hook-product normalization did not give a unit leading "
                 f"coefficient for {lam}")
         out[lam] = f
     return MappingProxyType(out)
+
+
+def _reduce(nu, lower):
+    """m_nu reduced against the lower (row, cleared P_kappa, hook) triples,
+    as a cleared form (den, lams, nums): each step reads Q's value at
+    kappa + rho off the node's row and subtracts (value / hook) * P_kappa
+    over one common multiple of the two denominators."""
+    den, lams, nums = 1, (nu,), (1,)
+    for row, (pden, plams, pnums), hook in lower:
+        v = row.value(den, lams, nums)
+        if v:
+            sden, (a,) = clear_denominators([-v / hook])
+            den, acc = _combine([(1, den, lams, nums),
+                                 (a, sden * pden, plams, pnums)])
+            lams = tuple(lam for lam, c in acc.items() if c)
+            nums = tuple(c for c in acc.values() if c)
+    return den, lams, nums
 
 
 def interpolation_polynomial(lam, rho):
@@ -280,8 +301,7 @@ def interpolate(n, d, values, rho):
     """
     basis, vals = _node_values(n, d, values)
     _require_shift(n, d, rho)
-    A = _node_matrix(rho, basis, [SymPoly.basis(n, nu) for nu in basis],
-                     _Row)
+    A = _node_matrix(rho, basis, [(1, (nu,), (1,)) for nu in basis], _Row)
     B = [[vals[mu]] for mu in basis]
     col = solve_linear(A, B)[0]
     return SymPoly(n, {nu: c for nu, c in zip(basis, col)})

@@ -38,11 +38,10 @@ from itertools import combinations
 from math import prod
 
 from .partitions import staircase
-from .scalars import (RationalFunction, UniPoly, _lift, clear_denominators,
-                      memoized, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, _signed_permutations, _strict,
-                      _sym, collect_alternating, e_basis_expand,
-                      elementary_eval, strict_product)
+from .scalars import _lift, clear_denominators, memoized, scalar_key
+from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
+                      _signed_permutations, _strict, collect_alternating,
+                      e_basis_expand, elementary_eval, strict_product)
 
 
 def cutoff_phi(rows, n, r):
@@ -165,47 +164,23 @@ def _image(n, r, k, mu):
     return tuple(out)
 
 
-def _common(dens):
-    """(L, {den: L / den}) for cleared image denominators: ints, or
-    integer UniPolys over Q(r)."""
-    dens = list(dict.fromkeys(dens))
-    if len(dens) == 1:
-        return dens[0], {dens[0]: 1}
-    common, mults = clear_denominators([_ratio(1, d) for d in dens])
-    return common, dict(zip(dens, mults))
-
-
 def _by_linearity(f, r, k):
     """sum_mu f[mu] * image(m_mu) as {t power: SymPoly} over the nonzero
-    t powers, ascending: f's cleared numerators times the images',
-    summed per t power over one common image denominator, with one
-    scalar per output coefficient."""
+    t powers, ascending: f's cleared numerators times the images', one
+    ``sympoly._combine`` per t power, with one scalar per output
+    coefficient."""
     n = f.n
-    fden, by_degree = f._int_form()
-    terms = [(a, _image(n, r, k, mu))
-             for lams, nums in by_degree.values() for mu, a in zip(lams, nums)]
-    dens = {}
-    for _, image in terms:
-        for p, den, _, _ in image:
-            dens.setdefault(p, []).append(den)
-    scales = {p: _common(ds) for p, ds in sorted(dens.items())}
-    sums = {p: {} for p in scales}
-    for a, image in terms:
-        for p, den, lams, nums in image:
-            acc = sums[p]
-            get = acc.get
-            c = a * scales[p][1][den]
-            if c != 1:  # a basis element's own image is read as it is
-                nums = [c * b for b in nums]
-            for lam, b in zip(lams, nums):
-                v = get(lam)
-                acc[lam] = b if v is None else v + b
+    fden, lams, nums = f._int_form()
+    parts = {}
+    for mu, a in zip(lams, nums):
+        for p, den, ilams, inums in _image(n, r, k, mu):
+            parts.setdefault(p, []).append((a, den, ilams, inums))
     out = {}
-    for p, acc in sums.items():
-        den = fden * scales[p][0]
-        clean = {lam: _ratio(v, den) for lam, v in acc.items() if v}
-        if clean:
-            out[p] = _sym(n, clean)
+    for p, terms in sorted(parts.items()):
+        common, acc = _combine(terms)
+        g = _from_cleared(n, fden * common, acc)
+        if g:
+            out[p] = g
     return out
 
 
@@ -277,15 +252,6 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
                     else:
                         acc.pop(kk, None)
     return collect_alternating(SparsePoly(n, acc, has_t))
-
-
-def _ratio(num, den):
-    """The scalar num / den for cleared ints or integer UniPolys."""
-    if isinstance(den, UniPoly):
-        if not isinstance(num, UniPoly):
-            num = UniPoly.const(den.var, num)
-        return RationalFunction(num, den)
-    return Fraction(num, den)
 
 
 class OperatorMatrix:

@@ -451,7 +451,9 @@ class UniPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        # the stored form is unique (see the module docstring); an int and
+        # an integral Fraction content hash alike
+        return hash((self.var, self.cont, self.prim))
 
     def __bool__(self):
         return bool(self.prim)
@@ -857,6 +859,18 @@ def clear_denominators(values):
     return (_poly(param, q, plcm),
             [_poly(param, k.numerator * (q // k.denominator), prim)
              if k else _poly(param, 0, ()) for k, prim in parts])
+
+
+def _ratio(num, den):
+    """The scalar num / den for cleared numerators and denominators: ints,
+    or integer UniPolys in one parameter (either side may be an int)."""
+    if isinstance(den, UniPoly):
+        if not isinstance(num, UniPoly):
+            num = _poly(den.var, num, (1,) if num else ())
+        return RationalFunction(num, den)
+    if isinstance(num, UniPoly):
+        return RationalFunction(num, _poly(num.var, den, (1,)))
+    return Fraction(num, den)
 
 
 def invert_parameter(x, new_param):

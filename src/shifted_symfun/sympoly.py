@@ -11,21 +11,23 @@ Conversions go down via to_sparse / m_expand and back up via
 collect_symmetric, which verifies symmetry instead of assuming it, or via
 collect_alternating, which reads the quotient of an alternating
 polynomial by the Vandermonde off its strictly decreasing keys.  These
-conversions and ``SparsePoly.terms`` are the only places where the ints
-turn back into Fraction or RationalFunction coefficients.
+conversions, ``SparsePoly.terms`` and ``_from_cleared`` (the end of a
+cleared linear combination in the m-basis, ``_combine``) are the only
+places where the ints turn back into Fraction or RationalFunction
+coefficients.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, prod
-from operator import add, ge, getitem, gt, mul, sub
+from math import comb, factorial, prod
+from operator import add, getitem, gt, mul, sub
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
 from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
-                      UniPoly, _lift, clear_denominators, is_scalar, memoized,
-                      scalar_key)
+                      UniPoly, _lift, _ratio, clear_denominators, is_scalar,
+                      memoized, scalar_key)
 
 
 class NotSymmetricError(ValueError):
@@ -71,9 +73,7 @@ def _cleared(values):
     and content is a RationalFunction.
     """
     den, nums = clear_denominators(values)
-    if isinstance(den, UniPoly):
-        return den, RationalFunction(UniPoly.const(den.var, 1), den), nums
-    return den, Fraction(1, den), nums
+    return den, _ratio(1, den), nums
 
 
 def _zcoeffs(num):
@@ -87,6 +87,11 @@ def _zcoeffs(num):
 def _r_pairs(num):
     """A cleared numerator as (power of r, int) pairs."""
     return [(j, c) for j, c in enumerate(_zcoeffs(num)) if c]
+
+
+def _norm(coeffs):
+    """The l1 norm of an int coefficient sequence."""
+    return sum(map(abs, coeffs))
 
 
 def _pack(coeffs, bits):
@@ -165,43 +170,35 @@ def _x_groups(ints, n):
 
 def _imul_strict(a, b, n, k):
     """The strictly decreasing part of the antisymmetrization, over
-    k!(n - k)!, of a product of two int term maps that alternates inside
-    the x blocks [0, k) and [k, n): a key whose x-part (the first n
-    slots) strictly decreases inside both blocks and repeats no entry
-    moves to its sorted key, times the sign of the sort; the rest drop.
+    k!(n - k)!, of a * b for an int term map a that alternates inside the
+    x blocks [0, k) and [k, n) and a map b that is symmetric inside them.
 
-    xa + xb strictly decreases inside the blocks when every gap
-    xb_i - xb_(i+1) inside a block is at least 1 - (xa_i - xa_(i+1)).
-    The x-parts of b are sorted by one such gap, so the scan for one
-    x-part of a stops at the first one too small, and the r and t slots
-    of a kept pair add as they are.
+    With G the permutations of the blocks, a is the sum of
+    a_kappa * sgn(s) * x^(s kappa) over s in G and the keys kappa whose
+    x-part (the first n slots) strictly decreases inside both blocks, and
+    b is G-invariant, so the quotient is the sum over those kappa and
+    every key beta of b of a_kappa * b_beta times the antisymmetrization
+    of x^(kappa + beta): the key moves to its sorted x-part, times the
+    sign of the sort, and drops when an entry repeats.  The r and t slots
+    of a pair add as they are.
     """
     if n == 1:
         return _imul(a, b)
-    cut = k - 1 if 0 < k < n else None  # the gap between the blocks
-    by = 1 if cut == 0 and n > 2 else 0  # a gap inside a block, if any
-    right = sorted(((tuple(map(sub, x, x[1:])), x, rest)
-                    for x, rest in _x_groups(b, n).items()),
-                   key=lambda e: e[0][by], reverse=True)
+    left = [(x, rest) for x, rest in _x_groups(a, n).items()
+            if _strict(x[:k]) and _strict(x[k:])]
+    right = list(_x_groups(b, n).items())
     out = {}
     get = out.get
     moved = {}  # x -> (sorted x, sign of the sort, 0 on a repeat)
-    for xa, ra in _x_groups(a, n).items():
-        need = [1 - g for g in map(sub, xa, xa[1:])]
-        if cut is not None:
-            need[cut] = float("-inf")
-        low = need[by]
-        for gaps, xb, rb in right:
-            if gaps[by] < low:
-                break
-            if not all(map(ge, gaps, need)):
-                continue
+    for xa, ra in left:
+        for xb, rb in right:
             x = tuple(map(add, xa, xb))
-            if x not in moved:
+            got = moved.get(x)
+            if got is None:
                 y = tuple(sorted(x, reverse=True))
-                swaps = sum(h < t for h in x[:k] for t in x[k:])
-                moved[x] = y, (-1) ** swaps if _strict(y) else 0
-            y, sign = moved[x]
+                swaps = sum(h < t for h, t in combinations(x, 2))
+                got = moved[x] = y, (-1) ** swaps if _strict(y) else 0
+            y, sign = got
             if not sign:
                 continue
             for sa, ca in ra:
@@ -409,8 +406,8 @@ class SparsePoly:
         if var is not None:
             q, *xs = map(_zcoeffs, (q, *xs))
             # |every coefficient of the sum| <= sum |c| * norm^e (l1 norms)
-            norm = max(sum(map(abs, z)) for z in (q, *xs))
-            bits = (sum(map(abs, vals.values())) * norm ** e).bit_length() + 1
+            norm = max(map(_norm, (q, *xs)))
+            bits = (_norm(vals.values()) * norm ** e).bit_length() + 1
             q, *xs = (_pack(z, bits) for z in (q, *xs))
             if param:  # the r slot moves into the ints
                 packed = {}
@@ -660,17 +657,18 @@ class SymPoly:
         return _point_row(tuple(point)).evaluate(self)
 
     def _int_form(self):
-        """(den, {degree: (lams, nums)}) with terms[lam] == num / den:
-        the coefficients cleared once per object, on first evaluation.
-        ``terms`` is read-only, so the form cannot go stale."""
+        """(den, lams, nums) with terms[lams[i]] == nums[i] / den, grouped
+        by degree: the coefficients cleared once per object, on first
+        evaluation.  ``terms`` is read-only, so the form cannot go stale."""
         form = self._ints
         if form is None:
             den, nums = clear_denominators(list(self.terms.values()))
             groups = {}
             for lam, num in zip(self.terms, nums):
                 groups.setdefault(sum(lam), []).append((lam, num))
-            form = self._ints = den, {d: tuple(zip(*g))
-                                      for d, g in groups.items()}
+            pairs = [pair for group in groups.values() for pair in group]
+            form = self._ints = (den, tuple(lam for lam, _ in pairs),
+                                 tuple(num for _, num in pairs))
         return form
 
     def __repr__(self):
@@ -687,63 +685,118 @@ class SymPoly:
 _ROW_CACHE = {}
 
 
-class _Row:
-    """One point, cleared to one denominator q, with the power table of
-    its cleared coordinates and the int orbit sum of every partition
-    evaluated there so far; both grow on demand."""
+def _powers(x, top):
+    """[1, x, x^2, ..., x^top] for an int x."""
+    out = [1, x]
+    while len(out) <= top:
+        out.append(out[-1] * x)
+    return out
 
-    __slots__ = ("den", "powers", "orbits")
+
+def _orbit_size(lam):
+    """The number of distinct rearrangements of lam."""
+    size = factorial(len(lam))
+    for part in set(lam):
+        size //= factorial(lam.count(part))
+    return size
+
+
+class _Row:
+    """One point, cleared to one denominator q, with the int orbit sum of
+    every partition evaluated there so far.  Over Q the cleared
+    coordinates are ints with a power table grown on demand; over Q(r)
+    they are integer polynomials in r, kept as coefficient tuples, and
+    each orbit sum runs on their packed values (see ``orbit``)."""
+
+    __slots__ = ("den", "var", "coords", "norm", "powers", "orbits")
 
     def __init__(self, point):
-        self.den, elems = clear_denominators(point)
-        self.powers = [[1, x] for x in elems]
+        den, elems = clear_denominators(point)
+        self.den = 1 if den == 1 else den
+        self.var = getattr(den, "var", None)
+        if self.var is None:
+            self.powers = [[1, x] for x in elems]
+        else:
+            self.coords = [_zcoeffs(x) for x in elems]
+            self.norm = max(map(_norm, self.coords), default=0)
         self.orbits = {}
-
-    def table(self, top):
-        """The power table, each coordinate's powers grown up to top."""
-        pw = self.powers
-        for p in pw:
-            while len(p) <= top:
-                p.append(p[-1] * p[1])
-        return pw
 
     def orbit(self, lam):
         """The sum of the cleared coordinates' monomials over the orbit of
-        the partition lam."""
+        the partition lam: an int over Q, an integer UniPoly over Q(r),
+        and the int 1 for every zero partition in either world.
+
+        Over Q(r) every coordinate is packed into one int, its value at
+        r = 2^bits (Kronecker substitution; see ``_pack``), the sum runs
+        on those ints and is unpacked once.  No coefficient of it exceeds
+        |orbit| * norm^|lam| in size, norm the largest l1 norm of a
+        coordinate, and bits leaves room for that and the sign."""
         s = self.orbits.get(lam)
         if s is None:
-            pw = self.table(max(lam, default=0))
-            s = self.orbits[lam] = sum(prod(map(getitem, pw, key))
-                                       for key in _perms(lam))
+            top, var = max(lam, default=0), self.var
+            if not top:
+                s = 1
+            else:
+                if var is None:
+                    pw = self.powers
+                    for i, p in enumerate(pw):
+                        if len(p) <= top:
+                            pw[i] = _powers(p[1], top)
+                else:
+                    bound = _orbit_size(lam) * self.norm ** sum(lam)
+                    bits = bound.bit_length() + 1
+                    pw = [_powers(_pack(z, bits), top) for z in self.coords]
+                s = sum(prod(map(getitem, pw, key)) for key in _perms(lam))
+                if var is not None:
+                    s = UniPoly(var, _unpack(s, bits))
+            self.orbits[lam] = s
         return s
 
-    def descale(self, den, sums):
-        """sum_d sums[d] q^-d / den, from sums per x-degree d over the
-        cleared point: Horner in q over the degrees, then one quotient by
-        den q^top."""
-        q, top = self.den, max(sums)
+    def value(self, den, lams, nums):
+        """sum_i nums[i] * m_(lams[i]) / den at the point, for cleared
+        numerators (ints, or integer UniPolys over Q(r)): the numerators
+        times the orbit sums, summed per degree d, folded by Horner in q
+        over the degrees and left in one quotient by den * q^top.
+
+        Over Q(r) the numerators, the orbit sums and q are packed as in
+        ``orbit``, so the sum is one int loop and one unpack; no
+        coefficient of it exceeds the sum of the products of the l1 norms
+        of each numerator and its orbit sum, times norm(q)^top."""
+        if not lams:
+            return Fraction(0)
+        degrees = list(map(sum, lams))
+        top = max(degrees)
+        if not top:  # the constant term alone
+            return _ratio(nums[0], den)
+        orbits = list(map(self.orbit, lams))
+        q = self.den
+        var = self.var
+        if var is not None:
+            zn, zo = list(map(_zcoeffs, nums)), list(map(_zcoeffs, orbits))
+            zq = _zcoeffs(q)
+            bound = (sum(map(mul, map(_norm, zn), map(_norm, zo)))
+                     * _norm(zq) ** top)
+            bits = bound.bit_length() + 1
+            nums = [_pack(z, bits) for z in zn]
+            orbits = [_pack(z, bits) for z in zo]
+            q = _pack(zq, bits)
         if q == 1:  # an integral point, such as a node at a symbolic shift
-            acc = sum(sums.values())
+            acc = sum(map(mul, nums, orbits))
         else:
-            acc = sums.get(0, 0)
-            for d in range(1, top + 1):
-                acc = acc * q + sums.get(d, 0)
-        if top:
-            den = den * q ** top
-        if isinstance(den, UniPoly):
-            return RationalFunction(acc, den)
-        return Fraction(acc, den)
+            sums = [0] * (top + 1)
+            for d, num, s in zip(degrees, nums, orbits):
+                sums[d] += num * s
+            acc = 0
+            for s in sums:
+                acc = acc * q + s
+            den = den * self.den ** top
+        if var is not None:
+            acc = UniPoly(var, _unpack(acc, bits))
+        return _ratio(acc, den)
 
     def evaluate(self, f):
-        """The SymPoly f at the point, on ints: f's cleared numerators
-        times the int orbit sums (integer UniPolys over Q(r)), summed per
-        degree and descaled once."""
-        den, by_degree = f._int_form()
-        if not by_degree:
-            return Fraction(0)
-        return self.descale(den, {
-            d: sum(map(mul, nums, map(self.orbit, lams)))
-            for d, (lams, nums) in by_degree.items()})
+        """The SymPoly f at the point, off its cleared coefficients."""
+        return self.value(*f._int_form())
 
 
 @memoized(_ROW_CACHE, lambda point: tuple(scalar_key(_lift(x)) for x in point))
@@ -751,6 +804,43 @@ def _point_row(point):
     """The evaluation row of a point, per process; scalar_key keeps the
     rows of Q and Q(r) points apart."""
     return _Row(point)
+
+
+# -- cleared linear combinations ----------------------------------------------
+
+def _common(dens):
+    """(L, {den: L / den}) for cleared denominators: ints, or integer
+    UniPolys over Q(r)."""
+    dens = list(dict.fromkeys(dens))
+    if len(dens) == 1:
+        return dens[0], {dens[0]: 1}
+    common, mults = clear_denominators([_ratio(1, d) for d in dens])
+    return common, dict(zip(dens, mults))
+
+
+def _combine(terms):
+    """sum_i a_i * sum_j nums_i[j] * m_(lams_i[j]) / den_i for the terms
+    (a_i, den_i, lams_i, nums_i), with a_i and the nums cleared numerators,
+    as (L, {lam: numerator}) over one common multiple L of the den_i: one
+    multiply-add per term and partition, and no scalar built.  Numerators
+    that cancel stay in the map as zeros."""
+    common, mults = _common([den for _, den, _, _ in terms])
+    acc = {}
+    get = acc.get
+    for a, den, lams, nums in terms:
+        c = a * mults[den]
+        if c != 1:  # a term of weight one is read as it is
+            nums = [c * b for b in nums]
+        for lam, b in zip(lams, nums):
+            v = get(lam)
+            acc[lam] = b if v is None else v + b
+    return common, acc
+
+
+def _from_cleared(n, den, acc):
+    """The SymPoly sum acc[lam] / den * m_lam: one scalar per nonzero
+    numerator, built once."""
+    return _sym(n, {lam: _ratio(v, den) for lam, v in acc.items() if v})
 
 
 # -- constructors and conversions --------------------------------------------

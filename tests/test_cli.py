@@ -193,6 +193,31 @@ def test_scan_and_verify_oversized_n_refused_up_front(capsys):
         assert "refusing to run" in err
 
 
+def test_scan_oversized_basis_refused_up_front(capsys, monkeypatch):
+    # scan solves the degree-dmax basis; it takes the node bound of compute
+    solved = []
+    monkeypatch.setattr(cli, "interpolation_basis",
+                        lambda n, d, rho: solved.append((n, d)))
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, tasks, workers: [])
+    admitted = ((2, 14), (4, 6), (5, 8))  # 64, 27 and 60 nodes
+    assert [len(enumerate_upto(n, d)) for n, d in admitted] == [
+        cli.MAX_COMPUTE_NODES, 27, 60]
+    for n, dmax in admitted:
+        code, _, err = run(capsys, ["scan", "--n", str(n),
+                                    "--dmax", str(dmax)])
+        assert code == 0, err
+    assert solved == list(admitted)
+    for n, dmax in ((2, 15), (5, 9), (6, 20), (1, 10 ** 9)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["scan", "--n", str(n),
+                                      "--dmax", str(dmax)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "refusing to run" in err
+    assert len(solved) == len(admitted)
+
+
 def test_verify_alpha_check_rejects_r(capsys):
     code, _, err = run(capsys, ["verify", "--check", "pieri",
                                 "--n", "2", "--dmax", "2", "--r", "1/2"])

@@ -10,6 +10,7 @@ sympy and hypothesis are test-time dependencies only.
 """
 
 import pickle
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,7 +30,8 @@ from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
 from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
                                        enumerate_upto, rho_hook_product)
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
-                                    TagMismatchError, UniPoly, substitute)
+                                    TagMismatchError, UniPoly,
+                                    clear_denominators, substitute)
 from shifted_symfun.sympoly import SparsePoly, SymPoly, _perms  # noqa: E402
 
 PROPS = settings(max_examples=40, deadline=None)
@@ -353,7 +355,8 @@ def full_solve(n, d, rho):
     with the monomials as unknowns: the construction before Newton's."""
     nodes = enumerate_upto(n, d)
     tops = enumerate_exact(n, d)
-    A = _node_matrix(rho, nodes, [SymPoly.basis(n, nu) for nu in nodes])
+    A = _node_matrix(rho, nodes, [SymPoly.basis(n, nu)._int_form()
+                                  for nu in nodes])
     B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
           for lam in tops] for mu in nodes]
     cols = solve_linear(A, B)
@@ -379,3 +382,97 @@ def test_newton_basis_equals_the_full_solve_at_n4():
     rho = ShiftVector.staircase_multiple(4, R)
     for d in range(5):
         assert dict(interpolation_basis(4, d, rho)) == full_solve(4, d, rho)
+
+
+def generic_dominant_shift(n, seed):
+    """A seeded random shift vector with rational entries that is dominant:
+    no difference rho_i - rho_j (i < j) is a negative integer."""
+    rng = random.Random(seed)
+    while True:
+        rho = ShiftVector.generic(
+            [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+             for _ in range(n)])
+        if rho.is_dominant():
+            return rho
+
+
+@pytest.mark.parametrize("shift", ["symbolic", "r=1/2", "generic"])
+def test_newton_basis_equals_the_independent_solve(shift):
+    # interpolate is the one-solve route with the monomials as unknowns and
+    # uncached rows: it shares no reduction step with the Newton basis
+    for n in range(1, 4):
+        rho = {"symbolic": lambda: ShiftVector.staircase_multiple(n, R),
+               "r=1/2": lambda: ShiftVector.staircase_multiple(
+                   n, Fraction(1, 2)),
+               "generic": lambda: generic_dominant_shift(n, 1000 + n)}[shift]()
+        for d in range(5):
+            nodes = enumerate_upto(n, d)
+            for lam, P in interpolation_basis(n, d, rho).items():
+                hook = rho_hook_product(lam, rho.entries)
+                values = {mu: hook if mu == lam else 0 for mu in nodes}
+                assert P == interpolate(n, d, values, rho), (n, lam)
+
+
+# -- orbit sums over Q(r) on packed ints --------------------------------------
+
+def unipoly_orbit(elems, lam):
+    """sum over the orbit of lam of prod_i elems[i]^key[i], one UniPoly
+    product per monomial."""
+    total = UniPoly("r")
+    for key in set(permutations(lam)):
+        term = UniPoly.const("r", 1)
+        for x, e in zip(elems, key):
+            term = term * x ** e
+        total = total + term
+    return total
+
+
+# integer and non-integer coefficients, zero, and a denominator in r
+coords_in_r = st.one_of(linear_in_r, rational_in_r,
+                        st.builds(lambda a: a * R, small_rationals),
+                        st.just(R * 0),
+                        small_rationals.map(lambda c: R * 0 + c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(coords_in_r, min_size=n, max_size=n),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n))))
+def test_packed_orbit_sums_match_unipoly_products(case):
+    point, parts = case
+    lam = tuple(sorted(parts, reverse=True))
+    row = sympoly._Row(point)
+    _, elems = clear_denominators(point)
+    got = row.orbit(lam)
+    assert got == unipoly_orbit(elems, lam)
+    if any(lam):
+        assert isinstance(got, UniPoly) and got.var == "r"
+    else:
+        assert type(got) is int and got == 1
+
+
+def test_packed_orbit_sums_keep_negative_and_large_coefficients():
+    # cancellation to zero, negative coefficients, and a point with a
+    # rational denominator q != 1 whose cleared coordinates grow
+    point = [R - 7, 7 - R, (3 * R + 1) / 5, Fraction(-2, 3) * R]
+    _, elems = clear_denominators(point)
+    row = sympoly._Row(point)
+    assert row.den != 1
+    for lam in ((1, 1, 0, 0), (3, 1, 0, 0), (5, 4, 4, 2), (9, 0, 0, 0)):
+        assert row.orbit(lam) == unipoly_orbit(elems, lam)
+    assert sympoly._Row([R, -R]).orbit((1, 0)) == 0
+
+
+def test_zero_partition_orbit_is_the_int_one():
+    # a constant SymPoly must evaluate to a Fraction at a symbolic node
+    rho = ShiftVector.staircase_multiple(3, R)
+    node = rho.point((2, 1, 0))
+    for row, lam in ((sympoly._Row(node), ()),
+                     (sympoly._Row(node), (0, 0, 0)),
+                     (sympoly._Row(()), ())):
+        got = row.orbit(lam)
+        assert type(got) is int and got == 1
+    for c in (Fraction(7, 3), Fraction(0)):
+        got = SymPoly(3, {(0, 0, 0): c}).evaluate(node)
+        assert type(got) is Fraction and got == c
+    assert type(SymPoly(0, {(): Fraction(2)}).evaluate(())) is Fraction

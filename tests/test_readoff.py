@@ -13,7 +13,7 @@ refused when its cache is filled.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +28,8 @@ from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
                                     collect_alternating, collect_symmetric,
                                     collect_symmetric_t, complete,
                                     divide_by_vandermonde, elementary,
-                                    schur_expand, vandermonde)
+                                    schur_expand, strict_product,
+                                    vandermonde)
 
 from reference_determinants import cutoff_determinant, subset_determinant
 
@@ -133,6 +134,41 @@ def test_collect_alternating_inverts_the_vandermonde_product(g, with_t):
     total = v.with_t() * (g.to_sparse(True) + t * (g * 2).to_sparse(True))
     want = {p: h for p, h in ((0, g), (1, g * 2)) if h}
     assert collect_alternating(total) == want
+
+
+def antisymmetrized_strict_part(p, k):
+    """The strictly decreasing keys of the antisymmetrization of p over
+    every permutation of the x slots, divided by k!(n - k)!: each key moves
+    to its sorted x-part, times the sign of the sort, and drops on a
+    repeated entry."""
+    n = p.n
+    out = {}
+    for key, c in p.ints.items():
+        x = key[:n]
+        if len(set(x)) < n:
+            continue
+        sign = (-1) ** sum(a < b for a, b in combinations(x, 2))
+        kk = tuple(sorted(x, reverse=True)) + key[n:]
+        out[kk] = out.get(kk, 0) + sign * c
+    block = factorial(k) * factorial(n - k)
+    assert all(c % block == 0 for c in out.values())
+    return {kk: c // block for kk, c in out.items() if c}
+
+
+@PROPS
+@given(family_cases, shifts)
+def test_strict_product_is_the_antisymmetrized_full_product(case, r):
+    # strict_product pairs only the block-decreasing keys of the
+    # representative with the block-symmetric shifted input
+    f, k = case
+    n = f.n
+    for coeff, has_t in ((operators._phi_family(n, r, k), False),
+                         (operators._subset_family(n, r)[k], True)):
+        shifted = f.to_sparse(has_t).translate([int(i < k) for i in range(n)])
+        got = strict_product(coeff, shifted, k)
+        full = coeff * shifted
+        assert got.cont == full.cont
+        assert got.ints == antisymmetrized_strict_part(full, k)
 
 
 def test_schur_table_matches_kostka_rows():
