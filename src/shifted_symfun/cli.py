@@ -413,20 +413,22 @@ def build_parser():
                     "calculus, and Jack positivity scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dmax=False):
+    def common(p, batch=False):
+        """The shared options; a batch command (verify, scan) also takes
+        a degree bound and a worker count."""
         p.add_argument("--n", type=int, required=True,
                        help="number of variables (>= 1)")
         p.add_argument("--r", default=None,
                        help="rational shift parameter, p/q")
         p.add_argument("--symbolic", action="store_true",
                        help="keep the parameter symbolic (default)")
-        if dmax:
+        p.add_argument("--output", choices=("json", "text"), default="text")
+        if batch:
             p.add_argument("--dmax", type=int, required=True,
                            help="degree bound")
-        p.add_argument("--output", choices=("json", "text"), default="text")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes "
-                            "(default: $SHIFTED_SYMFUN_WORKERS or 1)")
+            p.add_argument("--workers", type=int, default=None,
+                           help="worker processes "
+                                "(default: $SHIFTED_SYMFUN_WORKERS or 1)")
 
     pc = sub.add_parser("compute", help="print one polynomial")
     pc.add_argument("--what", required=True,
@@ -439,12 +441,12 @@ def build_parser():
     pv = sub.add_parser("verify", help="replay structural checks")
     pv.add_argument("--check", action="append", default=None,
                     help="check name, repeatable; 'all' runs everything")
-    common(pv, dmax=True)
+    common(pv, batch=True)
 
     ps = sub.add_parser("scan", help="grade integral-form coefficients")
     ps.add_argument("--strict", action="store_true",
                     help="exit 1 if any report fails")
-    common(ps, dmax=True)
+    common(ps, batch=True)
 
     return parser
 
@@ -474,10 +476,7 @@ def main(argv=None):
                "scan": cmd_scan}[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonDominantError, PoleError) as exc:
+    except (ConfigError, NonDominantError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

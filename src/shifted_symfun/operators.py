@@ -11,6 +11,9 @@ phi_I instead; it raises polynomial degree by the size of I.
 A differential relative (the Sekiguchi-Debiard determinant) acts on the
 monomial basis directly and is used to pin down the homogeneous
 eigenfunctions that the top components of the interpolation family hit.
+For symmetric f its sum over permutations is the antisymmetrization of
+x^delta * prod_i (x_i d_i + r*delta_i + t) f, so each monomial of f
+gives one term.
 
 Every phi_I is a product of linear factors (the Vandermonde identity),
 and multilinearity in the rows gives
@@ -36,12 +39,13 @@ on cleared numerators, with one scalar built per output coefficient.
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import add
 
 from .partitions import staircase
-from .scalars import _lift, clear_denominators, memoized, scalar_key
+from .scalars import _lift, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
-                      _signed_permutations, _strict, collect_alternating,
-                      e_basis_expand, elementary_eval, strict_product)
+                      _sort_sign, collect_alternating, e_basis_expand,
+                      elementary_eval, strict_product)
 
 
 def cutoff_phi(rows, n, r):
@@ -75,7 +79,6 @@ def _block_alternating(c, size):
 
 _DI_CACHE = {}
 _PHI_CACHE = {}
-_PERM_CACHE = {}
 _IMAGE_CACHE = {}
 _PARTITION_CACHE = {}
 
@@ -102,22 +105,6 @@ def _subset_family(n, r):
         d = prod(outside, start=sign * _phi_family(n, r, size))
         family.append(_block_alternating(d, size))
     return tuple(family)
-
-
-@memoized(_PERM_CACHE, lambda n: n)
-def _alternating_permutations(n):
-    """_signed_permutations(n), once every adjacent transposition of the
-    positions is checked to flip the sign: the Sekiguchi-Debiard sum then
-    alternates for every symmetric input."""
-    perms = tuple(_signed_permutations(n))
-    sign = dict(perms)
-    for perm, s in perms:
-        for k in range(n - 1):
-            swapped = perm[:k] + (perm[k + 1], perm[k]) + perm[k + 2:]
-            if sign.get(swapped) != -s:
-                raise ArithmeticError(
-                    f"permutation signs do not alternate: s_{k} on {perm}")
-    return perms
 
 
 def _apply_family(f, family, has_t):
@@ -158,9 +145,8 @@ def _image(n, r, k, mu):
     out = []
     for p, g in parts.items():
         if g:
-            den, nums = clear_denominators(list(g.terms.values()))
-            out.append((p, den, tuple(map(_partition, g.terms)),
-                        tuple(nums)))
+            den, lams, nums = g._int_form()
+            out.append((p, den, tuple(map(_partition, lams)), nums))
     return tuple(out)
 
 
@@ -218,9 +204,13 @@ def eigenvalue_poly(lam, r, n):
 
 
 def apply_sekiguchi_debiard(f, r, t_value=None):
-    """Apply the differential determinant, per monomial and permutation;
-    a pair whose new key does not strictly decrease is skipped before its
-    factors are formed, as the read-off tail never looks at it.
+    """Apply the differential determinant, one term per monomial x^kappa
+    of f: the sum over permutations is the antisymmetrization of
+    x^delta * prod_i (x_i d_i + r*delta_i + t) f (Macdonald I.3), so
+    x^kappa lands on sort(kappa + delta) with the sign of the sort,
+    times prod_i (kappa_i + r*delta_i + t), and drops when an entry of
+    kappa + delta repeats, as the read-off tail reads only strictly
+    decreasing keys.
 
     With t_value None the result is {t_power: SymPoly}; otherwise t is
     specialized first and a single SymPoly comes back.  Homogeneous
@@ -231,26 +221,24 @@ def apply_sekiguchi_debiard(f, r, t_value=None):
     r = _lift(r)
     has_t = t_value is None
     acc = {}
-    perms = _alternating_permutations(n)
     for key, c in f.to_sparse().terms.items():
-        for perm, sign in perms:
-            new_key = tuple(key[i] + delta[perm[i]] for i in range(n))
-            if not _strict(new_key):
-                continue
-            consts = [r * delta[perm[i]] + key[i] for i in range(n)]
-            # prod_i (consts_i + t), split by t power or taken at t_value
-            if has_t:
-                pieces = [(new_key + (p,), elementary_eval(n - p, consts))
-                          for p in range(n + 1)]
-            else:
-                pieces = [(new_key, prod(cc + t_value for cc in consts))]
-            for kk, v in pieces:
-                if v:
-                    s = acc.get(kk, 0) + sign * c * v
-                    if s:
-                        acc[kk] = s
-                    else:
-                        acc.pop(kk, None)
+        new_key, sign = _sort_sign(tuple(map(add, key, delta)))
+        if not sign:
+            continue
+        consts = [r * d + k for d, k in zip(delta, key)]
+        # prod_i (consts_i + t), split by t power or taken at t_value
+        if has_t:
+            pieces = [(new_key + (p,), elementary_eval(n - p, consts))
+                      for p in range(n + 1)]
+        else:
+            pieces = [(new_key, prod(cc + t_value for cc in consts))]
+        for kk, v in pieces:
+            if v:
+                s = acc.get(kk, 0) + sign * c * v
+                if s:
+                    acc[kk] = s
+                else:
+                    acc.pop(kk, None)
     return collect_alternating(SparsePoly(n, acc, has_t))
 
 

@@ -160,6 +160,17 @@ def _strict(x):
     return all(map(gt, x, x[1:]))
 
 
+def _sort_sign(x):
+    """(x sorted decreasing, the sign of the sorting permutation), with
+    sign 0 when an entry repeats: the antisymmetrization of the monomial
+    with exponent x is that sign times the one of the sorted exponent,
+    and zero on a repeat."""
+    y = tuple(sorted(x, reverse=True))
+    if not _strict(y):
+        return y, 0
+    return y, (-1) ** sum(h < t for h, t in combinations(x, 2))
+
+
 def _x_groups(ints, n):
     """{x-part: [(r and t slots, int), ...]} of an int term map."""
     groups = {}
@@ -182,22 +193,18 @@ def _imul_strict(a, b, n, k):
     sign of the sort, and drops when an entry repeats.  The r and t slots
     of a pair add as they are.
     """
-    if n == 1:
-        return _imul(a, b)
     left = [(x, rest) for x, rest in _x_groups(a, n).items()
             if _strict(x[:k]) and _strict(x[k:])]
     right = list(_x_groups(b, n).items())
     out = {}
     get = out.get
-    moved = {}  # x -> (sorted x, sign of the sort, 0 on a repeat)
+    moved = {}  # x -> _sort_sign(x)
     for xa, ra in left:
         for xb, rb in right:
             x = tuple(map(add, xa, xb))
             got = moved.get(x)
             if got is None:
-                y = tuple(sorted(x, reverse=True))
-                swaps = sum(h < t for h, t in combinations(x, 2))
-                got = moved[x] = y, (-1) ** swaps if _strict(y) else 0
+                got = moved[x] = _sort_sign(x)
             y, sign = got
             if not sign:
                 continue
@@ -657,18 +664,13 @@ class SymPoly:
         return _point_row(tuple(point)).evaluate(self)
 
     def _int_form(self):
-        """(den, lams, nums) with terms[lams[i]] == nums[i] / den, grouped
-        by degree: the coefficients cleared once per object, on first
-        evaluation.  ``terms`` is read-only, so the form cannot go stale."""
+        """(den, lams, nums) with terms[lams[i]] == nums[i] / den: the
+        coefficients cleared once per object, on first use.  ``terms`` is
+        read-only, so the form cannot go stale."""
         form = self._ints
         if form is None:
             den, nums = clear_denominators(list(self.terms.values()))
-            groups = {}
-            for lam, num in zip(self.terms, nums):
-                groups.setdefault(sum(lam), []).append((lam, num))
-            pairs = [pair for group in groups.values() for pair in group]
-            form = self._ints = (den, tuple(lam for lam, _ in pairs),
-                                 tuple(num for _, num in pairs))
+            form = self._ints = (den, tuple(self.terms), tuple(nums))
         return form
 
     def __repr__(self):

@@ -337,6 +337,21 @@ def test_worker_count_is_capped(capsys, monkeypatch):
     assert FakePool.sizes == [2, 2]
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "1"])
+def test_compute_takes_no_workers(capsys, value):
+    # compute forms one polynomial in-process; verify and scan refuse
+    # 0 and -5 through the worker count, compute through the parser
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--what", "P", "--n", "2", "--lambda", "1",
+                  "--workers", value])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    for command in (["verify", "--check", "vanishing"], ["scan"]):
+        code, _, _ = run(capsys, command + ["--n", "2", "--dmax", "1",
+                                              "--workers", value])
+        assert code == (0 if value == "1" else 2), (command, value)
+
+
 def test_scan_workers_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("SHIFTED_SYMFUN_WORKERS", "2")
     _, out_env, _ = run(capsys, ["scan", "--n", "2", "--dmax", "2",
@@ -407,14 +422,16 @@ FUZZ_FLAGS = ["--symbolic", "--strict"]
 NEEDED = {"compute": ["--n", "--what", "--lambda"],
           "verify": ["--n", "--dmax", "--check"],
           "scan": ["--n", "--dmax"]}
-OPTIONAL = ["--r", "--symbolic", "--output", "--workers"]
+OPTIONAL = ["--r", "--symbolic", "--output"]
+COMMAND_OPTIONAL = {"compute": [], "verify": ["--workers"],
+                    "scan": ["--workers", "--strict"]}
 
 
 @st.composite
 def cli_argv(draw):
     """A well-formed command line with up to two faults injected."""
     command = draw(st.sampled_from(sorted(NEEDED)))
-    optional = OPTIONAL + (["--strict"] if command == "scan" else [])
+    optional = OPTIONAL + COMMAND_OPTIONAL[command]
     names = NEEDED[command] + [n for n in optional if draw(st.booleans())]
     opts = {name: draw(st.sampled_from(FUZZ_VALUES[name][0]))
             if name in FUZZ_VALUES else None for name in names}

@@ -6,13 +6,14 @@ them (``sympoly.collect_alternating``).  These tests compare that route
 with the full one, which forms every key, divides by the Vandermonde and
 collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
 with each d_I and phi_I expanded from the determinant that defines it.
-They also pin the s -> m table to known Kostka rows and check that a
+They also pin the s -> m table to known Kostka rows, check that a
 family representative which does not alternate inside its blocks is
-refused when its cache is filled.
+refused when its cache is filled, and check the sign rules that the
+read-off rests on against a cycle count.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
@@ -24,7 +25,8 @@ from shifted_symfun.operators import (apply_difference_family, apply_raising,
                                       apply_sekiguchi_debiard)
 from shifted_symfun.partitions import enumerate_upto, staircase
 from shifted_symfun.scalars import RationalFunction, _lift, scalar_key
-from shifted_symfun.sympoly import (SparsePoly, SymPoly, _signed_permutations,
+from shifted_symfun.sympoly import (SparsePoly, SymPoly, _sign,
+                                    _signed_permutations, _sort_sign,
                                     collect_alternating, collect_symmetric,
                                     collect_symmetric_t, complete,
                                     divide_by_vandermonde, elementary,
@@ -113,9 +115,11 @@ def test_difference_and_raising_match_the_full_route(case, r):
 
 
 @PROPS
-@given(cases, shifts, st.one_of(st.none(), small_rationals))
+@given(family_cases, shifts, st.one_of(st.none(), small_rationals))
 @example((SymPoly(3, {(2, 2, 0): 1, (1, 0, 0): Fraction(-1, 3)}), 0),
          Fraction(7, 2), None)
+@example((SymPoly(4, {(2, 1, 0, 0): 1, (0, 0, 0, 0): Fraction(-2, 3)}), 0),
+         R, None)
 def test_sekiguchi_matches_the_full_route(case, r, t_value):
     f, _ = case
     assert apply_sekiguchi_debiard(f, r, t_value=t_value) == \
@@ -225,12 +229,47 @@ def test_skewed_subset_representative_is_refused_when_the_cache_fills(
     assert key not in operators._DI_CACHE
 
 
-def test_sekiguchi_refuses_signs_that_do_not_alternate(monkeypatch):
-    def flipped(n):
-        perms = _signed_permutations(n)
-        return [(perms[0][0], -perms[0][1])] + perms[1:]
-    monkeypatch.setattr(operators, "_signed_permutations", flipped)
-    monkeypatch.delitem(operators._PERM_CACHE, 3, raising=False)
-    with pytest.raises(ArithmeticError, match="do not alternate"):
-        apply_sekiguchi_debiard(SymPoly.one(3), R)
-    assert 3 not in operators._PERM_CACHE
+def cycle_sign(perm):
+    """(-1)^(n - number of cycles): the sign of a permutation of range(n),
+    counted without inversions."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+def test_permutation_sign_matches_the_cycle_count():
+    for n in range(6):
+        for perm in permutations(range(n)):
+            assert _sign(perm) == cycle_sign(perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=6))
+def test_sort_sign_sorts_with_the_sign_of_the_sort(x):
+    y, sign = _sort_sign(tuple(x))
+    assert y == tuple(sorted(x, reverse=True))
+    if len(set(x)) < len(x):
+        assert sign == 0
+        return
+    # y[i] = x[order[i]]: order is the sorting permutation
+    order = sorted(range(len(x)), key=lambda i: -x[i])
+    assert sign == cycle_sign(order)
+
+
+def test_sekiguchi_with_unsigned_sorts_leaves_the_full_route(monkeypatch):
+    # in m_(2) at n = 3, x^(0, 2, 0) lands on (2, 3, 0): one transposition
+    # from (3, 2, 0), so dropping the sign of the sort changes the result
+    f = SymPoly(3, {(2, 0, 0): 1, (1, 1, 0): Fraction(-1, 2)})
+    want = full_sekiguchi(f, R)
+    assert apply_sekiguchi_debiard(f, R) == want
+
+    def unsigned(x):
+        y, sign = _sort_sign(x)
+        return y, abs(sign)
+    monkeypatch.setattr(operators, "_sort_sign", unsigned)
+    assert apply_sekiguchi_debiard(f, R) != want
