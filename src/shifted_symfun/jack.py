@@ -14,7 +14,6 @@ inhomogeneous shifted version, a positivity scanner for the shifted
 expansion, and the vertical-strip Pieri identity.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .interpolation import ShiftVector, interpolation_polynomial
@@ -126,13 +125,15 @@ def shifted_jack_J(lam, n):
     return J.map_coeffs(lambda v: invert_parameter(v, ALPHA))
 
 
-@dataclass
 class ConjectureRow:
-    mu: tuple
-    a: object            # UniPoly in alpha when polynomial, else the raw scalar
-    polynomial: bool
-    integral: bool
-    nonneg: bool
+    """One m_mu coefficient of the graded expansion; a is a UniPoly in
+    alpha when polynomial, else the raw scalar."""
+
+    __slots__ = ("mu", "a", "polynomial", "integral", "nonneg")
+
+    def __init__(self, mu, a, polynomial, integral, nonneg):
+        self.mu, self.a, self.polynomial = mu, a, polynomial
+        self.integral, self.nonneg = integral, nonneg
 
     def as_dict(self):
         return {"mu": list(self.mu), "a": str(self.a),
@@ -140,12 +141,13 @@ class ConjectureRow:
                 "integral": self.integral, "nonneg": self.nonneg}
 
 
-@dataclass
 class ConjectureReport:
-    lam: tuple
-    n: int
-    rows: list = field(default_factory=list)
-    dominance_ok: bool = True
+    """The graded rows of one expansion and its global dominance flag."""
+
+    __slots__ = ("lam", "n", "rows", "dominance_ok")
+
+    def __init__(self, lam, n):
+        self.lam, self.n, self.rows, self.dominance_ok = lam, n, [], True
 
     @property
     def verdict(self):

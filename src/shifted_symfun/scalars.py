@@ -821,6 +821,16 @@ def binom_scalar(a, k):
     return falling_factorial(a, k) / factorial(k)
 
 
+def _prim_lcm(polys):
+    """The lcm of the primitive parts of nonzero UniPolys in one
+    parameter, as a primitive int tuple with a positive leading entry."""
+    out = None
+    for p in polys:
+        if len(p.prim) > 1:
+            out = p if out is None else out * p.exact_div(out.gcd(p))
+    return out.prim if out else (1,)
+
+
 def clear_denominators(values):
     """(den, nums) with values[k] == nums[k] / den for every k.
 
@@ -838,14 +848,8 @@ def clear_denominators(values):
         raise TagMismatchError(f"rational functions in {sorted(params)} "
                                "do not mix")
     param = params.pop()
-    lcm_den = None
-    for v in values:
-        if isinstance(v, RationalFunction) and len(v.den.prim) > 1:
-            d = v.den
-            if lcm_den is not None:
-                d = lcm_den * d.exact_div(lcm_den.gcd(d))
-            lcm_den = d
-    plcm = lcm_den.prim if lcm_den else (1,)
+    plcm = _prim_lcm([v.den for v in values
+                      if isinstance(v, RationalFunction)])
     parts = []  # each value as k * prim / plcm, k rational, prim over Z
     for v in values:
         if not v:

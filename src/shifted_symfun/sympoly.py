@@ -19,15 +19,15 @@ coefficients.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial, prod
-from operator import add, getitem, gt, mul, sub
+from math import comb, lcm, prod
+from operator import add, gt, mul, sub
 from types import MappingProxyType
 
 from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
                          trim)
 from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
-                      UniPoly, _lift, _ratio, clear_denominators, is_scalar,
-                      memoized, scalar_key)
+                      UniPoly, _lift, _poly, _prim_lcm, _ratio,
+                      clear_denominators, is_scalar, memoized, scalar_key)
 
 
 class NotSymmetricError(ValueError):
@@ -381,65 +381,15 @@ class SparsePoly:
         return bool(self.ints)
 
     def evaluate(self, point):
-        """The value at a point, by Horner over the variables (as sympy's
-        ``dmp_eval_tail``) on ints.
-
-        The point is cleared to one denominator q.  With E_i the top
-        exponent of x_i, x_i^e is read off the column x_i^e q^(E_i - e) of
-        the cleared coordinate, formed once per call.  The terms are
-        summed from the last variable out, so each prefix of exponents is
-        multiplied once.  Over Q(r) every int polynomial in r is packed
-        into one int, its value at r = 2^bits (Kronecker substitution;
-        see ``_pack``), so both worlds run the same int loop.  The sum
-        leaves the int layer in one step, over q^(E_0 + ... + E_(n-1))
-        and the content.
-        """
+        """The value at a point, off an evaluation row built for this
+        call (``_Row.monomials``)."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
         if self.has_t:
             raise ValueError("evaluate t components separately")
         if not self.ints:
             return Fraction(0)
-        n, param, cont, vals = self.n, self.param, self.cont, self.ints
-        q, xs = clear_denominators(point)
-        tops = [max(col) for col in zip(*vals)][:n]
-        e = sum(tops)
-        den = q ** e if e else 1
-        qvar = getattr(q, "var", None) if e else None
-        if param and qvar and qvar != param:
-            raise TagMismatchError(
-                f"polynomial over {param!r} at a point over {qvar!r}")
-        var = param or qvar
-        if var is not None:
-            q, *xs = map(_zcoeffs, (q, *xs))
-            # |every coefficient of the sum| <= sum |c| * norm^e (l1 norms)
-            norm = max(map(_norm, (q, *xs)))
-            bits = (_norm(vals.values()) * norm ** e).bit_length() + 1
-            q, *xs = (_pack(z, bits) for z in (q, *xs))
-            if param:  # the r slot moves into the ints
-                packed = {}
-                for k, c in vals.items():
-                    x = k[:n]
-                    packed[x] = packed.get(x, 0) + (c << bits * k[n])
-                vals = packed
-        for i in reversed(range(n)):
-            top = tops[i]
-            if not top:
-                continue
-            col = [xs[i] ** k * q ** (top - k) for k in range(top + 1)]
-            out = {}
-            get = out.get
-            for x, v in vals.items():
-                head = x[:i]
-                out[head] = get(head, 0) + col[x[i]] * v
-            vals = out
-        total, = vals.values()  # every exponent left is 0
-        if var is None:
-            return Fraction(cont.numerator * total, cont.denominator * den)
-        a, b = (cont.num, cont.den) if param else (cont.numerator,
-                                                   cont.denominator)
-        return RationalFunction(UniPoly(var, _unpack(total, bits)) * a,
-                                den * b)
+        return _Row(point).monomials(self.ints, self.param, self.cont)
 
     def translate(self, deltas):
         """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
@@ -661,7 +611,7 @@ class SymPoly:
         """The value at a point, off its per-process ``_point_row``."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        return _point_row(tuple(point)).evaluate(self)
+        return _point_row(tuple(point)).value(*self._int_form())
 
     def _int_form(self):
         """(den, lams, nums) with terms[lams[i]] == nums[i] / den: the
@@ -695,20 +645,29 @@ def _powers(x, top):
     return out
 
 
-def _orbit_size(lam):
-    """The number of distinct rearrangements of lam."""
-    size = factorial(len(lam))
-    for part in set(lam):
-        size //= factorial(lam.count(part))
-    return size
+def _horner(pw, vals):
+    """The sum of v * prod_i pw[i][x[i]] over the items (x, v) of vals,
+    for power tables pw: summed from the last variable out (as sympy's
+    ``dmp_eval_tail``), so each prefix of exponents is multiplied once."""
+    for i in reversed(range(len(pw))):
+        col = pw[i]
+        out = {}
+        get = out.get
+        for x, v in vals.items():
+            head = x[:i]
+            out[head] = get(head, 0) + col[x[i]] * v
+        vals = out
+    return vals[()]
 
 
 class _Row:
-    """One point, cleared to one denominator q, with the int orbit sum of
-    every partition evaluated there so far.  Over Q the cleared
-    coordinates are ints with a power table grown on demand; over Q(r)
-    they are integer polynomials in r, kept as coefficient tuples, and
-    each orbit sum runs on their packed values (see ``orbit``)."""
+    """One point, cleared to one denominator q: the one place where a
+    polynomial is evaluated.  Over Q the cleared coordinates are ints;
+    over Q(r) each integer polynomial in r is packed into one int, its
+    value at r = 2^bits (Kronecker substitution; see ``_pack``), so both
+    worlds run one int loop, summed by ``_horner`` for two readers:
+    ``orbit`` (kept on the row; ``value`` reads it for
+    ``SymPoly.evaluate``) and ``monomials`` (``SparsePoly.evaluate``)."""
 
     __slots__ = ("den", "var", "coords", "norm", "powers", "orbits")
 
@@ -716,43 +675,75 @@ class _Row:
         den, elems = clear_denominators(point)
         self.den = 1 if den == 1 else den
         self.var = getattr(den, "var", None)
-        if self.var is None:
-            self.powers = [[1, x] for x in elems]
-        else:
-            self.coords = [_zcoeffs(x) for x in elems]
-            self.norm = max(map(_norm, self.coords), default=0)
+        self.coords = [_zcoeffs(x) for x in elems] if self.var else elems
+        self.norm = max(map(_norm if self.var else abs, self.coords),
+                        default=0)
+        self.powers = [[1, x] for x in elems] if self.var is None else None
         self.orbits = {}
+
+    def _table(self, top, bits):
+        """[x^0, ..., x^top] per cleared coordinate x: the ints, grown on
+        demand, over Q; over Q(r) their values at r = 2^bits."""
+        if self.var is None:
+            self.powers = [p if len(p) > top else _powers(p[1], top)
+                           for p in self.powers]
+            return self.powers
+        return [_powers(_pack(z, bits), top) for z in self.coords]
 
     def orbit(self, lam):
         """The sum of the cleared coordinates' monomials over the orbit of
         the partition lam: an int over Q, an integer UniPoly over Q(r),
-        and the int 1 for every zero partition in either world.
-
-        Over Q(r) every coordinate is packed into one int, its value at
-        r = 2^bits (Kronecker substitution; see ``_pack``), the sum runs
-        on those ints and is unpacked once.  No coefficient of it exceeds
-        |orbit| * norm^|lam| in size, norm the largest l1 norm of a
-        coordinate, and bits leaves room for that and the sign."""
+        and the int 1 for every zero partition in either world.  Over
+        Q(r) no coefficient of it exceeds |orbit| * norm^|lam| in size,
+        norm the largest l1 norm of a coordinate."""
         s = self.orbits.get(lam)
         if s is None:
-            top, var = max(lam, default=0), self.var
-            if not top:
-                s = 1
-            else:
-                if var is None:
-                    pw = self.powers
-                    for i, p in enumerate(pw):
-                        if len(p) <= top:
-                            pw[i] = _powers(p[1], top)
-                else:
-                    bound = _orbit_size(lam) * self.norm ** sum(lam)
-                    bits = bound.bit_length() + 1
-                    pw = [_powers(_pack(z, bits), top) for z in self.coords]
-                s = sum(prod(map(getitem, pw, key)) for key in _perms(lam))
+            top, var, s = max(lam, default=0), self.var, 1
+            if top:
+                keys = dict.fromkeys(_perms(lam), 1)
+                bits = (len(keys) * self.norm ** sum(lam)).bit_length() + 1
+                s = _horner(self._table(top, bits), keys)
                 if var is not None:
                     s = UniPoly(var, _unpack(s, bits))
             self.orbits[lam] = s
         return s
+
+    def monomials(self, ints, param, cont):
+        """cont * sum c x^k over a SparsePoly int map (no t slot; k[n] the
+        power of r when param is set) at the point.  With E_i the top
+        exponent of x_i, x_i^e is read off the column x_i^e q^(E_i - e), so
+        the sum leaves over q^E, E = sum E_i, and no coefficient of it
+        exceeds sum |c| * m^E, m the largest l1 norm of q and the x_i."""
+        n = len(self.coords)
+        tops = [max(col) for col in zip(*ints)][:n]
+        e = sum(tops)
+        var, q, bits = param or (self.var if e else None), self.den, 1
+        if e and self.var not in (None, var):
+            raise TagMismatchError(
+                f"polynomial over {param!r} at a point over {self.var!r}")
+        if var is not None:
+            zq = _zcoeffs(q)
+            m = max(self.norm, _norm(zq))
+            bits = (_norm(ints.values()) * m ** e).bit_length() + 1
+            q = _pack(zq, bits)
+            if param:  # the r slot moves into the packed ints
+                packed = {}
+                for k, c in ints.items():
+                    x = k[:n]
+                    packed[x] = packed.get(x, 0) + (c << bits * k[n])
+                ints = packed
+        top = max(tops, default=0)
+        pw = self._table(top, bits)
+        if q != 1:
+            qs = _powers(q, top)
+            pw = [[x * qs[t - k] for k, x in enumerate(col[:t + 1])]
+                  for col, t in zip(pw, tops)]
+        acc = _horner(pw, ints)
+        a, b = (cont.num, cont.den) if param else (cont.numerator,
+                                                   cont.denominator)
+        if var is not None:
+            acc = UniPoly(var, _unpack(acc, bits))
+        return _ratio(acc * a, b * self.den ** e if e else b)
 
     def value(self, den, lams, nums):
         """sum_i nums[i] * m_(lams[i]) / den at the point, for cleared
@@ -796,10 +787,6 @@ class _Row:
             acc = UniPoly(var, _unpack(acc, bits))
         return _ratio(acc, den)
 
-    def evaluate(self, f):
-        """The SymPoly f at the point, off its cleared coefficients."""
-        return self.value(*f._int_form())
-
 
 @memoized(_ROW_CACHE, lambda point: tuple(scalar_key(_lift(x)) for x in point))
 def _point_row(point):
@@ -811,13 +798,18 @@ def _point_row(point):
 # -- cleared linear combinations ----------------------------------------------
 
 def _common(dens):
-    """(L, {den: L / den}) for cleared denominators: ints, or integer
-    UniPolys over Q(r)."""
+    """(L, {den: L / den}) for cleared denominators, ints or integer
+    UniPolys over Q(r), formed on them directly: L is the lcm of their
+    int contents times the lcm of their primitive parts."""
     dens = list(dict.fromkeys(dens))
     if len(dens) == 1:
         return dens[0], {dens[0]: 1}
-    common, mults = clear_denominators([_ratio(1, d) for d in dens])
-    return common, dict(zip(dens, mults))
+    k = lcm(*(getattr(d, "cont", d) for d in dens))
+    polys = [d for d in dens if isinstance(d, UniPoly)]
+    if not polys:
+        return k, {d: k // d for d in dens}
+    common = _poly(polys[0].var, k, _prim_lcm(polys))
+    return common, {d: common.exact_div(d) for d in dens}
 
 
 def _combine(terms):

@@ -458,9 +458,31 @@ def test_packed_orbit_sums_keep_negative_and_large_coefficients():
     _, elems = clear_denominators(point)
     row = sympoly._Row(point)
     assert row.den != 1
-    for lam in ((1, 1, 0, 0), (3, 1, 0, 0), (5, 4, 4, 2), (9, 0, 0, 0)):
+    lams = ((1, 1, 0, 0), (3, 1, 0, 0), (5, 4, 4, 2), (9, 0, 0, 0))
+    for lam in lams:
         assert row.orbit(lam) == unipoly_orbit(elems, lam)
     assert sympoly._Row([R, -R]).orbit((1, 0)) == 0
+    # SparsePoly.evaluate reads its int map off a row of the same point,
+    # packed once per call: the same orbits, and large negative
+    # coefficients in r
+    big = 10 ** 15 * R ** 3 - 999 * R - Fraction(7, 2)
+    polys = [sympoly.m_expand(4, lam) for lam in lams] + [
+        SparsePoly(4, {(9, 0, 0, 0): big, (0, 1, 4, 0): Fraction(-5 ** 20),
+                       (0, 0, 1, 2): -big, (0, 0, 0, 0): R - 10 ** 9})]
+    for p in polys:
+        assert p.evaluate(point) == sparse_reference(p, point)
+    x = [SparsePoly.variable(2, i) for i in range(2)]
+    assert (x[0] + x[1]).evaluate([R, -R]) == 0
+    # single-term coordinates of one norm at an integral point: the l1
+    # bound equals the size of the value's one coefficient, so a packing
+    # one bit narrower would not hold it
+    polys = [SparsePoly(4, {(2, 1, 0, 3): Fraction(-7)}),
+             SparsePoly(4, {(0, 3, 0, 0): -5 * R ** 2})]
+    for pt in ([3 * R, -3 * R, 3 * R, -3 * R], [Fraction(3), Fraction(-3)] * 2):
+        for p in polys:
+            assert p.evaluate(pt) == sparse_reference(p, pt)
+    f = SymPoly(4, {(2, 1, 0, 0): Fraction(-1)})
+    assert f.evaluate([3 * R] * 4) == reference_evaluate(f, [3 * R] * 4)
 
 
 def test_zero_partition_orbit_is_the_int_one():

@@ -1,16 +1,20 @@
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import shifted_symfun
 from shifted_symfun.interpolation import ShiftVector, interpolation_polynomial
-from shifted_symfun.jack import (ConjectureReport, alpha_gen,
+from shifted_symfun.jack import (ConjectureReport, ConjectureRow, alpha_gen,
                                  conjecture_expand, jack_J, jack_P, jack_P_at,
                                  jack_P_eigen, pieri_verify, shifted_jack_J)
 from shifted_symfun.partitions import (enumerate_upto, hook_product_lower,
                                        pieri_coefficient)
-from shifted_symfun.scalars import PoleError, RationalFunction
+from shifted_symfun.scalars import PoleError, RationalFunction, UniPoly
 from shifted_symfun.sympoly import SymPoly, elementary
 
 ALPHA = alpha_gen()
@@ -165,6 +169,33 @@ def test_conjecture_report_shape():
     for row in doc["rows"]:
         assert set(row) == {"mu", "a", "polynomial", "integral", "nonneg"}
         assert row["polynomial"] and row["integral"] and row["nonneg"]
+
+
+def test_conjecture_report_keeps_the_slotted_record_shape():
+    # plain slotted classes: the same fields, defaults and verdict as the
+    # records they replace
+    report = ConjectureReport((1, 0), 2)
+    assert (report.rows, report.dominance_ok, report.verdict) == ([], True,
+                                                                  "pass")
+    report.rows.append(ConjectureRow((1, 0), UniPoly("alpha", (0, 1)), True,
+                                     True, False))
+    assert report.verdict == "fail"
+    assert report.as_dict()["rows"] == [
+        {"mu": [1, 0], "a": "alpha", "polynomial": True, "integral": True,
+         "nonneg": False}]
+    with pytest.raises(AttributeError):
+        report.extra = 1
+
+
+def test_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast and dis: most of the package's
+    # import time, paid by every command
+    src = Path(shifted_symfun.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import shifted_symfun; print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_conjecture_coefficients_are_hook_products_on_diagonal():
