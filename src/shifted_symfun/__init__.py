@@ -17,8 +17,9 @@ from .scalars import (ExactDivisionError, PoleError, RationalFunction,
 from .partitions import (as_partition, boxes, conjugate, conjugate_part,
                          contains, dominance_leq, dominance_less,
                          enumerate_exact, enumerate_upto, hook_product_lower,
-                         hook_product_upper, is_partition, is_vertical_strip,
-                         lower_hook, pieri_coefficient, rho_hook_product,
+                         hook_product_upper, horizontal_strips, is_partition,
+                         is_vertical_strip, kostka, lower_hook,
+                         pieri_coefficient, rho_hook_product,
                          rho_hooklength, staircase, trim, upper_hook,
                          vertical_strips, x_set)
 from .sympoly import (NotSymmetricError, SparsePoly, SymPoly, alternant,

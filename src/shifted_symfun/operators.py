@@ -24,16 +24,18 @@ for symmetric f the sum of c_I * f(x - eps_I) over |I| = k is the
 antisymmetrization of g_k = c_(I0) * f(x - eps_(I0)) over k!(n - k)!
 (Macdonald I.3): one representative and one product per size.  That
 needs g_k to alternate inside I0 and inside its complement; each c_(I0)
-is checked for it before it is cached.  All three applications end in
-``sympoly.collect_alternating``, which reads the quotient by the
-Vandermonde off the strictly decreasing keys, the only ones formed.
+is checked for it before it is cached.  Only the strictly decreasing
+keys of the antisymmetrization are formed, and the quotient by the
+Vandermonde is read off them through one Schur read-off tail.
 
 The difference and raising operators are linear, so each is fixed by
-its images on the monomial basis.  Each image of an m_mu is formed by
-that kernel once per process and kept in cleared int form only (a
-denominator, then the partitions and numerators as tuples, per power
-of t); a general input goes by linearity, sum_mu f[mu] * image(m_mu),
-on cleared numerators, with one scalar built per output coefficient.
+its images on the monomial basis.  Each image of an m_mu is formed once
+per process by the kernel ``sympoly.family_image`` and kept in the
+cleared int form it returns (a denominator, then the partitions and
+numerators as tuples, per power of t); a general input goes by
+linearity, sum_mu f[mu] * image(m_mu), on cleared numerators, with one
+scalar built per output coefficient.  The Sekiguchi-Debiard operator
+ends in ``sympoly.collect_alternating``, which shares that tail.
 """
 
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .partitions import staircase
 from .scalars import _lift, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
                       _sort_sign, collect_alternating, e_basis_expand,
-                      elementary_eval, strict_product)
+                      elementary_eval, family_image)
 
 
 def cutoff_phi(rows, n, r):
@@ -107,17 +109,6 @@ def _subset_family(n, r):
     return tuple(family)
 
 
-def _apply_family(f, family, has_t):
-    """Sum coeff_I * f(x - eps_I) over every I, one product per
-    (size, coeff_(I0)) in family, then read the quotient off."""
-    src = f.to_sparse(has_t)
-    total = SparsePoly.zero(f.n, has_t)
-    for size, coeff in family:
-        shifted = src.translate([int(i < size) for i in range(f.n)])
-        total = total + strict_product(coeff, shifted, size)
-    return collect_alternating(total)
-
-
 _T_FAMILY = "t"  # the image key of the generating t-family
 
 
@@ -133,21 +124,16 @@ def _partition(lam):
 def _image(n, r, k, mu):
     """The image of the basis element m_mu under the t-family
     (k = _T_FAMILY) or the k-th raising operator, formed by
-    ``_apply_family`` and kept in cleared form only: a tuple of
+    ``sympoly.family_image`` and kept in cleared form only: a tuple of
     (t power, den, lams, nums) over the nonzero t powers, ascending,
     where the t power's coefficient at lams[i] is nums[i] / den (the
     raising operators have the one power 0)."""
-    f = SymPoly.basis(n, mu)
     if k == _T_FAMILY:
-        parts = _apply_family(f, enumerate(_subset_family(n, r)), True)
+        members = list(enumerate(_subset_family(n, r)))
     else:
-        parts = {0: _apply_family(f, [(k, _phi_family(n, r, k))], False)}
-    out = []
-    for p, g in parts.items():
-        if g:
-            den, lams, nums = g._int_form()
-            out.append((p, den, tuple(map(_partition, lams)), nums))
-    return tuple(out)
+        members = [(k, _phi_family(n, r, k))]
+    return tuple((p, den, tuple(map(_partition, lams)), nums)
+                 for p, den, lams, nums in family_image(n, mu, members))
 
 
 def _by_linearity(f, r, k):

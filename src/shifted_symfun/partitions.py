@@ -10,6 +10,8 @@ are 0-based like everything else that indexes x_1..x_n in this package.
 from fractions import Fraction
 from itertools import combinations
 
+from .scalars import memoized
+
 
 def is_partition(seq):
     """True for a weakly decreasing sequence of nonnegative ints."""
@@ -157,6 +159,49 @@ def vertical_strips(mu, k):
         if is_partition(lam):
             out.append((tuple(lam), rows))
     return out
+
+
+def horizontal_strips(mu, k):
+    """All ways to shrink mu by a horizontal k-strip.
+
+    Returns every lam with mu/lam a horizontal strip of k boxes (at most
+    one box per column): mu_(i+1) <= lam_i <= mu_i and |mu| - |lam| = k.
+    lam keeps len(mu) parts; the list runs from the largest lam_1 down,
+    each row's choices largest first.  The rows below row i can give up
+    at most mu_(i+1) boxes in all, so row i gives up at least the rest
+    and no branch ends short.
+    """
+    mu = as_partition(mu)
+    out = []
+
+    def rec(i, lam, left):
+        if i == len(mu):
+            out.append(tuple(lam))
+            return
+        below = mu[i + 1] if i + 1 < len(mu) else 0
+        for d in range(max(0, left - below), min(mu[i] - below, left) + 1):
+            rec(i + 1, lam + [mu[i] - d], left - d)
+
+    rec(0, [], k)
+    return out
+
+
+_KOSTKA_CACHE = {}
+
+
+@memoized(_KOSTKA_CACHE, lambda mu, nu: (trim(mu), trim(nu)))
+def kostka(mu, nu):
+    """The Kostka number K_(mu, nu): the semistandard tableaux of shape mu
+    and weight nu (Macdonald I.5), so s_mu = sum_nu K_(mu, nu) m_nu
+    (I.6).  The boxes holding the largest entry form a horizontal strip,
+    so K_(mu, nu) is the sum of K_(lam, nu') over the lam with mu/lam a
+    horizontal strip of nu's last part, nu' = nu without it."""
+    mu, nu = trim(mu), trim(nu)
+    if not nu:
+        return int(not mu)
+    if len(mu) > len(nu) or sum(mu) != sum(nu):
+        return 0
+    return sum(kostka(lam, nu[:-1]) for lam in horizontal_strips(mu, nu[-1]))
 
 
 def _check_box(lam, box):

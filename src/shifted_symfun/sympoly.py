@@ -23,8 +23,8 @@ from math import comb, lcm, prod
 from operator import add, gt, mul, sub
 from types import MappingProxyType
 
-from .partitions import (as_partition, conjugate, enumerate_exact, staircase,
-                         trim)
+from .partitions import (as_partition, conjugate, dominance_leq,
+                         enumerate_exact, kostka, staircase, trim)
 from .scalars import (ExactDivisionError, RationalFunction, TagMismatchError,
                       UniPoly, _lift, _poly, _prim_lcm, _ratio,
                       clear_denominators, is_scalar, memoized, scalar_key)
@@ -104,14 +104,23 @@ def _pack(coeffs, bits):
 
 def _unpack(v, bits):
     """The coefficients, lowest first, of the int polynomial whose value
-    at r = 2^bits is v; each must be below 2^(bits - 1) in size."""
+    at r = 2^bits is v; each must be below 2^(bits - 1) in size.
+
+    Each step at bits >= 2 leaves a value of smaller size, so
+    bit_length + 1 steps reach 0; at bits = 1 no positive digit fits and
+    the value stops shrinking, so a value left over raises ValueError."""
     out, half, mask = [], 1 << (bits - 1), (1 << bits) - 1
-    while v:
+    for _ in range(abs(v).bit_length() + 1):
+        if not v:
+            break
         c = v & mask
         if c >= half:
             c -= mask + 1
         out.append(c)
         v = (v - c) >> bits
+    if v:
+        raise ValueError(f"no polynomial with digits of {bits} bits has "
+                         f"this value")
     return out
 
 
@@ -177,42 +186,6 @@ def _x_groups(ints, n):
     for k, c in ints.items():
         groups.setdefault(k[:n], []).append((k[n:], c))
     return groups
-
-
-def _imul_strict(a, b, n, k):
-    """The strictly decreasing part of the antisymmetrization, over
-    k!(n - k)!, of a * b for an int term map a that alternates inside the
-    x blocks [0, k) and [k, n) and a map b that is symmetric inside them.
-
-    With G the permutations of the blocks, a is the sum of
-    a_kappa * sgn(s) * x^(s kappa) over s in G and the keys kappa whose
-    x-part (the first n slots) strictly decreases inside both blocks, and
-    b is G-invariant, so the quotient is the sum over those kappa and
-    every key beta of b of a_kappa * b_beta times the antisymmetrization
-    of x^(kappa + beta): the key moves to its sorted x-part, times the
-    sign of the sort, and drops when an entry repeats.  The r and t slots
-    of a pair add as they are.
-    """
-    left = [(x, rest) for x, rest in _x_groups(a, n).items()
-            if _strict(x[:k]) and _strict(x[k:])]
-    right = list(_x_groups(b, n).items())
-    out = {}
-    get = out.get
-    moved = {}  # x -> _sort_sign(x)
-    for xa, ra in left:
-        for xb, rb in right:
-            x = tuple(map(add, xa, xb))
-            got = moved.get(x)
-            if got is None:
-                got = moved[x] = _sort_sign(x)
-            y, sign = got
-            if not sign:
-                continue
-            for sa, ca in ra:
-                for sb, cb in rb:
-                    kk = y + tuple(map(add, sa, sb))
-                    out[kk] = get(kk, 0) + sign * ca * cb
-    return {key: c for key, c in out.items() if c}
 
 
 def _scalars(p, items):
@@ -880,33 +853,199 @@ def collect_symmetric_t(p):
     return {tp: collect_symmetric(q) for tp, q in p.t_components().items()}
 
 
+def _schur_to_m(strict):
+    """The Schur read-off tail: for the pairs (row, [(rest, c), ...]) of
+    strict, row the ``schur_expand`` row of some s_mu, the sum of
+    c * s_mu * rest in the m-basis, as {rest: {lam: int}}.  Entries that
+    cancel stay as zeros."""
+    out = {}
+    for row, rests in strict:
+        for rest, c in rests:
+            acc = out.get(rest)
+            if acc is None:
+                acc = out[rest] = {}
+            get = acc.get
+            for lam, k in row:
+                acc[lam] = get(lam, 0) + k * c
+    return out
+
+
 def collect_alternating(p):
     """The quotient of an alternating SparsePoly by the Vandermonde, in
     the m-basis; with t, {t_exponent: SymPoly} over the nonzero t powers.
 
     For p = V * sum_mu c_mu s_mu, c_mu is the coefficient of x^(mu+delta)
     in p (Macdonald, I.3), so only keys whose x-part strictly decreases
-    are read, and each s_mu goes to the m-basis through its
-    ``schur_expand`` row.  Nothing here proves that p alternates: the
-    other keys are ignored, and the caller vouches for them.
+    are read (``_schur_to_m``).  Nothing here proves that p alternates:
+    the other keys are ignored, and the caller vouches for them.
     """
     n = p.n
     delta = staircase(n)
-    out = {}
-    get = out.get
-    for x, rests in _x_groups(p.ints, n).items():
-        if not _strict(x):
-            continue
-        for lam, k in schur_expand(n, tuple(map(sub, x, delta))):
-            for rest, c in rests:
-                kk = lam + rest
-                out[kk] = get(kk, 0) + k * c
+    out = _schur_to_m([(schur_expand(n, tuple(map(sub, x, delta))), rests)
+                       for x, rests in _x_groups(p.ints, n).items()
+                       if _strict(x)])
     q = _make(n, p.has_t, p.param, p.cont,
-              {k: c for k, c in out.items() if c})
+              {lam + rest: c for rest, acc in out.items()
+               for lam, c in acc.items() if c})
     if not p.has_t:
         return _sym(n, _scalars(q, q.ints.items()))
     return {tp: _sym(n, _scalars(part, part.ints.items()))
             for tp, part in q.t_components().items()}
+
+
+# -- operator images ----------------------------------------------------------
+
+_SORT_TABLES = {}
+
+
+@memoized(_SORT_TABLES, lambda n, width: (n, width))
+def _sort_table(n, width):
+    """{packed key: ``_packed_sort`` of it} for n exponent slots of
+    ``width`` bits, kept per process: every image at the same
+    (n, width) meets the same sums and reads the same rows.  The table
+    grows as ``family_image`` meets new sums; an entry never changes."""
+    return {}
+
+
+def _slots(v, n, width):
+    """The n exponents packed in v, slot i (x_i) first."""
+    mask = (1 << width) - 1
+    return tuple([(v >> width * i) & mask for i in range(n)])
+
+
+def _packed_sort(v, n, width):
+    """``_sort_sign`` of the packed key v: (the sorted key y packed
+    again, the sign, the ``schur_expand`` row of s_(y - delta)), or
+    (0, 0, ()) when an entry repeats."""
+    y, sign = _sort_sign(_slots(v, n, width))
+    if not sign:
+        return 0, 0, ()
+    return (_pack(y, width), sign,
+            schur_expand(n, tuple(map(sub, y, staircase(n)))))
+
+
+def _shifted_orbit(mu, k, width):
+    """m_mu(x - eps_(I0)), I0 = {0, ..., k - 1}, as [(packed key, int)]:
+    each rearrangement beta of mu, its slots from k on as they are, times
+    (x_i - 1)^beta_i = sum_j C(beta_i, j) (-1)^(beta_i - j) x_i^j for
+    every i < k.  The rearrangements come in lex order, so the expansion
+    of a head beta[:k] serves every tail that follows it."""
+    rows = {}
+    out = {}
+    get = out.get
+    head = terms = None
+    for beta in _perms(mu):
+        if beta[:k] != head:
+            head, terms = beta[:k], [(0, 1)]
+            for i, e in enumerate(head):
+                row = rows.get((i, e))
+                if row is None:
+                    row = rows[i, e] = [
+                        (j << width * i, (-1) ** (e - j) * comb(e, j))
+                        for j in range(e + 1)]
+                terms = [(x + y, a * b) for x, a in terms for y, b in row]
+        tail = _pack((0,) * k + beta[k:], width)
+        for x, c in terms:
+            x += tail
+            out[x] = get(x, 0) + c
+    return [(x, c) for x, c in out.items() if c]
+
+
+def _block_strict(c, n, size):
+    """[(x-part, t, r, int)] over the keys of c whose x-part strictly
+    decreases inside [0, size) and inside [size, n), with the t and r
+    exponents read from c's own layout (0 where c has no such slot)."""
+    has_r = c.param is not None
+    return [(key[:n], key[-1] if c.has_t else 0, key[n] if has_r else 0, a)
+            for key, a in c.ints.items()
+            if _strict(key[:size]) and _strict(key[size:n])]
+
+
+def family_image(n, mu, members):
+    """The image of m_mu under a coefficient family, in cleared form.
+
+    members holds the pairs (size, c_(I0)), I0 = {0, ..., size - 1}, one
+    per size, with every other member c_(sigma I0)(x) =
+    sgn(sigma) c_(I0)(x_sigma).  The image is the sum over the members
+    and every I of their size of c_I * m_mu(x - eps_I), divided by the
+    Vandermonde, as a tuple of (t power, den, lams, nums) over the
+    nonzero t powers, ascending: the t power's coefficient of m_(lams[i])
+    is nums[i] / den, cleared as by ``clear_denominators`` (ints over Q,
+    integer UniPolys over Q(r) when a member lives there).
+
+    The sum over |I| = size is the antisymmetrization of
+    c_(I0) * m_mu(x - eps_(I0)) over size!(n - size)!, which must
+    alternate inside the blocks [0, size) and [size, n) (Macdonald I.3).
+    So only the keys kappa of c_(I0) whose x-part strictly decreases in
+    both blocks are paired with every key beta of the shifted orbit, and
+    x^(kappa + beta) moves to its sorted key with the sign of the sort,
+    dropping on a repeat.  Keys are ints: x_i in slot i, each slot wide
+    enough for the largest sum, and the t and r exponents of c_(I0)
+    above them (t, then r, each member read in its own layout); the
+    sorted key and sign of a sum come from the process-wide
+    ``_sort_table``.  The members' coefficients are summed over one
+    cleared content before any s_lam is expanded, once per lam.
+    """
+    den, scales = clear_denominators([c.cont for _, c in members])
+    param = getattr(den, "var", None)
+    picked = [(size, _block_strict(c, n, size)) for size, c in members]
+    top = max((e for _, keys in picked for key in keys for e in key[0]),
+              default=0)
+    ttop = max((key[1] for _, keys in picked for key in keys), default=0)
+    width = (top + max(mu, default=0)).bit_length() or 1
+    xbits, tbits = n * width, ttop.bit_length()
+    table = _sort_table(n, width)
+    acc = {}
+    get = acc.get
+    for (size, keys), scale in zip(picked, scales):
+        scaled = [(j << tbits, v) for j, v in _r_pairs(scale)]
+        left = {}
+        for x, t, r, a in keys:
+            rest = t + (r << tbits)
+            left.setdefault(_pack(x, width), []).extend(
+                [((rest + j) << xbits, a * v) for j, v in scaled])
+        right = _shifted_orbit(mu, size, width)
+        for xa, rests in left.items():
+            ys = {}
+            yget = ys.get
+            for xb, b in right:
+                s = xa + xb
+                hit = table.get(s)
+                if hit is None:
+                    hit = table[s] = _packed_sort(s, n, width)
+                y, sign, _ = hit
+                if sign:
+                    ys[y] = yget(y, 0) + sign * b
+            for y, w in ys.items():
+                if w:
+                    for rest, a in rests:
+                        k = y + rest
+                        acc[k] = get(k, 0) + w * a
+    xmask, tmask = (1 << xbits) - 1, (1 << tbits) - 1
+    strict = {}
+    for k, c in acc.items():
+        if c:
+            strict.setdefault(k & xmask, []).append((k >> xbits, c))
+    rows = []
+    for y, rests in strict.items():
+        hit = table.get(y)
+        if hit is None:
+            hit = table[y] = _packed_sort(y, n, width)
+        rows.append((hit[2], rests))
+    parts = {}  # t power -> lam -> power of r -> int
+    for rest, by_lam in _schur_to_m(rows).items():
+        part = parts.setdefault(rest & tmask, {})
+        j = rest >> tbits
+        for lam, c in by_lam.items():
+            if c:
+                part.setdefault(lam, {})[j] = c
+    out = []
+    for t, by_lam in sorted(parts.items()):
+        nums = (tuple(d[0] for d in by_lam.values()) if param is None else
+                tuple(UniPoly(param, [d.get(j, 0) for j in range(max(d) + 1)])
+                      for d in by_lam.values()))
+        out.append((t, den, tuple(by_lam), nums))
+    return tuple(out)
 
 
 def elementary(k, n):
@@ -1011,28 +1150,27 @@ def divide_by_vandermonde(p):
     return p
 
 
-def strict_product(a, b, k):
-    """a * b on the keys ``_imul_strict`` keeps for the x blocks [0, k)
-    and [k, n): all that ``collect_alternating`` reads of it."""
-    a, b = a._pair(b)
-    return _make(a.n, a.has_t, a.param, a.cont * b.cont,
-                 _imul_strict(a.ints, b.ints, a.n, k))
-
-
 _SCHUR_CACHE = {}
 
 
 @memoized(_SCHUR_CACHE, lambda n, mu: (n, tuple(mu)))
 def schur_expand(n, mu):
     """The Schur polynomial s_mu in n variables as ((lam, K), ...) pairs:
-    its m-coefficients, the Kostka numbers K_(mu, lam), as ints.
+    its m-coefficients, the Kostka numbers K_(mu, lam), as ints, lam
+    descending.
 
-    Built once per (n, mu) as the bialternant a_(mu+delta) / V, divided
-    and collected by the same code that serves every other quotient.
+    Built once per (n, mu) by counting tableaux (``partitions.kostka``)
+    over the lam of |mu| with at most n parts that mu dominates, the
+    only ones K_(mu, lam) can be nonzero on (Macdonald I.6).
     """
-    kappa = tuple(map(add, as_partition(mu, n), staircase(n)))
-    s = collect_symmetric(divide_by_vandermonde(_monomial_alternant(kappa)))
-    return tuple((lam, c.numerator) for lam, c in s.terms.items())
+    mu = as_partition(mu, n)
+    row = []
+    for lam in reversed(enumerate_exact(n, sum(mu))):
+        if dominance_leq(lam, mu):
+            k = kostka(mu, lam)
+            if k:
+                row.append((lam, k))
+    return tuple(row)
 
 
 def e_monomial(n, exps):

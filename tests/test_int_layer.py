@@ -485,6 +485,23 @@ def test_packed_orbit_sums_keep_negative_and_large_coefficients():
     assert f.evaluate([3 * R] * 4) == reference_evaluate(f, [3 * R] * 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.lists(st.integers(-(1 << bits - 1) + 1,
+                                        (1 << bits - 1) - 1), max_size=6))))
+def test_unpack_inverts_pack_and_refuses_what_does_not_fit(case):
+    bits, coeffs = case
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert sympoly._unpack(sympoly._pack(coeffs, bits), bits) == coeffs
+    # at one bit the digits are -1 and 0, so no positive value fits and
+    # unpacking must refuse it rather than loop
+    with pytest.raises(ValueError):
+        sympoly._unpack(1, 1)
+    with pytest.raises(ValueError):
+        sympoly._unpack(1 + abs(sympoly._pack(coeffs, bits)), 1)
+
+
 def test_zero_partition_orbit_is_the_int_one():
     # a constant SymPoly must evaluate to a Fraction at a symbolic node
     rho = ShiftVector.staircase_multiple(3, R)

@@ -17,7 +17,8 @@ from shifted_symfun.partitions import dominance_leq, enumerate_upto
 from shifted_symfun.scalars import RationalFunction, TagMismatchError
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
-from reference_determinants import cutoff_determinant, subset_determinant
+from reference_determinants import (apply_family, cutoff_determinant,
+                                    subset_determinant)
 
 R = RationalFunction.gen("r")
 
@@ -359,20 +360,19 @@ def same(got, want):
          Fraction(3, 4))
 @example((SymPoly(2, {(2, 1): R / 3, (1, 0): Fraction(1, 5)}), 2), R)
 def test_linearity_matches_the_kernel(case, r):
-    """The images of the m_mu, cached once per process and extended by
-    linearity, against the one kernel applied to f directly: Q and Q(r)
-    inputs at rational and symbolic shifts, k = 0 to n."""
+    """The images of the m_mu, formed by the kernel once per process and
+    extended by linearity, against the families applied to f directly
+    through the full products (``reference_determinants.apply_family``):
+    Q and Q(r) inputs at rational and symbolic shifts, k = 0 to n."""
     f, k = case
     n = f.n
-    want = operators._apply_family(
-        f, enumerate(operators._subset_family(n, r)), True)
+    want = apply_family(f, enumerate(operators._subset_family(n, r)), True)
     got = apply_difference_family(f, r)
     assert list(got) == sorted(got) == list(want)
     for p in want:
         same(got[p], want[p])
     same(apply_raising(f, k, r),
-         operators._apply_family(f, [(k, operators._phi_family(n, r, k))],
-                                 False))
+         apply_family(f, [(k, operators._phi_family(n, r, k))], False))
 
 
 def test_linearity_refuses_an_input_over_another_parameter():
@@ -380,8 +380,7 @@ def test_linearity_refuses_an_input_over_another_parameter():
     s = RationalFunction.gen("s")
     f = SymPoly(2, {(1, 0): s, (0, 0): Fraction(1, 2)})
     with pytest.raises(TagMismatchError):
-        operators._apply_family(f, [(1, operators._phi_family(2, R, 1))],
-                                False)
+        apply_family(f, [(1, operators._phi_family(2, R, 1))], False)
     with pytest.raises(TagMismatchError):
         apply_raising(f, 1, R)
     with pytest.raises(TagMismatchError):

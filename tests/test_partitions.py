@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -9,8 +10,9 @@ from shifted_symfun.partitions import (as_partition, boxes, conjugate,
                                        dominance_leq, dominance_less,
                                        enumerate_exact, enumerate_upto,
                                        hook_product_lower,
-                                       hook_product_upper, is_partition,
-                                       is_vertical_strip, lower_hook,
+                                       hook_product_upper,
+                                       horizontal_strips, is_partition,
+                                       is_vertical_strip, kostka, lower_hook,
                                        pieri_coefficient, rho_hook_product,
                                        rho_hooklength, staircase, trim,
                                        upper_hook, vertical_strips, x_set)
@@ -150,6 +152,35 @@ def test_vertical_strips():
         assert is_vertical_strip(lam, (2, 1, 0))
         assert sum(lam) == 5
         assert len(rows) == 2
+
+
+def test_horizontal_strips_match_a_filter():
+    """Every lam inside mu with mu/lam a horizontal k-strip, against a
+    filter over all lam inside mu, largest lam first."""
+    for n in range(1, 5):
+        for mu in enumerate_upto(n, 7):
+            inside = [lam for lam in product(*(range(p + 1) for p in mu))
+                      if is_partition(lam)]
+            for k in range(sum(mu) + 2):
+                want = [lam for lam in inside
+                        if sum(mu) - sum(lam) == k
+                        and all(lam[i] >= mu[i + 1] for i in range(n - 1))]
+                assert horizontal_strips(mu, k) == \
+                    sorted(want, reverse=True), (mu, k)
+
+
+def test_kostka_counts_tableaux():
+    # K_(mu, 1^d) counts standard tableaux: the hook length formula
+    for mu in enumerate_exact(4, 6):
+        hooks = 1
+        for i, j in boxes(mu):
+            hooks *= upper_hook(trim(mu), (i, j), 1)
+        assert kostka(mu, (1,) * 6) == factorial(6) // hooks, mu
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 2, 1), (2, 2, 2)) == 2
+    assert kostka((2, 2), (2, 2, 0, 0)) == 1
+    assert kostka((2, 2), (3, 1)) == 0      # (3, 1) is not below (2, 2)
+    assert kostka((), ()) == 1 and kostka((1,), ()) == 0
 
 
 def test_x_set_and_pieri_coefficient():

@@ -5,8 +5,10 @@ strictly decreasing keys and read the quotient by the Vandermonde off
 them (``sympoly.collect_alternating``).  These tests compare that route
 with the full one, which forms every key, divides by the Vandermonde and
 collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
-with each d_I and phi_I expanded from the determinant that defines it.
-They also pin the s -> m table to known Kostka rows, check that a
+with each d_I and phi_I expanded from the determinant that defines it,
+and the image kernel ``sympoly.family_image`` with the full product of
+each representative, antisymmetrized.  They also pin the s -> m table
+to known Kostka rows and to the bialternant, check that a
 family representative which does not alternate inside its blocks is
 refused when its cache is filled, and check the sign rules that the
 read-off rests on against a cycle count.
@@ -14,7 +16,7 @@ read-off rests on against a cycle count.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,16 +26,17 @@ from shifted_symfun import operators
 from shifted_symfun.operators import (apply_difference_family, apply_raising,
                                       apply_sekiguchi_debiard)
 from shifted_symfun.partitions import enumerate_upto, staircase
-from shifted_symfun.scalars import RationalFunction, _lift, scalar_key
-from shifted_symfun.sympoly import (SparsePoly, SymPoly, _sign,
+from shifted_symfun.scalars import (RationalFunction, _lift, scalar_key,
+                                    substitute)
+from shifted_symfun.sympoly import (SparsePoly, SymPoly, _from_cleared, _sign,
                                     _signed_permutations, _sort_sign,
                                     collect_alternating, collect_symmetric,
                                     collect_symmetric_t, complete,
                                     divide_by_vandermonde, elementary,
-                                    schur_expand, strict_product,
-                                    vandermonde)
+                                    family_image, schur_expand, vandermonde)
 
-from reference_determinants import cutoff_determinant, subset_determinant
+from reference_determinants import (apply_family, bialternant_row,
+                                    cutoff_determinant, subset_determinant)
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -140,39 +143,78 @@ def test_collect_alternating_inverts_the_vandermonde_product(g, with_t):
     assert collect_alternating(total) == want
 
 
-def antisymmetrized_strict_part(p, k):
-    """The strictly decreasing keys of the antisymmetrization of p over
-    every permutation of the x slots, divided by k!(n - k)!: each key moves
-    to its sorted x-part, times the sign of the sort, and drops on a
-    repeated entry."""
-    n = p.n
-    out = {}
-    for key, c in p.ints.items():
-        x = key[:n]
-        if len(set(x)) < n:
-            continue
-        sign = (-1) ** sum(a < b for a, b in combinations(x, 2))
-        kk = tuple(sorted(x, reverse=True)) + key[n:]
-        out[kk] = out.get(kk, 0) + sign * c
-    block = factorial(k) * factorial(n - k)
-    assert all(c % block == 0 for c in out.values())
-    return {kk: c // block for kk, c in out.items() if c}
+def image_parts(n, image):
+    """A cleared ``family_image`` as {t power: SymPoly}."""
+    return {p: _from_cleared(n, den, dict(zip(lams, nums)))
+            for p, den, lams, nums in image}
+
+
+def same_parts(got, want):
+    """Equal t powers in the same order, equal SymPolys, and every
+    coefficient of the same scalar type."""
+    assert list(got) == list(want)
+    for p, g in want.items():
+        assert got[p] == g
+        assert {lam: type(c) for lam, c in got[p].terms.items()} == \
+            {lam: type(c) for lam, c in g.terms.items()}
+
+
+# (n, mu, d-family or phi-family, the sizes of the members taken)
+kernel_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(enumerate_upto(n, 4 if n < 4 else 3)),
+    st.booleans(), st.sets(st.integers(0, n), min_size=1)))
 
 
 @PROPS
-@given(family_cases, shifts)
-def test_strict_product_is_the_antisymmetrized_full_product(case, r):
-    # strict_product pairs only the block-decreasing keys of the
-    # representative with the block-symmetric shifted input
-    f, k = case
-    n = f.n
-    for coeff, has_t in ((operators._phi_family(n, r, k), False),
-                         (operators._subset_family(n, r)[k], True)):
-        shifted = f.to_sparse(has_t).translate([int(i < k) for i in range(n)])
-        got = strict_product(coeff, shifted, k)
-        full = coeff * shifted
-        assert got.cont == full.cont
-        assert got.ints == antisymmetrized_strict_part(full, k)
+@given(kernel_cases, shifts)
+# d_(I0) at size 0 lives over Q even at symbolic r (no r slot), d_(I0)
+# at size n has no t slot, and the two alone give an image over Q
+@example((3, (2, 1, 0), True, {0}), R)
+@example((3, (2, 1, 0), True, {3}), R)
+@example((3, (3, 1, 0), True, {0, 3}), R)
+@example((3, (3, 1, 0), True, {0, 1, 3}), R)
+@example((4, (2, 1, 0, 0), True, {0, 1, 2, 3, 4}), R)
+@example((2, (1, 1), False, {0, 1, 2}), Fraction(3, 2))
+def test_family_image_is_the_antisymmetrized_full_product(case, r):
+    """The kernel pairs only the block-decreasing keys of each
+    representative with the packed shifted orbit, and sums the members
+    before the Schur rows; the reference forms each full product,
+    antisymmetrizes it and reads it off by ``collect_alternating``."""
+    n, mu, subset, sizes = case
+    if subset:
+        family = operators._subset_family(n, r)
+        members = [(k, family[k]) for k in sorted(sizes)]
+    else:
+        members = [(k, operators._phi_family(n, r, k)) for k in sorted(sizes)]
+    want = apply_family(SymPoly.basis(n, mu), members, subset)
+    if not subset:
+        want = {0: want} if want else {}
+    same_parts(image_parts(n, family_image(n, mu, members)), want)
+
+
+def test_family_image_packs_exponents_beyond_eight_bits():
+    # m_(260) at n = 2: the sums reach 262, so a slot of 8 bits would
+    # carry into the next one
+    f = SymPoly.basis(2, (260, 0))
+    half = Fraction(1, 2)
+    members = [(1, operators._phi_family(2, half, 1))]
+    want = apply_family(f, members, False)
+    same_parts(image_parts(2, family_image(2, (260, 0), members)), {0: want})
+    assert apply_raising(f, 1, half) == want
+    assert want.top_component() == elementary(1, 2) * f
+    # at symbolic r the r slot sits above the same x slots
+    assert apply_raising(f, 1, R).map_coeffs(
+        lambda c: substitute(c, half)) == want
+
+
+def test_schur_table_matches_the_bialternant():
+    """The rows counted as Kostka numbers, against the bialternant
+    a_(mu + delta) / V, for n <= 5 and |mu| <= 7, lam descending."""
+    for n in range(1, 6):
+        for mu in enumerate_upto(n, 7):
+            row, want = schur_expand(n, mu), bialternant_row(n, mu)
+            assert dict(row) == want, (n, mu)
+            assert [lam for lam, _ in row] == sorted(want, reverse=True)
 
 
 def test_schur_table_matches_kostka_rows():
