@@ -113,7 +113,10 @@ class ShiftVector:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.key())
+        # a scalar hashes like every scalar equal to it, so equal entries
+        # give equal hashes; caches key on ``key()``, which keeps the
+        # scalar worlds apart
+        return hash(self.entries)
 
     def __repr__(self):
         return f"ShiftVector({list(self.entries)})"

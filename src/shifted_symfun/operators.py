@@ -8,12 +8,11 @@ top coefficient is the identity.  The companion triangular family (the
 raising operators) drops the t variable and uses the cut-off determinants
 phi_I instead; it raises polynomial degree by the size of I.
 
-A differential relative (the Sekiguchi-Debiard determinant) acts on the
-monomial basis directly and is used to pin down the homogeneous
-eigenfunctions that the top components of the interpolation family hit.
-For symmetric f its sum over permutations is the antisymmetrization of
-x^delta * prod_i (x_i d_i + r*delta_i + t) f, so each monomial of f
-gives one term.
+A differential relative (the Sekiguchi-Debiard determinant) is used to
+pin down the homogeneous eigenfunctions that the top components of the
+interpolation family hit.  For symmetric f its sum over permutations is
+the antisymmetrization of x^delta * prod_i (x_i d_i + r*delta_i + t) f,
+so each monomial of m_mu gives one term.
 
 Every phi_I is a product of linear factors (the Vandermonde identity),
 and multilinearity in the rows gives
@@ -28,26 +27,28 @@ is checked for it before it is cached.  Only the strictly decreasing
 keys of the antisymmetrization are formed, and the quotient by the
 Vandermonde is read off them through one Schur read-off tail.
 
-The difference and raising operators are linear, so each is fixed by
-its images on the monomial basis.  Each image of an m_mu is formed once
-per process by the kernel ``sympoly.family_image`` and kept in the
-cleared int form it returns (a denominator, then the partitions and
-numerators as tuples, per power of t); a general input goes by
-linearity, sum_mu f[mu] * image(m_mu), on cleared numerators, with one
-scalar built per output coefficient.  The Sekiguchi-Debiard operator
-ends in ``sympoly.collect_alternating``, which shares that tail.
+All three operators are linear, so each is fixed by its images on the
+monomial basis, in the cleared int form the kernels return (a
+denominator, then the partitions and numerators as tuples, per power of
+t), and a general input goes by linearity, sum_mu f[mu] * image(m_mu),
+on cleared numerators, with one scalar built per output coefficient.
+An image of the difference or raising operators is formed once per
+process by ``sympoly.family_image`` and cached; an image of the
+Sekiguchi-Debiard operator is formed per call by
+``sympoly.sekiguchi_image``, since its one caller, the Jack eigen
+route, is memoized per degree.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import prod
-from operator import add
 
 from .partitions import staircase
 from .scalars import _lift, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
-                      _sort_sign, collect_alternating, e_basis_expand,
-                      elementary_eval, family_image)
+                      e_basis_expand, elementary_eval, family_image,
+                      sekiguchi_image)
 
 
 def cutoff_phi(rows, n, r):
@@ -136,16 +137,16 @@ def _image(n, r, k, mu):
                  for p, den, lams, nums in family_image(n, mu, members))
 
 
-def _by_linearity(f, r, k):
-    """sum_mu f[mu] * image(m_mu) as {t power: SymPoly} over the nonzero
-    t powers, ascending: f's cleared numerators times the images', one
-    ``sympoly._combine`` per t power, with one scalar per output
-    coefficient."""
+def _by_linearity(f, image):
+    """sum_mu f[mu] * image(mu) as {t power: SymPoly} over the nonzero
+    t powers, ascending, for image(mu) the cleared image of m_mu:
+    f's cleared numerators times the images', one ``sympoly._combine``
+    per t power, with one scalar per output coefficient."""
     n = f.n
     fden, lams, nums = f._int_form()
     parts = {}
     for mu, a in zip(lams, nums):
-        for p, den, ilams, inums in _image(n, r, k, mu):
+        for p, den, ilams, inums in image(mu):
             parts.setdefault(p, []).append((a, den, ilams, inums))
     out = {}
     for p, terms in sorted(parts.items()):
@@ -162,7 +163,7 @@ def apply_difference_family(f, r):
     The t^n piece is f itself (the family is monic in t); lower pieces
     are the nontrivial operators.  Degrees never go up.
     """
-    return _by_linearity(f, r, _T_FAMILY)
+    return _by_linearity(f, partial(_image, f.n, r, _T_FAMILY))
 
 
 def apply_raising(f, k, r):
@@ -172,7 +173,8 @@ def apply_raising(f, k, r):
     """
     if not 0 <= k <= f.n:
         raise ValueError(f"raising index {k} out of range")
-    return _by_linearity(f, r, k).get(0, SymPoly.zero(f.n))
+    return _by_linearity(f, partial(_image, f.n, r, k)).get(
+        0, SymPoly.zero(f.n))
 
 
 def eigenvalue_poly(lam, r, n):
@@ -190,42 +192,18 @@ def eigenvalue_poly(lam, r, n):
 
 
 def apply_sekiguchi_debiard(f, r, t_value=None):
-    """Apply the differential determinant, one term per monomial x^kappa
-    of f: the sum over permutations is the antisymmetrization of
-    x^delta * prod_i (x_i d_i + r*delta_i + t) f (Macdonald I.3), so
-    x^kappa lands on sort(kappa + delta) with the sign of the sort,
-    times prod_i (kappa_i + r*delta_i + t), and drops when an entry of
-    kappa + delta repeats, as the read-off tail reads only strictly
-    decreasing keys.
+    """Apply the differential determinant by linearity on the images
+    ``sympoly.sekiguchi_image`` forms of each m_mu, per call: the sum
+    over permutations is the antisymmetrization of
+    x^delta * prod_i (x_i d_i + r*delta_i + t) f (Macdonald I.3).
 
     With t_value None the result is {t_power: SymPoly}; otherwise t is
     specialized first and a single SymPoly comes back.  Homogeneous
     degrees are preserved.
     """
-    n = f.n
-    delta = staircase(n)
-    r = _lift(r)
-    has_t = t_value is None
-    acc = {}
-    for key, c in f.to_sparse().terms.items():
-        new_key, sign = _sort_sign(tuple(map(add, key, delta)))
-        if not sign:
-            continue
-        consts = [r * d + k for d, k in zip(delta, key)]
-        # prod_i (consts_i + t), split by t power or taken at t_value
-        if has_t:
-            pieces = [(new_key + (p,), elementary_eval(n - p, consts))
-                      for p in range(n + 1)]
-        else:
-            pieces = [(new_key, prod(cc + t_value for cc in consts))]
-        for kk, v in pieces:
-            if v:
-                s = acc.get(kk, 0) + sign * c * v
-                if s:
-                    acc[kk] = s
-                else:
-                    acc.pop(kk, None)
-    return collect_alternating(SparsePoly(n, acc, has_t))
+    out = _by_linearity(
+        f, partial(sekiguchi_image, f.n, r=r, t_value=t_value))
+    return out if t_value is None else out.get(0, SymPoly.zero(f.n))
 
 
 class OperatorMatrix:

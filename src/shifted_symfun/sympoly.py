@@ -8,10 +8,11 @@ Two containers share the work:
   * SymPoly    -- symmetric polynomials stored by partition in the m-basis
 
 Conversions go down via to_sparse / m_expand and back up via
-collect_symmetric, which verifies symmetry instead of assuming it, or via
-collect_alternating, which reads the quotient of an alternating
-polynomial by the Vandermonde off its strictly decreasing keys.  These
-conversions, ``SparsePoly.terms`` and ``_from_cleared`` (the end of a
+collect_symmetric, which verifies symmetry instead of assuming it.  The
+operator images (``family_image``, ``sekiguchi_image``) read the
+quotient of an alternating polynomial by the Vandermonde off its
+strictly decreasing keys and stay in cleared int form.  That
+conversion, ``SparsePoly.terms`` and ``_from_cleared`` (the end of a
 cleared linear combination in the m-basis, ``_combine``) are the only
 places where the ints turn back into Fraction or RationalFunction
 coefficients.
@@ -178,14 +179,6 @@ def _sort_sign(x):
     if not _strict(y):
         return y, 0
     return y, (-1) ** sum(h < t for h, t in combinations(x, 2))
-
-
-def _x_groups(ints, n):
-    """{x-part: [(r and t slots, int), ...]} of an int term map."""
-    groups = {}
-    for k, c in ints.items():
-        groups.setdefault(k[:n], []).append((k[n:], c))
-    return groups
 
 
 def _scalars(p, items):
@@ -870,29 +863,6 @@ def _schur_to_m(strict):
     return out
 
 
-def collect_alternating(p):
-    """The quotient of an alternating SparsePoly by the Vandermonde, in
-    the m-basis; with t, {t_exponent: SymPoly} over the nonzero t powers.
-
-    For p = V * sum_mu c_mu s_mu, c_mu is the coefficient of x^(mu+delta)
-    in p (Macdonald, I.3), so only keys whose x-part strictly decreases
-    are read (``_schur_to_m``).  Nothing here proves that p alternates:
-    the other keys are ignored, and the caller vouches for them.
-    """
-    n = p.n
-    delta = staircase(n)
-    out = _schur_to_m([(schur_expand(n, tuple(map(sub, x, delta))), rests)
-                       for x, rests in _x_groups(p.ints, n).items()
-                       if _strict(x)])
-    q = _make(n, p.has_t, p.param, p.cont,
-              {lam + rest: c for rest, acc in out.items()
-               for lam, c in acc.items() if c})
-    if not p.has_t:
-        return _sym(n, _scalars(q, q.ints.items()))
-    return {tp: _sym(n, _scalars(part, part.ints.items()))
-            for tp, part in q.t_components().items()}
-
-
 # -- operator images ----------------------------------------------------------
 
 _SORT_TABLES = {}
@@ -1048,6 +1018,52 @@ def family_image(n, mu, members):
     return tuple(out)
 
 
+def sekiguchi_image(n, mu, r, t_value=None):
+    """The image of m_mu under the Sekiguchi-Debiard operator, in the
+    cleared form of ``family_image``.
+
+    For symmetric f the sum over permutations is the antisymmetrization
+    of x^delta * prod_i (x_i d_i + r*delta_i + t) f (Macdonald I.3), so
+    each x^kappa of the orbit of mu lands on kappa + delta sorted
+    decreasing, with the sign of the sort, times
+    prod_i (kappa_i + r*delta_i + t), and drops on a repeated entry.
+    r and t_value are written over one denominator q, r = a/q and
+    t_value = u/q, and the product is expanded one linear factor
+    q*kappa_i + a*delta_i + u at a time (q*kappa_i + a*delta_i + q*t
+    when t stays free, by power of t), over q^n.
+    """
+    delta = staircase(n)
+    has_t = t_value is None
+    q, nums = clear_denominators([r] if has_t else [r, t_value])
+    u = 0 if has_t else nums[1]
+    shifts = [nums[0] * d + u for d in delta]
+    strict = {}
+    for kappa in _perms(mu):
+        y, sign = _sort_sign(tuple(map(add, kappa, delta)))
+        if not sign:
+            continue
+        coeffs = [sign]  # the product so far, by power of t
+        for k, s in zip(kappa, shifts):
+            c = q * k + s
+            if has_t:  # times c + q*t
+                coeffs = [a * c + q * b
+                          for a, b in zip(coeffs + [0], [0] + coeffs)]
+            else:
+                coeffs[0] *= c
+        acc = strict.setdefault(y, {})
+        for p, v in enumerate(coeffs):
+            acc[p] = acc.get(p, 0) + v
+    rows = [(schur_expand(n, tuple(map(sub, y, delta))), list(acc.items()))
+            for y, acc in strict.items()]
+    den = q ** n
+    out = []
+    for p, by_lam in sorted(_schur_to_m(rows).items()):
+        lams = tuple(lam for lam, c in by_lam.items() if c)
+        if lams:
+            out.append((p, den, lams, tuple(by_lam[lam] for lam in lams)))
+    return tuple(out)
+
+
 def elementary(k, n):
     """e_k in n variables as a SymPoly (zero when k > n)."""
     if k < 0:
@@ -1128,16 +1144,11 @@ def alternant(n, entry):
 
 def vandermonde(n):
     """Product of (x_i - x_j) over i < j, as the alternant det[x_i^delta_j]."""
-    return _monomial_alternant(staircase(n))
-
-
-def _monomial_alternant(kappa):
-    """The alternant det[x_i^kappa_j]."""
-    n = len(kappa)
+    delta = staircase(n)
 
     def entry(i, j):
         key = [0] * n
-        key[i] = kappa[j]
+        key[i] = delta[j]
         return _make(n, False, None, Fraction(1), {tuple(key): 1})
     return alternant(n, entry)
 

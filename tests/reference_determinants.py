@@ -7,18 +7,21 @@ determinant from it; these helpers build each as its own n x n
 alternant, so tests can compare the two.  The Schur rows, which the
 package counts as Kostka numbers, are built here as bialternants, and
 an operator application as the full product of each family
-representative with the shifted input, antisymmetrized and read off.
+representative with the shifted input, antisymmetrized and read off
+its strictly decreasing keys as a scalar polynomial
+(``collect_alternating``), where the package reads off cleared ints.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from operator import add
+from operator import add, sub
 
 from shifted_symfun.partitions import as_partition, staircase
-from shifted_symfun.sympoly import (SparsePoly, _make, alternant,
-                                    collect_alternating, collect_symmetric,
-                                    divide_by_vandermonde)
+from shifted_symfun.sympoly import (SparsePoly, _make, _scalars,
+                                    _schur_to_m, _strict, _sym, alternant,
+                                    collect_symmetric, divide_by_vandermonde,
+                                    schur_expand)
 
 
 def subset_determinant(rows, n, r):
@@ -67,6 +70,37 @@ def bialternant_row(n, mu):
         return SparsePoly(n, {tuple(key): 1})
     s = collect_symmetric(divide_by_vandermonde(alternant(n, entry)))
     return dict(s.terms)
+
+
+def _x_groups(ints, n):
+    """{x-part: [(r and t slots, int), ...]} of an int term map."""
+    groups = {}
+    for k, c in ints.items():
+        groups.setdefault(k[:n], []).append((k[n:], c))
+    return groups
+
+
+def collect_alternating(p):
+    """The quotient of an alternating SparsePoly by the Vandermonde, in
+    the m-basis; with t, {t_exponent: SymPoly} over the nonzero t powers.
+
+    For p = V * sum_mu c_mu s_mu, c_mu is the coefficient of x^(mu+delta)
+    in p (Macdonald, I.3), so only keys whose x-part strictly decreases
+    are read.  Nothing here proves that p alternates: the other keys are
+    ignored, and the caller vouches for them.
+    """
+    n = p.n
+    delta = staircase(n)
+    out = _schur_to_m([(schur_expand(n, tuple(map(sub, x, delta))), rests)
+                       for x, rests in _x_groups(p.ints, n).items()
+                       if _strict(x)])
+    q = _make(n, p.has_t, p.param, p.cont,
+              {lam + rest: c for rest, acc in out.items()
+               for lam, c in acc.items() if c})
+    if not p.has_t:
+        return _sym(n, _scalars(q, q.ints.items()))
+    return {tp: _sym(n, _scalars(part, part.ints.items()))
+            for tp, part in q.t_components().items()}
 
 
 def strict_product(a, b, k):

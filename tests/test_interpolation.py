@@ -83,6 +83,18 @@ def test_shift_vector_dominance():
     assert generic.is_dominant()
 
 
+def test_equal_shift_vectors_hash_alike():
+    # a constant RationalFunction equals its Fraction, so the vectors are
+    # equal and a set holds one of them
+    rational = ShiftVector.generic([Fraction(1), Fraction(0)])
+    constant = ShiftVector.generic([RationalFunction.const("r", 1),
+                                    RationalFunction.const("r", 0)])
+    assert rational == constant
+    assert hash(rational) == hash(constant)
+    assert len({rational, constant}) == 1
+    assert rational.key() != constant.key()
+
+
 def test_points():
     rho = ShiftVector.staircase_multiple(2, Fraction(1, 2))
     assert rho.point((2, 1)) == (Fraction(5, 2), Fraction(1))

@@ -240,6 +240,16 @@ def test_eigen_route_builds_each_degree_once(monkeypatch):
     assert len(calls) == 4  # one per basis element of the degree
 
 
+def test_eigen_route_caches_no_operator_image():
+    # the Sekiguchi-Debiard images are formed per call: each degree is
+    # built once, so a cached image would never be read again
+    from shifted_symfun import operators
+    before = set(operators._IMAGE_CACHE)
+    alpha = alpha_gen() + 11  # a parameter no other test solves at
+    jack_P_eigen((2, 1, 0), 3, alpha)
+    assert set(operators._IMAGE_CACHE) == before
+
+
 def test_eigen_collision_at_alpha_minus_one():
     alpha = Fraction(-1)
     for _ in range(2):  # the second pass reads the cached degree

@@ -385,3 +385,5 @@ def test_linearity_refuses_an_input_over_another_parameter():
         apply_raising(f, 1, R)
     with pytest.raises(TagMismatchError):
         apply_difference_family(f, R)
+    with pytest.raises(TagMismatchError):
+        apply_sekiguchi_debiard(f, R)

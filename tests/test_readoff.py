@@ -2,15 +2,17 @@
 
 Each operator sum is alternating in x, so the operators form only its
 strictly decreasing keys and read the quotient by the Vandermonde off
-them (``sympoly.collect_alternating``).  These tests compare that route
-with the full one, which forms every key, divides by the Vandermonde and
-collects the orbits (``collect_symmetric`` / ``collect_symmetric_t``),
-with each d_I and phi_I expanded from the determinant that defines it,
-and the image kernel ``sympoly.family_image`` with the full product of
-each representative, antisymmetrized.  They also pin the s -> m table
-to known Kostka rows and to the bialternant, check that a
-family representative which does not alternate inside its blocks is
-refused when its cache is filled, and check the sign rules that the
+them (``sympoly.family_image``, ``sympoly.sekiguchi_image``).  These
+tests compare that route with the full one, which forms every key,
+divides by the Vandermonde and collects the orbits
+(``collect_symmetric`` / ``collect_symmetric_t``), with each d_I and
+phi_I expanded from the determinant that defines it, and the image
+kernel ``sympoly.family_image`` with the full product of each
+representative, antisymmetrized and read off by the reference
+``collect_alternating``.  They also pin the s -> m table to known
+Kostka rows and to the bialternant, check that a family representative
+which does not alternate inside its blocks is refused when its cache
+is filled, and check the sign rules that the
 read-off rests on against a cycle count.
 """
 
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shifted_symfun import operators
+from shifted_symfun import operators, sympoly
 from shifted_symfun.operators import (apply_difference_family, apply_raising,
                                       apply_sekiguchi_debiard)
 from shifted_symfun.partitions import enumerate_upto, staircase
@@ -30,13 +32,14 @@ from shifted_symfun.scalars import (RationalFunction, _lift, scalar_key,
                                     substitute)
 from shifted_symfun.sympoly import (SparsePoly, SymPoly, _from_cleared, _sign,
                                     _signed_permutations, _sort_sign,
-                                    collect_alternating, collect_symmetric,
-                                    collect_symmetric_t, complete,
-                                    divide_by_vandermonde, elementary,
-                                    family_image, schur_expand, vandermonde)
+                                    collect_symmetric, collect_symmetric_t,
+                                    complete, divide_by_vandermonde,
+                                    elementary, family_image, schur_expand,
+                                    vandermonde)
 
 from reference_determinants import (apply_family, bialternant_row,
-                                    cutoff_determinant, subset_determinant)
+                                    collect_alternating, cutoff_determinant,
+                                    subset_determinant)
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -123,6 +126,16 @@ def test_difference_and_raising_match_the_full_route(case, r):
          Fraction(7, 2), None)
 @example((SymPoly(4, {(2, 1, 0, 0): 1, (0, 0, 0, 0): Fraction(-2, 3)}), 0),
          R, None)
+# the eigen route's shift r = 1/alpha has a denominator to clear
+@example((SymPoly(3, {(2, 1, 0): 1, (1, 1, 1): Fraction(-3, 2)}), 0),
+         1 / R, Fraction(1))
+@example((SymPoly(3, {(3, 0, 0): Fraction(1, 2), (1, 0, 0): 2}), 0),
+         1 / R, None)
+# a t_value over Q(r), with r rational or symbolic
+@example((SymPoly(2, {(2, 0): 1, (1, 1): Fraction(-1, 3)}), 0),
+         Fraction(3, 2), (R + 1) / 2)
+@example((SymPoly(3, {(2, 1, 0): Fraction(5, 2), (0, 0, 0): 1}), 0),
+         1 / R, R / (R + 3))
 def test_sekiguchi_matches_the_full_route(case, r, t_value):
     f, _ = case
     assert apply_sekiguchi_debiard(f, r, t_value=t_value) == \
@@ -313,5 +326,8 @@ def test_sekiguchi_with_unsigned_sorts_leaves_the_full_route(monkeypatch):
     def unsigned(x):
         y, sign = _sort_sign(x)
         return y, abs(sign)
-    monkeypatch.setattr(operators, "_sort_sign", unsigned)
+    monkeypatch.setattr(sympoly, "_sort_sign", unsigned)
+    # a family image formed meanwhile would keep unsigned sorts in the
+    # process-wide sort tables; hand it a fresh table per call instead
+    monkeypatch.setattr(sympoly, "_sort_table", lambda n, width: {})
     assert apply_sekiguchi_debiard(f, R) != want
