@@ -5,7 +5,7 @@ rational functions of one named parameter, whose numerators and
 denominators are univariate polynomials over Q.  The central objects are the inhomogeneous
 symmetric polynomials pinned down by vanishing conditions on shifted
 partition nodes; around them sit explicit difference operators, raising
-operators, determinantal closed forms, and the bridge to Jack
+operators, closed forms, and the bridge to Jack
 polynomials with its positivity scan.
 """
 
@@ -22,11 +22,10 @@ from .partitions import (as_partition, boxes, conjugate, conjugate_part,
                          pieri_coefficient, rho_hook_product,
                          rho_hooklength, staircase, trim, upper_hook,
                          vertical_strips, x_set)
-from .sympoly import (NotSymmetricError, SparsePoly, SymPoly, alternant,
-                      collect_symmetric, collect_symmetric_t, complete,
-                      complete_eval, divide_by_vandermonde, e_basis_expand,
-                      elementary, elementary_eval, factorial_monomial,
-                      falling_power, m_expand, vandermonde)
+from .sympoly import (NotSymmetricError, SparsePoly, SymPoly,
+                      collect_symmetric, complete, complete_eval,
+                      e_basis_expand, elementary, factorial_monomial,
+                      falling_power, m_expand)
 from .interpolation import (NonDominantError, ShiftVector, column_forms,
                             factorial_monomial_sym, factorial_schur,
                             first_column_reduction, interpolate,

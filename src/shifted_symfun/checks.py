@@ -120,8 +120,9 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
     """The four closed forms against the direct solve.
 
     (a) zero shift: factorial monomials; (b) unit staircase: factorial
-    Schur quotients; (c) one-column forms, symbolic and at random shift
-    vectors; (d) the one-row chain sum.
+    Schur functions, summed over semistandard tableaux one horizontal
+    strip at a time (no determinant is expanded); (c) one-column forms,
+    symbolic and at random shift vectors; (d) the one-row chain sum.
     """
     params = {"n": n, "dmax": dmax, "trials": trials, "seed": seed}
     rho0 = _rho(n, 0)

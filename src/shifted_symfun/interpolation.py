@@ -13,16 +13,16 @@ ring during back-substitution.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import prod
 from types import MappingProxyType
 
 from .partitions import (as_partition, enumerate_exact, enumerate_upto,
-                         rho_hook_product, staircase)
+                         horizontal_strips, rho_hook_product, staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       clear_denominators, memoized, scalar_key)
 from .sympoly import (SparsePoly, SymPoly, _combine, _common, _from_cleared,
-                      _point_row, _Row, alternant, collect_symmetric,
-                      complete_eval, divide_by_vandermonde, elementary,
-                      factorial_monomial, falling_power)
+                      _point_row, _Row, collect_symmetric, complete_eval,
+                      elementary, factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -404,11 +404,45 @@ def column_forms(k, rho):
 
 
 def factorial_schur(lam, n):
-    """Quotient of the falling-power alternant by the Vandermonde."""
+    """The factorial Schur function s_lam(x | a) with a_m = m - 1, the
+    falling-power quotient det[(x_i | a)^(lam_j + n - j)] / V, as a sum
+    over the semistandard tableaux T of shape lam with entries <= n
+    (Macdonald I.3, Example 20):
+
+        s_lam(x | a) = sum_T prod_(s in lam) (x_T(s) - a_(T(s) + c(s))),
+
+    c(s) = j - i the content of the box s = (i, j).  The boxes holding
+    the largest entry k form a horizontal strip lam/mu, so the sum runs
+    one variable at a time, as ``partitions.kostka`` does:
+
+        s_lam(x_1..x_k) = sum_mu s_mu(x_1..x_(k-1))
+                          * prod_((i, j) in lam/mu) (x_k - (k + j - i - 1)),
+
+    over the mu with at most k - 1 parts, s_() = 1.
+    """
     lam = as_partition(lam, n)
-    delta = staircase(n)
-    det = alternant(n, lambda i, j: falling_power(n, i, lam[j] + delta[j]))
-    return collect_symmetric(divide_by_vandermonde(det))
+    one = SparsePoly.const(n, Fraction(1))
+    memo = {}
+
+    def tableau_sum(mu, k):
+        """s_mu(x_1..x_k | a), mu with at most k parts."""
+        if not mu[0]:
+            return one
+        got = memo.get((mu, k))
+        if got is None:
+            xk = SparsePoly.variable(n, k - 1)
+            got = SparsePoly.zero(n)
+            for size in range(mu[0] + 1):
+                for nu in horizontal_strips(mu, size):
+                    if nu[k - 1]:
+                        continue  # x_1..x_(k-1) hold at most k - 1 rows
+                    strip = prod((xk - (k + j - i - 1)
+                                  for i, (a, b) in enumerate(zip(mu, nu), 1)
+                                  for j in range(b + 1, a + 1)), start=one)
+                    got = got + tableau_sum(nu, k - 1) * strip
+            memo[mu, k] = got
+        return got
+    return collect_symmetric(tableau_sum(lam, n))
 
 
 def factorial_monomial_sym(lam, n):

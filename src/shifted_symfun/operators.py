@@ -47,8 +47,7 @@ from math import prod
 from .partitions import staircase
 from .scalars import _lift, memoized, scalar_key
 from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
-                      e_basis_expand, elementary_eval, family_image,
-                      sekiguchi_image)
+                      e_basis_expand, family_image, sekiguchi_image)
 
 
 def cutoff_phi(rows, n, r):
@@ -182,13 +181,17 @@ def eigenvalue_poly(lam, r, n):
 
     A tuple of n + 1 scalars, lowest power of t first, so entry p pairs
     with the t^p piece of ``apply_difference_family``; entry p is
-    e_(n-p) of the constants lam_i + r*delta_i.
+    e_(n-p) of the constants lam_i + r*delta_i.  The product is expanded
+    one linear factor at a time.
     """
     r = _lift(r)
     delta = staircase(n)
     lam = tuple(lam) + (0,) * (n - len(lam))
-    consts = [lam[i] + r * delta[i] for i in range(n)]
-    return tuple(elementary_eval(n - p, consts) for p in range(n + 1))
+    coeffs = [Fraction(1)]
+    for i in range(n):  # times t + lam_i + r*delta_i
+        c = lam[i] + r * delta[i]
+        coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
 
 def apply_sekiguchi_debiard(f, r, t_value=None):

@@ -19,7 +19,7 @@ coefficients.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm, prod
 from operator import add, gt, mul, sub
 from types import MappingProxyType
@@ -57,11 +57,6 @@ def _perms(key):
 def _sign(perm):
     """The sign of a permutation, from the parity of its inversions."""
     return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
-
-
-def _signed_permutations(n):
-    """Every permutation of range(n) with its sign, as (perm, +-1) pairs."""
-    return [(perm, _sign(perm)) for perm in permutations(range(n))]
 
 
 # -- the integer layer --------------------------------------------------------
@@ -404,9 +399,6 @@ class SparsePoly:
             kk[i], kk[j] = kk[j], kk[i]
             out[tuple(kk)] = c
         return _make(self.n, self.has_t, self.param, self.cont, out)
-
-    def is_symmetric(self):
-        return all(self.swap_vars(i, i + 1) == self for i in range(self.n - 1))
 
     def divide_linear_diff(self, i, j):
         """Exact division by (x_i - x_j); raises if a remainder is left.
@@ -841,11 +833,6 @@ def collect_symmetric(p):
     return _sym(n, _scalars(p, out))
 
 
-def collect_symmetric_t(p):
-    """Collect each t power separately: {t_exponent: SymPoly}."""
-    return {tp: collect_symmetric(q) for tp, q in p.t_components().items()}
-
-
 def _schur_to_m(strict):
     """The Schur read-off tail: for the pairs (row, [(rest, c), ...]) of
     strict, row the ``schur_expand`` row of some s_mu, the sum of
@@ -1080,22 +1067,12 @@ def complete(j, n):
     return SymPoly(n, {lam: Fraction(1) for lam in enumerate_exact(n, j)})
 
 
-def elementary_eval(k, values):
-    """e_k at a list of scalars."""
-    if k < 0:
-        raise ValueError("negative elementary index")
-    return _sum_of_products(combinations(values, k))
-
-
 def complete_eval(j, values):
     """h_j at a list of scalars."""
     if j < 0:
         raise ValueError("negative complete index")
-    return _sum_of_products(combinations_with_replacement(values, j))
-
-
-def _sum_of_products(factor_lists):
-    return sum((prod(f, start=Fraction(1)) for f in factor_lists),
+    return sum((prod(f, start=Fraction(1))
+                for f in combinations_with_replacement(values, j)),
                Fraction(0))
 
 
@@ -1124,41 +1101,6 @@ def factorial_monomial(n, lam):
                 term = term * f
         total = total + term
     return total
-
-
-def alternant(n, entry):
-    """The n x n determinant det[entry(i, j)] as a SparsePoly.
-
-    entry(i, j) returns the SparsePoly in row i, column j; it is called
-    once per cell, and the signed-permutation sum reuses the table.
-    """
-    table = [[entry(i, j) for j in range(n)] for i in range(n)]
-    det = SparsePoly.zero(n)
-    for perm, sign in _signed_permutations(n):
-        term = SparsePoly.const(n, Fraction(sign))
-        for i in range(n):
-            term = term * table[i][perm[i]]
-        det = det + term
-    return det
-
-
-def vandermonde(n):
-    """Product of (x_i - x_j) over i < j, as the alternant det[x_i^delta_j]."""
-    delta = staircase(n)
-
-    def entry(i, j):
-        key = [0] * n
-        key[i] = delta[j]
-        return _make(n, False, None, Fraction(1), {tuple(key): 1})
-    return alternant(n, entry)
-
-
-def divide_by_vandermonde(p):
-    """Exact division by the Vandermonde determinant, factor by factor."""
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            p = p.divide_linear_diff(i, j)
-    return p
 
 
 _SCHUR_CACHE = {}

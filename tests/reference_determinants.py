@@ -1,11 +1,15 @@
-"""The determinants and products of the operator layer, expanded from
-their definitions.
+"""The determinants and products of the package, expanded from their
+definitions.
 
-The package forms the cut-off determinant phi_I as a product of linear
-factors and derives the subset coefficients d_I of the generating
-determinant from it; these helpers build each as its own n x n
-alternant, so tests can compare the two.  The Schur rows, which the
-package counts as Kostka numbers, are built here as bialternants, and
+The package expands no determinant: ``alternant`` here is the n!-term
+signed-permutation sum, and ``divide_by_vandermonde`` divides by the
+Vandermonde one factor x_i - x_j at a time.  The package forms the
+cut-off determinant phi_I as a product of linear factors and derives
+the subset coefficients d_I of the generating determinant from it;
+these helpers build each as its own n x n alternant, so tests can
+compare the two.  The Schur rows, which the package counts as Kostka
+numbers, and the factorial Schur functions, which it sums over
+tableaux, are built here as bialternants, and
 an operator application as the full product of each family
 representative with the shifted input, antisymmetrized and read off
 its strictly decreasing keys as a scalar polynomial
@@ -13,15 +17,55 @@ its strictly decreasing keys as a scalar polynomial
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 from operator import add, sub
 
 from shifted_symfun.partitions import as_partition, staircase
 from shifted_symfun.sympoly import (SparsePoly, _make, _scalars,
-                                    _schur_to_m, _strict, _sym, alternant,
-                                    collect_symmetric, divide_by_vandermonde,
+                                    _schur_to_m, _sign, _strict, _sym,
+                                    collect_symmetric, falling_power,
                                     schur_expand)
+
+
+def _signed_permutations(n):
+    """Every permutation of range(n) with its sign, as (perm, +-1) pairs."""
+    return [(perm, _sign(perm)) for perm in permutations(range(n))]
+
+
+def alternant(n, entry):
+    """The n x n determinant det[entry(i, j)] as a SparsePoly.
+
+    entry(i, j) returns the SparsePoly in row i, column j; it is called
+    once per cell, and the signed-permutation sum reuses the table.
+    """
+    table = [[entry(i, j) for j in range(n)] for i in range(n)]
+    det = SparsePoly.zero(n)
+    for perm, sign in _signed_permutations(n):
+        term = SparsePoly.const(n, Fraction(sign))
+        for i in range(n):
+            term = term * table[i][perm[i]]
+        det = det + term
+    return det
+
+
+def vandermonde(n):
+    """Product of (x_i - x_j) over i < j, as the alternant det[x_i^delta_j]."""
+    delta = staircase(n)
+
+    def entry(i, j):
+        key = [0] * n
+        key[i] = delta[j]
+        return _make(n, False, None, Fraction(1), {tuple(key): 1})
+    return alternant(n, entry)
+
+
+def divide_by_vandermonde(p):
+    """Exact division by the Vandermonde determinant, factor by factor."""
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            p = p.divide_linear_diff(i, j)
+    return p
 
 
 def subset_determinant(rows, n, r):
@@ -70,6 +114,16 @@ def bialternant_row(n, mu):
         return SparsePoly(n, {tuple(key): 1})
     s = collect_symmetric(divide_by_vandermonde(alternant(n, entry)))
     return dict(s.terms)
+
+
+def factorial_schur_bialternant(lam, n):
+    """s_lam(x | a) with a_m = m - 1, as the quotient of the falling-power
+    alternant det[(x_i | a)^(lam_j + n - j)] by the Vandermonde
+    (Macdonald I.3, Example 20), collected into the m-basis."""
+    lam = as_partition(lam, n)
+    delta = staircase(n)
+    det = alternant(n, lambda i, j: falling_power(n, i, lam[j] + delta[j]))
+    return collect_symmetric(divide_by_vandermonde(det))
 
 
 def _x_groups(ints, n):

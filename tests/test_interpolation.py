@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shifted_symfun.interpolation import (NonDominantError, ShiftVector,
                                           column_forms,
@@ -12,10 +14,13 @@ from shifted_symfun.interpolation import (NonDominantError, ShiftVector,
                                           interpolation_basis,
                                           interpolation_polynomial,
                                           single_row, solve_linear)
-from shifted_symfun.partitions import (enumerate_upto, rho_hook_product,
+from shifted_symfun.partitions import (contains, enumerate_upto,
+                                       hook_product_lower, rho_hook_product,
                                        staircase)
 from shifted_symfun.scalars import RationalFunction
-from shifted_symfun.sympoly import SymPoly, falling_power
+from shifted_symfun.sympoly import SymPoly, falling_power, schur_expand
+
+from reference_determinants import factorial_schur_bialternant
 
 R = RationalFunction.gen("r")
 
@@ -202,6 +207,50 @@ def test_factorial_schur_is_unit_staircase_form():
         SymPoly(2, {(2, 0): Fraction(1), (1, 1): Fraction(1)})
     assert factorial_schur((2, 1), 2).top_component() == \
         SymPoly.basis(2, (2, 1))
+
+
+def test_factorial_schur_matches_the_bialternant():
+    """The tableau sum against the falling-power alternant divided by the
+    Vandermonde."""
+    for n, dmax in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 4)):
+        for lam in enumerate_upto(n, dmax):
+            assert factorial_schur(lam, n) == \
+                factorial_schur_bialternant(lam, n)
+
+
+def shapes(n, size):
+    """A partition of ``size`` with at most n parts."""
+    return st.sampled_from([lam for lam in enumerate_upto(n, size)
+                            if sum(lam) == size])
+
+
+shape_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.integers(0, 6).flatmap(lambda d: shapes(n, d)),
+    st.integers(0, 7).flatmap(lambda d: shapes(n, d))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape_pairs)
+@example(((3, 2, 1, 0), (3, 2, 1, 0)))
+@example(((2, 2, 0), (4, 1, 1)))
+def test_factorial_schur_vanishes_off_the_shapes_it_fits(pair):
+    """s_lam(x | a) has the Schur function s_lam as its top component,
+    vanishes at mu + delta unless lam fits inside mu, is positive there
+    when it does, and takes the hook product at lam + delta (the
+    shifted Schur function of Okounkov and Olshanski)."""
+    lam, mu = pair
+    n = len(lam)
+    f = factorial_schur(lam, n)
+    assert f.top_component() == SymPoly(n, dict(schur_expand(n, lam)))
+
+    def at(nu):
+        return f.evaluate(tuple(Fraction(a + b)
+                                for a, b in zip(nu, staircase(n))))
+    assert at(lam) == hook_product_lower(lam, Fraction(1))
+    if contains(lam, mu):
+        assert at(mu) > 0
+    else:
+        assert at(mu) == 0
 
 
 def test_factorial_monomials_are_zero_shift_form():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,8 @@ from shifted_symfun.operators import (OperatorMatrix, apply_difference_family,
                                       apply_raising, apply_sekiguchi_debiard,
                                       cutoff_phi, eigenvalue_poly,
                                       inhomogeneous_lift)
-from shifted_symfun.partitions import dominance_leq, enumerate_upto
+from shifted_symfun.partitions import (dominance_leq, enumerate_upto,
+                                       staircase)
 from shifted_symfun.scalars import RationalFunction, TagMismatchError
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
@@ -126,6 +128,21 @@ def test_eigenvalue_poly_frozen():
     # (t + 2 + 1/2)(t + 1) at r = 1/2
     assert eigenvalue_poly((2, 1), Fraction(1, 2), 2) == \
         (Fraction(5, 2), Fraction(7, 2), 1)
+
+
+def test_eigenvalue_poly_is_the_subset_sum():
+    """Entry p is e_(n-p) of the constants lam_i + r*delta_i, each a sum
+    of products over the index sets of size n - p."""
+    for r in (R, 1 / R, R + Fraction(1, 3), Fraction(1, 2)):
+        for n in range(1, 6):
+            delta = staircase(n)
+            for lam in enumerate_upto(n, 4):
+                consts = [lam[i] + r * delta[i] for i in range(n)]
+                want = tuple(
+                    sum((prod(s, start=Fraction(1))
+                         for s in combinations(consts, n - p)), Fraction(0))
+                    for p in range(n + 1))
+                assert eigenvalue_poly(lam, r, n) == want
 
 
 def test_interpolation_polynomials_are_eigenfunctions():

@@ -5,7 +5,7 @@ strictly decreasing keys and read the quotient by the Vandermonde off
 them (``sympoly.family_image``, ``sympoly.sekiguchi_image``).  These
 tests compare that route with the full one, which forms every key,
 divides by the Vandermonde and collects the orbits
-(``collect_symmetric`` / ``collect_symmetric_t``), with each d_I and
+(``collect_symmetric``, one power of t at a time), with each d_I and
 phi_I expanded from the determinant that defines it, and the image
 kernel ``sympoly.family_image`` with the full product of each
 representative, antisymmetrized and read off by the reference
@@ -31,15 +31,13 @@ from shifted_symfun.partitions import enumerate_upto, staircase
 from shifted_symfun.scalars import (RationalFunction, _lift, scalar_key,
                                     substitute)
 from shifted_symfun.sympoly import (SparsePoly, SymPoly, _from_cleared, _sign,
-                                    _signed_permutations, _sort_sign,
-                                    collect_symmetric, collect_symmetric_t,
-                                    complete, divide_by_vandermonde,
-                                    elementary, family_image, schur_expand,
-                                    vandermonde)
+                                    _sort_sign, collect_symmetric, complete,
+                                    elementary, family_image, schur_expand)
 
-from reference_determinants import (apply_family, bialternant_row,
-                                    collect_alternating, cutoff_determinant,
-                                    subset_determinant)
+from reference_determinants import (_signed_permutations, apply_family,
+                                    bialternant_row, collect_alternating,
+                                    cutoff_determinant, divide_by_vandermonde,
+                                    subset_determinant, vandermonde)
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -65,9 +63,13 @@ family_cases = st.integers(1, 4).flatmap(
 
 
 def full_route(total):
-    """Divide by the Vandermonde and collect every orbit."""
+    """Divide by the Vandermonde and collect every orbit, each power of
+    t on its own when there is a t."""
     q = divide_by_vandermonde(total)
-    return collect_symmetric_t(q) if q.has_t else collect_symmetric(q)
+    if not q.has_t:
+        return collect_symmetric(q)
+    return {tp: collect_symmetric(part)
+            for tp, part in q.t_components().items()}
 
 
 def full_family(f, family, has_t):
