@@ -33,7 +33,7 @@ from .interpolation import (NonDominantError, ShiftVector, column_forms,
                             interpolation_polynomial, single_row,
                             solve_linear)
 from .operators import (OperatorMatrix, apply_difference_family,
-                        apply_raising, apply_sekiguchi_debiard, cutoff_phi,
+                        apply_raising, apply_sekiguchi_debiard,
                         eigenvalue_poly, inhomogeneous_lift)
 from .jack import (ConjectureReport, ConjectureRow, alpha_gen,
                    conjecture_expand, jack_J, jack_P, jack_P_at,

@@ -14,6 +14,7 @@ at their full documented ranges.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             factorial_schur, first_column_reduction,
@@ -22,8 +23,8 @@ from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             single_row)
 from .jack import (alpha_gen, jack_J, jack_P, jack_P_at, jack_P_eigen,
                    pieri_verify)
-from .operators import (_phi_family, apply_difference_family, apply_raising,
-                        eigenvalue_poly, inhomogeneous_lift)
+from .operators import (_block_factor, apply_difference_family,
+                        apply_raising, eigenvalue_poly, inhomogeneous_lift)
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product)
@@ -242,21 +243,24 @@ def check_commutativity(n, dmax, r="symbolic"):
 def check_cutoff(n, dmax, r="symbolic"):
     """Cut-off determinants vanish where the shifted index set breaks.
 
-    Each phi_I is read off the cached phi_(I0) the operators multiply by,
-    phi_I(x) = sgn(tau) phi_(I0)(x_tau) with tau listing I, then the rest;
-    the empty I is left out, as mu - eps_I = mu never breaks.
+    phi_I(x) = sgn(tau) phi_(I0)(x_tau), tau listing I then the rest, and
+    phi_(I0) is V(x_I0) V(x_rest) times the operators' cached factor; the
+    empty I is left out, as mu - eps_I = mu never breaks.
     """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = _rho(n, r)
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
         for size in range(1, n + 1):
-            phi = _phi_family(n, rho.r, size)
+            b = _block_factor(n, rho.r, size)
             for rows in combinations(range(n), size):
                 if is_partition([m - (i in rows) for i, m in enumerate(mu)]):
                     continue
                 tau = rows + tuple(i for i in range(n) if i not in rows)
-                val = _sign(tau) * phi.evaluate([pt[i] for i in tau])
+                y = [pt[i] for i in tau]
+                val = prod((y[i] - y[j] for i, j in combinations(range(n), 2)
+                            if (i < size) == (j < size)),
+                           start=_sign(tau) * b.evaluate(y))
                 if val:
                     return _report("cutoff", params, _w(
                         mu=mu, rows=list(rows), value=val))

@@ -185,9 +185,8 @@ def _resolve_parameter(args):
 
 def _check_bounds(args, need_dmax=False):
     """Refuse n and dmax out of range before any work.  No determinant
-    is expanded, but above MAX_COMPUTE_N = 6 the orbit sums
-    (up to n! terms), the fully expanded operator representatives and
-    the partition recursion still explode, so the bound stays."""
+    is expanded, but above MAX_COMPUTE_N = 6 the orbit sums (up to n!
+    terms) and the partition recursion still explode, so the bound stays."""
     if args.n < 1:
         raise ConfigError(f"n must be >= 1, got {args.n}")
     if args.n > MAX_COMPUTE_N:

@@ -14,18 +14,20 @@ interpolation family hit.  For symmetric f its sum over permutations is
 the antisymmetrization of x^delta * prod_i (x_i d_i + r*delta_i + t) f,
 so each monomial of m_mu gives one term.
 
-Every phi_I is a product of linear factors (the Vandermonde identity),
+The Vandermonde identity gives phi_(I0) = V(x_I0) V(x_rest) B_k, with
+I0 = {0, ..., k-1} and B_k = prod_{i<k} x_i * prod_{i<k<=j} (x_i - x_j - r),
 and multilinearity in the rows gives
-d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I, so no n!-term
-determinant is expanded.  Permuting rows gives
-c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma) with I0 = {0, ..., k-1}, so
+d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I.  Permuting rows
+gives c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma), so
 for symmetric f the sum of c_I * f(x - eps_I) over |I| = k is the
 antisymmetrization of g_k = c_(I0) * f(x - eps_(I0)) over k!(n - k)!
 (Macdonald I.3): one representative and one product per size.  That
-needs g_k to alternate inside I0 and inside its complement; each c_(I0)
-is checked for it before it is cached.  Only the strictly decreasing
-keys of the antisymmetrization are formed, and the quotient by the
-Vandermonde is read off them through one Schur read-off tail.
+needs g_k to alternate inside I0 and inside its complement; the factor
+of each c_(I0) past V(x_I0) V(x_rest) is checked to be symmetric inside
+both blocks before it is cached.  Only the strictly decreasing keys of
+the antisymmetrization are formed, from the block-strict keys of c_(I0)
+read off that factor, so no Vandermonde factor is expanded, and the
+quotient by the Vandermonde is read off through one Schur read-off tail.
 
 All three operators are linear, so each is fixed by its images on the
 monomial basis, in the cleared int form the kernels return (a
@@ -41,75 +43,64 @@ route, is memoized per degree.
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from math import prod
 
 from .partitions import staircase
 from .scalars import _lift, memoized, scalar_key
-from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
-                      e_basis_expand, family_image, sekiguchi_image)
+from .sympoly import (SparsePoly, SymPoly, _block_strict, _combine,
+                      _from_cleared, e_basis_expand, family_image,
+                      sekiguchi_image)
 
 
-def cutoff_phi(rows, n, r):
-    """Cut-off determinant phi_I for the 0-based index set I = rows.
-
-    Row i inside I carries x_i^(delta_j + 1); outside, (x_i + r)^delta_j.
-    With y_i = x_i inside I and x_i + r outside, row i is y_i^delta_j,
-    times x_i inside I, so the Vandermonde identity gives
-    phi_I = prod_{i in I} x_i * prod_{i<j} (y_i - y_j).
-    Vanishes at mu + r*delta whenever mu - eps_I is not a partition.
-    """
-    r = _lift(r)
-    x = [SparsePoly.variable(n, i) for i in range(n)]
-    phi = prod((x[i] for i in rows), start=SparsePoly.const(n, Fraction(1)))
-    for i, j in combinations(range(n), 2):
-        shift = (j in rows) - (i in rows)
-        phi = phi * (x[i] - x[j] + r * shift if shift else x[i] - x[j])
-    return phi
-
-
-def _block_alternating(c, size):
-    """c = c_(I0), once every adjacent transposition s_i inside the
-    blocks [0, size) and [size, n) sends it to -c."""
-    for i in range(c.n - 1):
-        if i != size - 1 and c.swap_vars(i, i + 1) + c:
+def _block_symmetric(b, size):
+    """b, once every adjacent transposition s_i inside the blocks
+    [0, size) and [size, n) leaves it unchanged."""
+    for i in range(b.n - 1):
+        if i != size - 1 and b.swap_vars(i, i + 1) != b:
             raise ArithmeticError(
-                f"representative c_{tuple(range(size))} does not alternate "
-                f"inside its blocks: s_{i} does not send it to -c")
-    return c
+                f"representative c_{tuple(range(size))} over V(x_I0) "
+                f"V(x_rest) is not block-symmetric: s_{i} moves it")
+    return b
 
 
-_DI_CACHE = {}
-_PHI_CACHE = {}
+_FACTOR_CACHE = {}
+_MEMBER_CACHE = {}
 _IMAGE_CACHE = {}
 _PARTITION_CACHE = {}
 
 
-@memoized(_PHI_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
-def _phi_family(n, r, size):
-    """phi_(I0), I0 = {0, ..., size - 1}: the raising family's one member."""
-    return _block_alternating(cutoff_phi(tuple(range(size)), n, r), size)
-
-
-@memoized(_DI_CACHE, lambda n, r: (n, scalar_key(_lift(r))))
-def _subset_family(n, r):
-    """The subset coefficients d_(I0) of the generating determinant, one
-    per size, whose row i is -x_i^(delta_j + 1) inside I and
-    (x_i + t)(x_i + r)^delta_j outside: by multilinearity in the rows,
-    d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I."""
-    t = SparsePoly.t_var(n)
-    family = []
-    for size in range(n + 1):
-        # the sign as a polynomial, not a scalar: it lands in the int map,
-        # so every d_(I0) keeps the content of its phi_(I0)
-        sign = SparsePoly.const(n, (-1) ** size)
-        outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
-        d = prod(outside, start=sign * _phi_family(n, r, size))
-        family.append(_block_alternating(d, size))
-    return tuple(family)
+@memoized(_FACTOR_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
+def _block_factor(n, r, size):
+    """B_size, the factor of phi_(I0) past V(x_I0) V(x_rest), from its
+    linear factors."""
+    r = _lift(r)
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    inside = prod(x[:size], start=SparsePoly.const(n, Fraction(1)))
+    cross = (x[i] - x[j] - r for i in range(size) for j in range(size, n))
+    return _block_symmetric(prod(cross, start=inside), size)
 
 
 _T_FAMILY = "t"  # the image key of the generating t-family
+
+
+@memoized(_MEMBER_CACHE,
+          lambda n, r, family: (n, scalar_key(_lift(r)), family))
+def _members(n, r, family):
+    """The ``family_image`` members: phi_(I0) for raising by k (family =
+    k), or per size the d_(I0) of the t-family, whose row i is
+    -x_i^(delta_j + 1) inside I and (x_i + t)(x_i + r)^delta_j outside."""
+    if family != _T_FAMILY:
+        return (_block_strict(family, _block_factor(n, r, family)),)
+    t = SparsePoly.t_var(n)
+    members = []
+    for size in range(n + 1):
+        # the sign as a polynomial, not a scalar: it lands in the int map,
+        # so every d_(I0) keeps the content of its B
+        sign = SparsePoly.const(n, (-1) ** size)
+        outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
+        b = prod(outside, start=sign * _block_factor(n, r, size))
+        members.append(_block_strict(size, _block_symmetric(b, size)))
+    return tuple(members)
 
 
 @memoized(_PARTITION_CACHE, lambda lam: lam)
@@ -128,12 +119,9 @@ def _image(n, r, k, mu):
     (t power, den, lams, nums) over the nonzero t powers, ascending,
     where the t power's coefficient at lams[i] is nums[i] / den (the
     raising operators have the one power 0)."""
-    if k == _T_FAMILY:
-        members = list(enumerate(_subset_family(n, r)))
-    else:
-        members = [(k, _phi_family(n, r, k))]
     return tuple((p, den, tuple(map(_partition, lams)), nums)
-                 for p, den, lams, nums in family_image(n, mu, members))
+                 for p, den, lams, nums in family_image(n, mu,
+                                                        _members(n, r, k)))
 
 
 def _by_linearity(f, image):

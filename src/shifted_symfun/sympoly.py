@@ -908,27 +908,37 @@ def _shifted_orbit(mu, k, width):
     return [(x, c) for x, c in out.items() if c]
 
 
-def _block_strict(c, n, size):
-    """[(x-part, t, r, int)] over the keys of c whose x-part strictly
-    decreases inside [0, size) and inside [size, n), with the t and r
-    exponents read from c's own layout (0 where c has no such slot)."""
-    has_r = c.param is not None
-    return [(key[:n], key[-1] if c.has_t else 0, key[n] if has_r else 0, a)
-            for key, a in c.ints.items()
-            if _strict(key[:size]) and _strict(key[size:n])]
+def _block_strict(size, b):
+    """The ``family_image`` member (size, content, keys) of
+    c_(I0) = V(x_[0, size)) V(x_[size, n)) * b, b block-symmetric: keys
+    are the (x-part, t, r, int) of c_(I0) strictly decreasing in both
+    blocks.  c_(I0) is the block antisymmetrization of
+    x^(delta_size, delta_(n - size)) * b (Macdonald I.3), so each key of
+    b plus that staircase is sorted in each block with its sign."""
+    n, has_r = b.n, b.param is not None
+    shift = staircase(size) + staircase(n - size)
+    acc = {}
+    for key, a in b.ints.items():
+        x = tuple(map(add, key, shift))  # the x-part: shift has n slots
+        (head, s), (tail, u) = _sort_sign(x[:size]), _sort_sign(x[size:])
+        if s and u:
+            k = head + tail, key[-1] if b.has_t else 0, key[n] if has_r else 0
+            acc[k] = acc.get(k, 0) + s * u * a
+    return size, b.cont, tuple([k + (a,) for k, a in acc.items() if a])
 
 
 def family_image(n, mu, members):
     """The image of m_mu under a coefficient family, in cleared form.
 
-    members holds the pairs (size, c_(I0)), I0 = {0, ..., size - 1}, one
-    per size, with every other member c_(sigma I0)(x) =
-    sgn(sigma) c_(I0)(x_sigma).  The image is the sum over the members
-    and every I of their size of c_I * m_mu(x - eps_I), divided by the
-    Vandermonde, as a tuple of (t power, den, lams, nums) over the
-    nonzero t powers, ascending: the t power's coefficient of m_(lams[i])
-    is nums[i] / den, cleared as by ``clear_denominators`` (ints over Q,
-    integer UniPolys over Q(r) when a member lives there).
+    members holds the ``_block_strict`` entries (size, content, keys) of
+    c_(I0), I0 = {0, ..., size - 1}, one per size, with every other
+    member c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma).  The image is
+    the sum over the members and every I of their size of
+    c_I * m_mu(x - eps_I), divided by the Vandermonde, as a tuple of
+    (t power, den, lams, nums) over the nonzero t powers, ascending: the
+    t power's coefficient of m_(lams[i]) is nums[i] / den, cleared as by
+    ``clear_denominators`` (ints over Q, integer UniPolys over Q(r) when
+    a member lives there).
 
     The sum over |I| = size is the antisymmetrization of
     c_(I0) * m_mu(x - eps_(I0)) over size!(n - size)!, which must
@@ -943,18 +953,17 @@ def family_image(n, mu, members):
     ``_sort_table``.  The members' coefficients are summed over one
     cleared content before any s_lam is expanded, once per lam.
     """
-    den, scales = clear_denominators([c.cont for _, c in members])
+    den, scales = clear_denominators([cont for _, cont, _ in members])
     param = getattr(den, "var", None)
-    picked = [(size, _block_strict(c, n, size)) for size, c in members]
-    top = max((e for _, keys in picked for key in keys for e in key[0]),
+    top = max((e for _, _, keys in members for key in keys for e in key[0]),
               default=0)
-    ttop = max((key[1] for _, keys in picked for key in keys), default=0)
+    ttop = max((key[1] for _, _, keys in members for key in keys), default=0)
     width = (top + max(mu, default=0)).bit_length() or 1
     xbits, tbits = n * width, ttop.bit_length()
     table = _sort_table(n, width)
     acc = {}
     get = acc.get
-    for (size, keys), scale in zip(picked, scales):
+    for (size, _, keys), scale in zip(members, scales):
         scaled = [(j << tbits, v) for j, v in _r_pairs(scale)]
         left = {}
         for x, t, r, a in keys:

@@ -4,16 +4,19 @@ definitions.
 The package expands no determinant: ``alternant`` here is the n!-term
 signed-permutation sum, and ``divide_by_vandermonde`` divides by the
 Vandermonde one factor x_i - x_j at a time.  The package forms the
-cut-off determinant phi_I as a product of linear factors and derives
-the subset coefficients d_I of the generating determinant from it;
-these helpers build each as its own n x n alternant, so tests can
+cut-off determinant phi_I and the subset coefficients d_I of the
+generating determinant as two block Vandermondes times a
+block-symmetric factor, which it never expands; these helpers build
+each as its own n x n alternant, ``block_vandermonde`` expands the
+block Vandermondes, and ``block_strict_part`` reads off a product
+formed in full the keys that the image kernel pairs, so tests can
 compare the two.  The Schur rows, which the package counts as Kostka
 numbers, and the factorial Schur functions, which it sums over
-tableaux, are built here as bialternants, and
-an operator application as the full product of each family
-representative with the shifted input, antisymmetrized and read off
-its strictly decreasing keys as a scalar polynomial
-(``collect_alternating``), where the package reads off cleared ints.
+tableaux, are built here as bialternants, and an operator application
+as the full product of each family representative with the shifted
+input, antisymmetrized and read off its strictly decreasing keys as a
+scalar polynomial (``collect_alternating``), where the package reads
+off cleared ints.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from math import factorial
 from operator import add, sub
 
 from shifted_symfun.partitions import as_partition, staircase
+from shifted_symfun.scalars import RationalFunction
 from shifted_symfun.sympoly import (SparsePoly, _make, _scalars,
                                     _schur_to_m, _sign, _strict, _sym,
                                     collect_symmetric, falling_power,
@@ -37,7 +41,9 @@ def alternant(n, entry):
     """The n x n determinant det[entry(i, j)] as a SparsePoly.
 
     entry(i, j) returns the SparsePoly in row i, column j; it is called
-    once per cell, and the signed-permutation sum reuses the table.
+    once per cell, and the signed-permutation sum reuses the table.  A
+    determinant whose entries live over Q(r) comes back over Q when r
+    cancels from every coefficient, as the package forms it.
     """
     table = [[entry(i, j) for j in range(n)] for i in range(n)]
     det = SparsePoly.zero(n)
@@ -46,7 +52,11 @@ def alternant(n, entry):
         for i in range(n):
             term = term * table[i][perm[i]]
         det = det + term
-    return det
+    terms = det.terms
+    if det.param is None or not all(c.is_constant() for c in terms.values()):
+        return det
+    return SparsePoly(n, {k: c.constant_value() for k, c in terms.items()},
+                      det.has_t)
 
 
 def vandermonde(n):
@@ -58,6 +68,35 @@ def vandermonde(n):
         key[i] = delta[j]
         return _make(n, False, None, Fraction(1), {tuple(key): 1})
     return alternant(n, entry)
+
+
+def block_vandermonde(n, size):
+    """V(x_0, ..., x_(size-1)) * V(x_size, ..., x_(n-1)) in n variables:
+    the ``vandermonde`` of each block, its keys padded to n slots."""
+    head, tail = vandermonde(size).terms, vandermonde(n - size).terms
+    return SparsePoly(n, {a + b: c * d for a, c in head.items()
+                          for b, d in tail.items()})
+
+
+def block_strict_part(p, size):
+    """The terms of p whose x-part strictly decreases inside [0, size)
+    and inside [size, n), as {(x-part, t exponent): scalar}."""
+    n = p.n
+    return {(key[:n], key[n] if p.has_t else 0): c
+            for key, c in p.terms.items()
+            if _strict(key[:size]) and _strict(key[size:n])}
+
+
+def member_terms(member):
+    """A member (size, content, keys) that ``sympoly.family_image``
+    reads, in the form of ``block_strict_part``: content times the sum of
+    int * r^j over the keys (x-part, t, j, int) at each (x-part, t)."""
+    _, cont, keys = member
+    sums = {}
+    for x, t, j, a in keys:
+        v = a * RationalFunction.gen(cont.param) ** j if j else a
+        sums[x, t] = sums.get((x, t), 0) + v
+    return {k: cont * v for k, v in sums.items()}
 
 
 def divide_by_vandermonde(p):

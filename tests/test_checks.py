@@ -94,7 +94,7 @@ def test_commutativity_detects_broken_raising_operator(monkeypatch):
 def restored_operator_caches():
     """The operator caches, put back exactly as they were after the test,
     so entries a mutant fills do not outlive it."""
-    tables = (operators._PHI_CACHE, operators._DI_CACHE,
+    tables = (operators._FACTOR_CACHE, operators._MEMBER_CACHE,
               operators._IMAGE_CACHE)
     saved = [dict(table) for table in tables]
     yield
@@ -128,17 +128,17 @@ def test_checks_read_the_operator_coefficients_through_the_cache(
     n, dmax, r = 3, 2, Fraction(13, 4)
     assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "pass"
     assert checks.check_raising_stability(n, dmax, r=r)["status"] == "pass"
-    # 2 * phi_(0) still alternates inside its blocks, so only the checks
-    # can tell it from phi_(0)
-    real = operators._phi_family
+    # 2 * B_1 is still symmetric inside its blocks, so only the checks
+    # can tell it from B_1
+    real = operators._block_factor
     monkeypatch.setattr(
-        operators, "_phi_family",
+        operators, "_block_factor",
         lambda nn, rr, size: real(nn, rr, size) * (2 if size == 1 else 1))
     key = scalar_key(r)
-    del operators._PHI_CACHE[n, key, 1]
-    del operators._DI_CACHE[n, key]
-    for image in [k for k in operators._IMAGE_CACHE if k[:2] == (n, key)]:
-        del operators._IMAGE_CACHE[image]
+    del operators._FACTOR_CACHE[n, key, 1]
+    for table in (operators._MEMBER_CACHE, operators._IMAGE_CACHE):
+        for entry in [k for k in table if k[:2] == (n, key)]:
+            del table[entry]
     assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "fail"
     assert checks.check_raising_stability(n, dmax, r=r)["status"] == "fail"
 
@@ -187,43 +187,44 @@ def test_node_checks_read_the_coefficients(monkeypatch):
 
 
 def test_cutoff_reads_the_raising_families(monkeypatch):
-    from fractions import Fraction
+    real = operators._block_symmetric
+    fills = []
 
-    from shifted_symfun import operators
-    real = operators.cutoff_phi
-    calls = []
+    def counted(b, size):
+        """Runs once per cache fill of a factor B_size."""
+        fills.append(size)
+        return real(b, size)
 
-    def counted(rows, n, r):
-        calls.append(rows)
-        return real(rows, n, r)
-
-    monkeypatch.setattr(operators, "cutoff_phi", counted)
+    monkeypatch.setattr(operators, "_block_symmetric", counted)
     r = Fraction(7, 3)  # a shift no other test builds families at
     assert checks.check_raising_stability(3, 1, r=r)["status"] == "pass"
-    # one representative phi_(I0) per nonempty size, not one per I
-    assert sorted(calls) == [(0,), (0, 1), (0, 1, 2)]
-    built = len(calls)
+    # one factor B_size per nonempty size, not one per I
+    assert sorted(fills) == [1, 2, 3]
+    assert sorted(key[2] for key in operators._FACTOR_CACHE
+                  if key[:2] == (3, scalar_key(r))) == [1, 2, 3]
+    built = len(fills)
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
-    assert len(calls) == built
-    # on its own the check builds each representative once
+    assert len(fills) == built
+    # on its own the check builds each factor once
     r = Fraction(11, 4)
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
-    assert len(calls) == 2 * built
+    assert len(fills) == 2 * built
 
 
 def test_cutoff_reads_each_member_off_its_representative(monkeypatch):
-    # adding x_2 to phi_(0, 1) adds sgn(tau) * x_(tau(2)) to phi_I: 0 at
-    # the node (4, 2, 0) for I = (0, 1), -2 for I = (0, 2), tau = (0, 2, 1)
+    # adding x_2 to B_2 adds sgn(tau) * (y_0 - y_1) * y_2 to phi_I, with
+    # y = x_tau: 0 at the node (4, 2, 0) for I = (0, 1), and
+    # -(4 - 0) * 2 = -8 for I = (0, 2), tau = (0, 2, 1)
     from shifted_symfun.sympoly import SparsePoly
-    real = checks._phi_family
+    real = checks._block_factor
 
     def skewed(n, r, size):
-        phi = real(n, r, size)
-        return phi + SparsePoly.variable(n, 2) if size == 2 else phi
+        b = real(n, r, size)
+        return b + SparsePoly.variable(n, 2) if size == 2 else b
 
-    monkeypatch.setattr(checks, "_phi_family", skewed)
+    monkeypatch.setattr(checks, "_block_factor", skewed)
     report = checks.check_cutoff(3, 0, r="2")
     assert report["status"] == "fail"
     assert report["witness"] == {"mu": [0, 0, 0], "rows": [0, 2],
-                                 "value": "-2"}
+                                 "value": "-8"}

@@ -12,15 +12,15 @@ from shifted_symfun.interpolation import (ShiftVector, interpolation_basis,
 from shifted_symfun import operators
 from shifted_symfun.operators import (OperatorMatrix, apply_difference_family,
                                       apply_raising, apply_sekiguchi_debiard,
-                                      cutoff_phi, eigenvalue_poly,
-                                      inhomogeneous_lift)
+                                      eigenvalue_poly, inhomogeneous_lift)
 from shifted_symfun.partitions import (dominance_leq, enumerate_upto,
                                        staircase)
 from shifted_symfun.scalars import RationalFunction, TagMismatchError
 from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
 
-from reference_determinants import (apply_family, cutoff_determinant,
-                                    subset_determinant)
+from reference_determinants import (apply_family, block_strict_part,
+                                    block_vandermonde, cutoff_determinant,
+                                    member_terms, subset_determinant)
 
 R = RationalFunction.gen("r")
 
@@ -49,36 +49,76 @@ def orbit_member(rep, rows):
     return SparsePoly(n, terms, rep.has_t)
 
 
+def expanded_phi(n, r, size):
+    """phi_(I0), I0 = {0, ..., size - 1}, expanded in full from the
+    cached factor: V(x_I0) V(x_rest) B_size."""
+    return block_vandermonde(n, size) * operators._block_factor(n, r, size)
+
+
+def expanded_d(n, r, size):
+    """d_(I0) expanded in full from the cached factor:
+    (-1)^size * prod_{i not in I0} (x_i + t) * phi_(I0)."""
+    t = SparsePoly.t_var(n)
+    outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
+    return prod(outside, start=expanded_phi(n, r, size) * (-1) ** size)
+
+
 def test_subset_coefficient_factorization():
-    """The d_(I0) formed as (-1)^|I0| * prod_{i not in I0} (x_i + t) *
-    phi_(I0), one per size, give every d_I of the generating determinant
-    through the orbit identity."""
+    """The d_(I0) expanded from the cached factors B_size as
+    (-1)^|I0| * prod_{i not in I0} (x_i + t) * V(x_I0) V(x_rest) B_size,
+    one per size, give every d_I of the generating determinant through
+    the orbit identity."""
     for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
         for n in (1, 2, 3, 4):
-            family = operators._subset_family(n, r)
-            assert len(family) == n + 1
-            for size, rep in enumerate(family):
+            for size in range(n + 1):
+                rep = expanded_d(n, r, size)
                 for rows in combinations(range(n), size):
                     assert orbit_member(rep, rows) == \
                         subset_determinant(rows, n, r), (n, r, rows)
 
 
 def test_cutoff_phi_equals_its_determinant():
-    """The product of linear factors equals the cut-off determinant
-    expanded from its definition, for every I at n <= 5.  Contents may
-    differ while the polynomials agree, so the test compares with ==."""
+    """The cached factor B_size times its two block Vandermondes gives
+    the cut-off determinant expanded from its definition, for every I at
+    n <= 5 through the orbit identity.  Contents may differ while the
+    polynomials agree, so the test compares with ==."""
     for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
         for n in range(1, 6):
             for size in range(n + 1):
+                rep = expanded_phi(n, r, size)
                 for rows in combinations(range(n), size):
-                    assert cutoff_phi(rows, n, r) == \
+                    assert orbit_member(rep, rows) == \
                         cutoff_determinant(rows, n, r), (n, r, rows)
 
 
 def test_cutoff_phi_frozen_small():
-    # n = 1: phi_() = 1, phi_(0,) = x
-    assert cutoff_phi((), 1, R) == SparsePoly.const(1, Fraction(1))
-    assert cutoff_phi((0,), 1, R) == SparsePoly.variable(1, 0)
+    # n = 1: B_0 = 1, B_1 = x; n = 2: B_1 = x_0 (x_0 - x_1 - r)
+    assert operators._block_factor(1, R, 0) == SparsePoly.const(1, 1)
+    assert operators._block_factor(1, R, 1) == SparsePoly.variable(1, 0)
+    x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    assert operators._block_factor(2, R, 1) == x0 * (x0 - x1 - R)
+
+
+def test_members_are_the_block_strict_parts_of_the_determinants():
+    """Each member the image kernel reads, formed once from the factor
+    B_size, equals the block-strict part of its determinant expanded in
+    full: d_(I0) for the t-family, phi_(I0) for raising by k; compared
+    by == on scalars."""
+    for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
+        for n in range(1, 6):
+            family = operators._members(n, r, operators._T_FAMILY)
+            assert [m[0] for m in family] == list(range(n + 1))
+            for member in family:
+                size = member[0]
+                want = subset_determinant(tuple(range(size)), n, r)
+                assert member_terms(member) == \
+                    block_strict_part(want, size), (n, r, size)
+            for k in range(n + 1):
+                (member,) = operators._members(n, r, k)
+                want = cutoff_determinant(tuple(range(k)), n, r)
+                assert member[0] == k
+                assert member_terms(member) == \
+                    block_strict_part(want, k), (n, r, k)
 
 
 def test_cutoff_vanishing_where_strip_breaks():
@@ -92,7 +132,8 @@ def test_cutoff_vanishing_where_strip_breaks():
                     shifted[i] -= 1
                 ok = all(shifted[i] >= shifted[i + 1] for i in range(2)) \
                     and shifted[-1] >= 0
-                val = cutoff_phi(rows, 3, R).evaluate(pt)
+                val = orbit_member(expanded_phi(3, R, size),
+                                   rows).evaluate(pt)
                 if not ok:
                     assert val == 0
 
@@ -302,34 +343,38 @@ def test_difference_family_never_raises_degree():
 
 def test_families_are_cached_per_scalar_world():
     """Equal shifts from Q and Q(r) fill separate cache entries, and the
-    representatives of each world give every member of its family."""
+    factors and members of each world give every member of its family."""
     one_q, one_r = Fraction(1), RationalFunction.const("r", 1)
     assert one_q == one_r and hash(one_q) == hash(one_r)
+    t_family = operators._T_FAMILY
     for n in (1, 2, 3, 4):
-        worlds = []  # (phi_(I0) per size, d_(I0) per size) over Q, Q(r)
+        worlds = []  # (B_size per size, the t-family's members) over Q, Q(r)
         for one in (one_q, one_r):
-            subset = operators._subset_family(n, one)
-            assert isinstance(subset, tuple) and len(subset) == n + 1
-            assert operators._subset_family(n, one) is subset
-            phis = [operators._phi_family(n, one, size)
-                    for size in range(n + 1)]
-            assert all(operators._phi_family(n, one, size) is phi
-                       for size, phi in enumerate(phis))
-            worlds.append((phis, subset))
-        (phis_q, subset_q), (phis_r, subset_r) = worlds
-        assert subset_q is not subset_r
-        assert all(a is not b for a, b in zip(phis_q, phis_r))
-        for (phis, subset), world_r in zip(worlds, (False, True)):
-            # r enters through the factors x_i - x_j -+ r, so from n = 2 on
-            coeffs = [c for p in phis + list(subset) for c in p.terms.values()]
+            members = operators._members(n, one, t_family)
+            assert isinstance(members, tuple) and len(members) == n + 1
+            assert operators._members(n, one, t_family) is members
+            factors = [operators._block_factor(n, one, size)
+                       for size in range(n + 1)]
+            assert all(operators._block_factor(n, one, size) is b
+                       for size, b in enumerate(factors))
+            worlds.append((factors, members))
+        (factors_q, members_q), (factors_r, members_r) = worlds
+        assert members_q is not members_r
+        assert all(a is not b for a, b in zip(factors_q, factors_r))
+        for (factors, members), world_r in zip(worlds, (False, True)):
+            # r enters through the factors x_i - x_j - r, so from n = 2 on
+            coeffs = [c for b in factors for c in b.terms.values()]
+            coeffs += [cont for _, cont, _ in members]
             assert any(isinstance(c, RationalFunction) for c in coeffs) \
                 == (world_r and n > 1)
             for size in range(n + 1):
+                phi = block_vandermonde(n, size) * factors[size]
+                d = subset_determinant(tuple(range(size)), n, one_q)
+                assert member_terms(members[size]) == \
+                    block_strict_part(d, size), (n, size)
                 for rows in combinations(range(n), size):
-                    assert orbit_member(phis[size], rows) == \
+                    assert orbit_member(phi, rows) == \
                         cutoff_determinant(rows, n, one_q), (n, rows)
-                    assert orbit_member(subset[size], rows) == \
-                        subset_determinant(rows, n, one_q), (n, rows)
 
 
 # -- application by linearity -------------------------------------------------
@@ -383,13 +428,16 @@ def test_linearity_matches_the_kernel(case, r):
     Q and Q(r) inputs at rational and symbolic shifts, k = 0 to n."""
     f, k = case
     n = f.n
-    want = apply_family(f, enumerate(operators._subset_family(n, r)), True)
+    want = apply_family(f, [(size, subset_determinant(tuple(range(size)),
+                                                      n, r))
+                            for size in range(n + 1)], True)
     got = apply_difference_family(f, r)
     assert list(got) == sorted(got) == list(want)
     for p in want:
         same(got[p], want[p])
     same(apply_raising(f, k, r),
-         apply_family(f, [(k, operators._phi_family(n, r, k))], False))
+         apply_family(f, [(k, cutoff_determinant(tuple(range(k)), n, r))],
+                      False))
 
 
 def test_linearity_refuses_an_input_over_another_parameter():
@@ -397,7 +445,7 @@ def test_linearity_refuses_an_input_over_another_parameter():
     s = RationalFunction.gen("s")
     f = SymPoly(2, {(1, 0): s, (0, 0): Fraction(1, 2)})
     with pytest.raises(TagMismatchError):
-        apply_family(f, [(1, operators._phi_family(2, R, 1))], False)
+        apply_family(f, [(1, cutoff_determinant((0,), 2, R))], False)
     with pytest.raises(TagMismatchError):
         apply_raising(f, 1, R)
     with pytest.raises(TagMismatchError):

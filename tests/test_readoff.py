@@ -9,11 +9,13 @@ divides by the Vandermonde and collects the orbits
 phi_I expanded from the determinant that defines it, and the image
 kernel ``sympoly.family_image`` with the full product of each
 representative, antisymmetrized and read off by the reference
-``collect_alternating``.  They also pin the s -> m table to known
-Kostka rows and to the bialternant, check that a family representative
-which does not alternate inside its blocks is refused when its cache
-is filled, and check the sign rules that the
-read-off rests on against a cycle count.
+``collect_alternating``, and the block-strict keys the kernel reads off
+a block-symmetric factor with those of the product formed in full.
+They also pin the s -> m table to known Kostka rows and to the
+bialternant, check that a representative whose factor past its block
+Vandermondes is not symmetric inside its blocks is refused when its
+cache is filled, and check the sign rules that the read-off rests on
+against a cycle count.
 """
 
 from fractions import Fraction
@@ -35,9 +37,11 @@ from shifted_symfun.sympoly import (SparsePoly, SymPoly, _from_cleared, _sign,
                                     elementary, family_image, schur_expand)
 
 from reference_determinants import (_signed_permutations, apply_family,
-                                    bialternant_row, collect_alternating,
+                                    bialternant_row, block_strict_part,
+                                    block_vandermonde, collect_alternating,
                                     cutoff_determinant, divide_by_vandermonde,
-                                    subset_determinant, vandermonde)
+                                    member_terms, subset_determinant,
+                                    vandermonde)
 
 PROPS = settings(max_examples=25, deadline=None)
 R = RationalFunction.gen("r")
@@ -191,20 +195,63 @@ kernel_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
 @example((4, (2, 1, 0, 0), True, {0, 1, 2, 3, 4}), R)
 @example((2, (1, 1), False, {0, 1, 2}), Fraction(3, 2))
 def test_family_image_is_the_antisymmetrized_full_product(case, r):
-    """The kernel pairs only the block-decreasing keys of each
+    """The kernel pairs the cached block-decreasing keys of each
     representative with the packed shifted orbit, and sums the members
-    before the Schur rows; the reference forms each full product,
-    antisymmetrizes it and reads it off by ``collect_alternating``."""
+    before the Schur rows; the reference forms each full product with
+    the determinant, antisymmetrizes it and reads it off by
+    ``collect_alternating``."""
     n, mu, subset, sizes = case
+    sizes = sorted(sizes)
     if subset:
-        family = operators._subset_family(n, r)
-        members = [(k, family[k]) for k in sorted(sizes)]
+        family = operators._members(n, r, operators._T_FAMILY)
+        members = [family[k] for k in sizes]
+        determinant = subset_determinant
     else:
-        members = [(k, operators._phi_family(n, r, k)) for k in sorted(sizes)]
-    want = apply_family(SymPoly.basis(n, mu), members, subset)
+        members = [operators._members(n, r, k)[0] for k in sizes]
+        determinant = cutoff_determinant
+    full = [(k, determinant(tuple(range(k)), n, r)) for k in sizes]
+    want = apply_family(SymPoly.basis(n, mu), full, subset)
     if not subset:
         want = {0: want} if want else {}
     same_parts(image_parts(n, family_image(n, mu, members)), want)
+
+
+# (n, size, has t, the terms of a seed polynomial in x, then t), with
+# coefficients over Q or polynomials in r
+block_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.booleans(),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * (n + 1)),
+                    st.one_of(small_rationals,
+                              st.builds(lambda a, b: a * R + b,
+                                        small_rationals, small_rationals)),
+                    max_size=4)))
+
+
+@PROPS
+@given(block_cases)
+@example((3, 1, True, {(2, 1, 0, 1): R, (0, 0, 0, 0): Fraction(1, 2)}))
+@example((4, 2, False, {(1, 0, 2, 1, 0): 3, (2, 2, 1, 1, 0): 2 * R - 1}))
+def test_block_sort_is_the_block_strict_part_of_the_full_product(case):
+    """For b symmetrized inside [0, size) and [size, n), the member
+    ``_block_strict`` forms (each key of b plus the block staircase,
+    sorted with its sign inside each block) against the block-strict
+    part of V(x_I0) V(x_rest) b expanded with the reference
+    ``vandermonde``."""
+    n, size, has_t, terms = case
+    width = n + 1 if has_t else n
+    seed = {k[:width]: c for k, c in terms.items()}
+    sym = {}
+    for head in permutations(range(size)):
+        for tail in permutations(range(size, n)):
+            perm = head + tail
+            for k, c in seed.items():
+                moved = tuple(k[i] for i in perm) + k[n:]
+                sym[moved] = sym.get(moved, 0) + c
+    b = SparsePoly(n, sym, has_t)
+    member = sympoly._block_strict(size, b)
+    assert member[0] == size
+    assert member_terms(member) == \
+        block_strict_part(block_vandermonde(n, size) * b, size)
 
 
 def test_family_image_packs_exponents_beyond_eight_bits():
@@ -212,8 +259,8 @@ def test_family_image_packs_exponents_beyond_eight_bits():
     # carry into the next one
     f = SymPoly.basis(2, (260, 0))
     half = Fraction(1, 2)
-    members = [(1, operators._phi_family(2, half, 1))]
-    want = apply_family(f, members, False)
+    want = apply_family(f, [(1, cutoff_determinant((0,), 2, half))], False)
+    members = operators._members(2, half, 1)
     same_parts(image_parts(2, family_image(2, (260, 0), members)), {0: want})
     assert apply_raising(f, 1, half) == want
     assert want.top_component() == elementary(1, 2) * f
@@ -246,44 +293,50 @@ def test_schur_table_matches_kostka_rows():
     assert all(type(k) is int for _, k in schur_expand(3, (3, 1)))
 
 
-def flip_one_term(p):
-    """p with the sign of its first term flipped."""
+def flip_moved_term(p, size):
+    """p with the sign of its first term flipped whose key some
+    permutation inside [0, size) or [size, n) moves; p as it is when
+    there is none."""
+    n = p.n
     terms = dict(p.terms)
-    key = next(iter(terms))
-    terms[key] = -terms[key]
-    return SparsePoly(p.n, terms, p.has_t)
+    key = next((k for k in terms if len(set(k[:size])) > 1
+                or len(set(k[size:n])) > 1), None)
+    if key is not None:
+        terms[key] = -terms[key]
+    return SparsePoly(n, terms, p.has_t)
 
 
 def test_skewed_phi_representative_is_refused_when_the_cache_fills(
         monkeypatch):
-    real = operators.cutoff_phi
+    # B_1 at n = 3 is a product of linear factors; flip a term of it
+    real = operators.prod
+    monkeypatch.setattr(operators, "prod",
+                        lambda *a, **kw: flip_moved_term(real(*a, **kw), 1))
     r = Fraction(1, 2)
-    monkeypatch.setattr(operators, "cutoff_phi",
-                        lambda rows, n, rr: flip_one_term(real(rows, n, rr)))
     key = (3, scalar_key(r), 1)
-    monkeypatch.delitem(operators._PHI_CACHE, key, raising=False)
+    monkeypatch.delitem(operators._FACTOR_CACHE, key, raising=False)
     # I0 = {0}: the blocks are {0} and {1, 2}, so only s_1 is checked
     with pytest.raises(ArithmeticError, match=r"c_\(0,\) .* s_1 "):
-        operators._phi_family(3, r, 1)
-    assert key not in operators._PHI_CACHE
+        operators._block_factor(3, r, 1)
+    assert key not in operators._FACTOR_CACHE
 
 
 def test_skewed_subset_representative_is_refused_when_the_cache_fills(
         monkeypatch):
-    # the phi_(I0) pass their own check; the d_(I0) formed from them must
-    # pass the d family's check too
-    real = operators._phi_family
+    # the factors B_size pass their own check; the d_(I0) members formed
+    # from them must pass the same check
+    real = operators._block_factor
     r = Fraction(1, 2)
 
     def skewed(n, rr, size):
-        phi = real(n, rr, size)
-        return flip_one_term(phi) if size == 2 else phi
-    monkeypatch.setattr(operators, "_phi_family", skewed)
-    key = (3, scalar_key(r))
-    monkeypatch.delitem(operators._DI_CACHE, key, raising=False)
+        b = real(n, rr, size)
+        return flip_moved_term(b, size) if size == 2 else b
+    monkeypatch.setattr(operators, "_block_factor", skewed)
+    key = (3, scalar_key(r), operators._T_FAMILY)
+    monkeypatch.delitem(operators._MEMBER_CACHE, key, raising=False)
     with pytest.raises(ArithmeticError, match=r"c_\(0, 1\) .* s_0 "):
-        operators._subset_family(3, r)
-    assert key not in operators._DI_CACHE
+        operators._members(3, r, operators._T_FAMILY)
+    assert key not in operators._MEMBER_CACHE
 
 
 def cycle_sign(perm):
