@@ -8,7 +8,10 @@ exhaustive or seeded-random range and returns a small report dict:
 
 The first counterexample, if any, is serialized into the witness.  The
 CLI exposes these by name; the acceptance tests drive the same functions
-at their full documented ranges.
+at their full documented ranges.  A check that takes the shift runs at
+the symbolic staircase when r is None, which its report labels as
+symbolic, and otherwise at a rational r: a Fraction, an int or a "p/q"
+string.
 """
 
 import random
@@ -28,24 +31,14 @@ from .operators import (_block_factor, apply_difference_family,
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product)
-from .scalars import RationalFunction, substitute
+from .scalars import substitute
 from .sympoly import SymPoly, _sign, elementary
 
 DEFAULT_SEED = 20260814
 
 
-def _r_value(r):
-    """The shift parameter: the generator of Q(r), or a rational value."""
-    symbolic = r == "symbolic" or r is None
-    return RationalFunction.gen("r") if symbolic else Fraction(r)
-
-
-def _rho(n, r):
-    return ShiftVector.staircase_multiple(n, _r_value(r))
-
-
 def _r_label(r):
-    return "symbolic" if (r == "symbolic" or r is None) else str(Fraction(r))
+    return "symbolic" if r is None else str(Fraction(r))
 
 
 def _report(name, params, witness=None):
@@ -67,10 +60,10 @@ def _w(**kw):
     return out
 
 
-def check_vanishing(n, dmax, r="symbolic"):
+def check_vanishing(n, dmax, r=None):
     """Vanishing at foreign nodes plus the hook-product normalization."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     for d in range(dmax + 1):
         nodes = enumerate_upto(n, d)
         for lam, P in interpolation_basis(n, d, rho).items():
@@ -87,10 +80,10 @@ def check_vanishing(n, dmax, r="symbolic"):
     return _report("vanishing", params)
 
 
-def check_unitriangular(n, dmax, r="symbolic"):
+def check_unitriangular(n, dmax, r=None):
     """Unit m_lam coefficient; every other term strictly below in dominance."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     for d in range(dmax + 1):
         for lam, P in interpolation_basis(n, d, rho).items():
             if P.coefficient(lam) != 1:
@@ -117,7 +110,7 @@ def _random_dominant_entries(rng, n):
     return tuple(entries)
 
 
-def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
+def check_special_forms(n, dmax):
     """The four closed forms against the direct solve.
 
     (a) zero shift: factorial monomials; (b) unit staircase: factorial
@@ -125,18 +118,18 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
     strip at a time (no determinant is expanded); (c) one-column forms,
     symbolic and at random shift vectors; (d) the one-row chain sum.
     """
+    trials, seed = 6, DEFAULT_SEED
     params = {"n": n, "dmax": dmax, "trials": trials, "seed": seed}
-    rho0 = _rho(n, 0)
-    rho1 = _rho(n, 1)
+    rho0 = ShiftVector.staircase_multiple(n, 0)
+    rho1 = ShiftVector.staircase_multiple(n, 1)
     for d in range(dmax + 1):
         for lam in enumerate_exact(n, d):
             if factorial_monomial_sym(lam, n) != interpolation_polynomial(lam, rho0):
                 return _report("special-forms", params, _w(part="r=0", lam=lam))
             if factorial_schur(lam, n) != interpolation_polynomial(lam, rho1):
                 return _report("special-forms", params, _w(part="r=1", lam=lam))
-    rho_sym = _rho(n, "symbolic")
     rng = random.Random(seed)
-    shift_vectors = [rho_sym]
+    shift_vectors = [ShiftVector.staircase_multiple(n)]
     for _ in range(trials):
         shift_vectors.append(ShiftVector.generic(_random_dominant_entries(rng, n)))
     for _ in range(max(3, trials // 2)):
@@ -153,8 +146,8 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
                     return _report("special-forms", params, _w(
                         part="one-column-vs-solve", k=k,
                         rho=[str(e) for e in rho.entries]))
-    for r in ("symbolic", Fraction(5, 3)):
-        rho = _rho(n, r)
+    for r in (None, Fraction(5, 3)):
+        rho = ShiftVector.staircase_multiple(n, r)
         for d in range(1, dmax + 1):
             lam = (d,) + (0,) * (n - 1)
             if single_row(d, rho.r, n) != interpolation_polynomial(lam, rho):
@@ -163,8 +156,9 @@ def check_special_forms(n, dmax, trials=6, seed=DEFAULT_SEED):
     return _report("special-forms", params)
 
 
-def check_uniqueness(n, dmax, trials=5, seed=DEFAULT_SEED):
+def check_uniqueness(n, dmax):
     """Direct solve vs the recursive construction on random data."""
+    trials, seed = 5, DEFAULT_SEED
     params = {"n": n, "dmax": dmax, "trials": trials, "seed": seed}
     rng = random.Random(seed)
     for nn in range(1, n + 1):
@@ -187,10 +181,10 @@ def check_uniqueness(n, dmax, trials=5, seed=DEFAULT_SEED):
     return _report("uniqueness", params)
 
 
-def check_eigenvalue(n, dmax, r="symbolic"):
+def check_eigenvalue(n, dmax, r=None):
     """The generating family acts diagonally with the product eigenvalue."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     for d in range(dmax + 1):
         for lam, P in interpolation_basis(n, d, rho).items():
             family = apply_difference_family(P, rho.r)
@@ -204,7 +198,7 @@ def check_eigenvalue(n, dmax, r="symbolic"):
     return _report("eigenvalue", params)
 
 
-def check_commutativity(n, dmax, r="symbolic"):
+def check_commutativity(n, dmax, r=None):
     """All pairs commute, in both operator families, on degree <= dmax.
 
     For every pair i < j and every m_mu with |mu| <= dmax, op_i(op_j m_mu)
@@ -215,7 +209,7 @@ def check_commutativity(n, dmax, r="symbolic"):
     every D_i(D_j m_mu).  The witness is the first failing pair.
     """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rr = _r_value(r)
+    rr = ShiftVector.staircase_multiple(n, r).r
     basis = [SymPoly.basis(n, mu) for mu in enumerate_upto(n, dmax)]
     ks = range(1, n + 1)
     pairs = list(combinations(ks, 2))
@@ -240,7 +234,7 @@ def check_commutativity(n, dmax, r="symbolic"):
     return _report("commutativity", params)
 
 
-def check_cutoff(n, dmax, r="symbolic"):
+def check_cutoff(n, dmax, r=None):
     """Cut-off determinants vanish where the shifted index set breaks.
 
     phi_I(x) = sgn(tau) phi_(I0)(x_tau), tau listing I then the rest, and
@@ -248,7 +242,7 @@ def check_cutoff(n, dmax, r="symbolic"):
     empty I is left out, as mu - eps_I = mu never breaks.
     """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
         for size in range(1, n + 1):
@@ -267,10 +261,10 @@ def check_cutoff(n, dmax, r="symbolic"):
     return _report("cutoff", params)
 
 
-def check_raising_stability(n, dmax, r="symbolic"):
+def check_raising_stability(n, dmax, r=None):
     """Raising by k lands in degree d + k with top component e_k times the input."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rr = _r_value(r)
+    rr = ShiftVector.staircase_multiple(n, r).r
     for mu in enumerate_upto(n, dmax):
         f = SymPoly.basis(n, mu)
         for k in range(1, n + 1):
@@ -284,11 +278,12 @@ def check_raising_stability(n, dmax, r="symbolic"):
     return _report("raising-stability", params)
 
 
-def check_degree_bound(n, dmax, r="symbolic", trials=6, seed=DEFAULT_SEED):
+def check_degree_bound(n, dmax, r=None):
     """The difference family never raises degree, on random inputs."""
+    trials, seed = 6, DEFAULT_SEED
     params = {"n": n, "dmax": dmax, "r": _r_label(r),
               "trials": trials, "seed": seed}
-    rr = _r_value(r)
+    rr = ShiftVector.staircase_multiple(n, r).r
     rng = random.Random(seed)
     pool = enumerate_upto(n, dmax)
     for _ in range(trials):
@@ -306,10 +301,10 @@ def check_degree_bound(n, dmax, r="symbolic", trials=6, seed=DEFAULT_SEED):
     return _report("degree-bound", params)
 
 
-def check_extra_vanishing(n, dmax, r="symbolic"):
+def check_extra_vanishing(n, dmax, r=None):
     """Vanishing at every node whose partition does not contain lam."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     nodes = enumerate_upto(n, dmax)
     for lam in nodes:
         P = interpolation_polynomial(lam, rho)
@@ -323,18 +318,17 @@ def check_extra_vanishing(n, dmax, r="symbolic"):
     return _report("extra-vanishing", params)
 
 
-def check_ideal_stability(n, dmax, r="symbolic", generator=None):
+def check_ideal_stability(n, dmax, r=None):
     """The span attached to an up-closed partition set behaves like its ideal.
 
     Members vanish at every node outside the set; the diagonal values are
     nonzero, so the members are independent and the vanishing conditions
     cut out exactly their span in each degree.
     """
-    if generator is None:
-        generator = (1,) * min(2, n)
+    generator = (1,) * min(2, n)
     params = {"n": n, "dmax": dmax, "r": _r_label(r),
               "generator": list(generator)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     nodes = enumerate_upto(n, dmax)
     members = [lam for lam in nodes if contains(generator, lam)]
     outside = [mu for mu in nodes if not contains(generator, mu)]
@@ -375,7 +369,7 @@ def check_jack_agreement(n, dmax):
 def check_lift(n, dmax):
     """Substituting raising operators into the e-expansion recovers the family."""
     params = {"n": n, "dmax": dmax}
-    rho = _rho(n, "symbolic")
+    rho = ShiftVector.staircase_multiple(n)
     for lam in enumerate_upto(n, dmax):
         jack_r = jack_P_eigen(lam, n, alpha=1 / rho.r)
         lifted = inhomogeneous_lift(jack_r, rho.r)
@@ -402,10 +396,10 @@ def check_pieri(n, dmax):
     return _report("pieri", params)
 
 
-def check_reduction(n, dmax, r="symbolic"):
+def check_reduction(n, dmax, r=None):
     """Full-column split: P_lam against its first-column reduction."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
-    rho = _rho(n, r)
+    rho = ShiftVector.staircase_multiple(n, r)
     for d in range(n, dmax + 1):
         for lam in enumerate_exact(n, d):
             if lam[-1] < 1:
@@ -442,7 +436,7 @@ def run_check(name, n, dmax, r=None):
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
     if takes_r:
-        return fn(n, dmax, r=r if r is not None else "symbolic")
-    if r not in (None, "symbolic"):
+        return fn(n, dmax, r=r)
+    if r is not None:
         raise ValueError(f"check {name!r} does not take a rational r")
     return fn(n, dmax)

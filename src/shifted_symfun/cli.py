@@ -20,12 +20,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .checks import CHECKS, _rho, run_check
-from .interpolation import (NonDominantError, column_forms, factorial_schur,
-                            interpolation_basis, interpolation_polynomial,
-                            single_row)
-from .jack import (conjecture_expand, jack_J, jack_P, shifted_jack_J,
-                   staircase_shift)
+from .checks import CHECKS, _r_label, run_check
+from .interpolation import (NonDominantError, ShiftVector, column_forms,
+                            factorial_schur, interpolation_basis,
+                            interpolation_polynomial, single_row)
+from .jack import conjecture_expand, jack_J, jack_P, shifted_jack_J
 from .partitions import enumerate_exact, is_partition
 from .scalars import PoleError, RationalFunction, substitute
 
@@ -161,26 +160,21 @@ def _parse_r(text):
         raise ConfigError(f"cannot parse rational {text!r}; use p/q") from None
 
 
-def _require_dominant(n, r):
-    rho = _rho(n, r)
-    if not rho.is_dominant():
-        p, q = rho.offending_ratio()
-        raise ConfigError(
-            f"r = {r} is not dominant for n = {n}: "
-            f"r = -{p}/{q} with 1 <= {q} <= n - 1, so interpolation "
-            "nodes collide; refusing to run")
-    return rho
-
-
 def _resolve_parameter(args):
-    """Return ('symbolic', None) or ('rational', Fraction)."""
+    """The shift: None for the symbolic one, else a dominant Fraction."""
     if args.symbolic and args.r is not None:
         raise ConfigError("--symbolic and --r are mutually exclusive")
     if args.r is None:
-        return "symbolic", None
+        return None
     r = _parse_r(args.r)
-    _require_dominant(args.n, r)
-    return "rational", r
+    rho = ShiftVector.staircase_multiple(args.n, r)
+    if not rho.is_dominant():
+        p, q = rho.offending_ratio()
+        raise ConfigError(
+            f"r = {r} is not dominant for n = {args.n}: "
+            f"r = -{p}/{q} with 1 <= {q} <= n - 1, so interpolation "
+            "nodes collide; refusing to run")
+    return r
 
 
 def _check_bounds(args, need_dmax=False):
@@ -258,28 +252,28 @@ def cmd_compute(args):
     if args.lam is None:
         raise ConfigError("compute needs --lambda")
     lam = _compute_partition(args)
-    mode, r = _resolve_parameter(args)
+    r = _resolve_parameter(args)
     what = args.what
     param = None
 
     if what in JACK_SIDE:
-        if mode == "rational" and r == 0:
+        if r is not None and r == 0:
             raise ConfigError("jack-side commands need r != 0 "
                               "(the parameter bridge is alpha = 1/r)")
         sym = {"jackP": jack_P, "jackJ": jack_J,
                "shiftedJ": shifted_jack_J}[what](lam, n)
-        if mode == "rational":
+        if r is not None:
             sym = _substitute_alpha(sym, 1 / r)
         else:
             param = "alpha"
     elif what == "factorial-schur":
-        if mode == "rational" and r != 1:
+        if r is not None and r != 1:
             raise ConfigError("factorial-schur is the r = 1 special form; "
                               "drop --r or pass --r 1")
         sym = factorial_schur(lam, n)
     else:
-        rho = _rho(n, r)
-        param = "r" if mode == "symbolic" else None
+        rho = ShiftVector.staircase_multiple(n, r)
+        param = "r" if r is None else None
         if what == "P":
             sym = interpolation_polynomial(lam, rho)
         elif what == "P1k":
@@ -306,7 +300,7 @@ def cmd_compute(args):
     if args.output == "json":
         doc = {"schema": 1, "command": "compute", "what": what,
                "n": n, "lambda": list(lam),
-               "r": "symbolic" if mode == "symbolic" else str(r),
+               "r": _r_label(r),
                "param": param, "result": poly_json(sym)}
         print(json.dumps(doc))
     else:
@@ -338,14 +332,13 @@ def cmd_verify(args):
                           f"available: {', '.join(CHECKS)}")
     if "all" in names:
         names = list(CHECKS)
-    mode, r = _resolve_parameter(args)
-    r_arg = "symbolic" if mode == "symbolic" else r
+    r = _resolve_parameter(args)
     for name in names:
-        if not CHECKS[name][1] and mode == "rational":
+        if not CHECKS[name][1] and r is not None:
             raise ConfigError(f"check {name!r} has its own parameter "
                               "handling and does not take --r")
     workers = _resolve_workers(args.workers)
-    tasks = [(name, args.n, args.dmax, r_arg) for name in names]
+    tasks = [(name, args.n, args.dmax, r) for name in names]
     reports = _run_tasks(_verify_one, tasks, workers)
     failed = [rep for rep in reports if rep["status"] != "pass"]
     if args.output == "json":
@@ -382,7 +375,8 @@ def cmd_scan(args):
              for lam in enumerate_exact(args.n, d)]
     # every basis is solved here, once: forked workers inherit the cache
     # and only grade
-    interpolation_basis(args.n, args.dmax, staircase_shift(args.n))
+    interpolation_basis(args.n, args.dmax,
+                        ShiftVector.staircase_multiple(args.n))
     reports = _run_tasks(_scan_one, tasks, workers)
     npass = sum(1 for rep in reports if rep["verdict"] == "pass")
     nfail = len(reports) - npass

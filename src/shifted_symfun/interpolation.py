@@ -54,8 +54,17 @@ class ShiftVector:
         self.r = r
 
     @classmethod
-    def staircase_multiple(cls, n, r):
-        r = _lift(r)
+    def staircase_multiple(cls, n, r=None):
+        """The staircase shift r*(n-1, ..., 1, 0); r=None is symbolic.
+
+        With r=None, r is the generator of Q(r), so every symbolic
+        staircase has one ``key()`` and shares the basis cache.  A rational
+        r may be a Fraction, an int or a string such as "1/2".
+        """
+        if r is None:
+            r = RationalFunction.gen("r")
+        elif not isinstance(r, RationalFunction):
+            r = Fraction(r)
         return cls([r * d for d in staircase(n)], r=r)
 
     @classmethod

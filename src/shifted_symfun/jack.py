@@ -33,15 +33,6 @@ def alpha_gen():
     return RationalFunction.gen(ALPHA)
 
 
-def _r_gen():
-    return RationalFunction.gen("r")
-
-
-def staircase_shift(n):
-    """The symbolic staircase shift r*(n-1, ..., 1, 0) of the Jack side."""
-    return ShiftVector.staircase_multiple(n, _r_gen())
-
-
 _EIGEN_CACHE = {}
 
 
@@ -54,7 +45,8 @@ def jack_P(lam, n):
     normalization.
     """
     lam = as_partition(lam, n)
-    top = interpolation_polynomial(lam, staircase_shift(n)).top_component()
+    rho = ShiftVector.staircase_multiple(n)
+    top = interpolation_polynomial(lam, rho).top_component()
     return top.map_coeffs(lambda c: invert_parameter(c, ALPHA))
 
 
@@ -118,8 +110,9 @@ def shifted_jack_J(lam, n):
     r = 1/alpha.  Its top component is jack_J again.
     """
     lam = as_partition(lam, n)
-    P = interpolation_polynomial(lam, staircase_shift(n))
-    c = hook_product_lower(lam, 1 / _r_gen())
+    rho = ShiftVector.staircase_multiple(n)
+    P = interpolation_polynomial(lam, rho)
+    c = hook_product_lower(lam, 1 / rho.r)
     sign = Fraction(-1) ** sum(lam)
     J = P.negate_variables() * (c * sign)
     return J.map_coeffs(lambda v: invert_parameter(v, ALPHA))
@@ -217,7 +210,7 @@ def jack_P_at(lam, n, alpha_value):
 
 
 __all__ = [
-    "ALPHA", "alpha_gen", "staircase_shift", "jack_P", "jack_P_eigen",
+    "ALPHA", "alpha_gen", "jack_P", "jack_P_eigen",
     "jack_J", "shifted_jack_J", "ConjectureRow", "ConjectureReport",
     "conjecture_expand", "pieri_verify", "jack_P_at",
 ]

@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from fractions import Fraction
 
@@ -37,8 +38,54 @@ def test_unknown_check():
 
 
 def test_alpha_checks_refuse_rational_r():
+    # "symbolic" is refused too: the symbolic shift is r=None
+    alpha_checks = [name for name, (_, takes_r) in checks.CHECKS.items()
+                    if not takes_r]
+    for name in alpha_checks:
+        for r in ("1/2", "symbolic"):
+            with pytest.raises(ValueError):
+                checks.run_check(name, 2, 2, r=r)
+
+
+SHIFT_CHECKS = [name for name, (_, takes_r) in checks.CHECKS.items()
+                if takes_r]
+
+
+@pytest.mark.parametrize("name", SHIFT_CHECKS)
+def test_r_none_is_the_symbolic_shift(name):
+    report = checks.run_check(name, 2, 2)
+    assert report == checks.run_check(name, 2, 2, r=None)
+    assert report["params"]["r"] == "symbolic"
+    # "symbolic" is an output label, not a value of r
     with pytest.raises(ValueError):
-        checks.run_check("pieri", 2, 2, r="1/2")
+        checks.run_check(name, 2, 2, r="symbolic")
+
+
+def test_checks_take_only_their_range_and_shift():
+    for name, (fn, takes_r) in checks.CHECKS.items():
+        want = ["n", "dmax", "r"] if takes_r else ["n", "dmax"]
+        assert list(inspect.signature(fn).parameters) == want, name
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: checks.check_special_forms(2, 2),
+     {"n": 2, "dmax": 2, "trials": 6, "seed": 20260814}),
+    (lambda: checks.check_uniqueness(2, 2),
+     {"n": 2, "dmax": 2, "trials": 5, "seed": 20260814}),
+    (lambda: checks.check_degree_bound(2, 2),
+     {"n": 2, "dmax": 2, "r": "symbolic", "trials": 6, "seed": 20260814}),
+    (lambda: checks.check_degree_bound(3, 2, Fraction(1, 2)),
+     {"n": 3, "dmax": 2, "r": "1/2", "trials": 6, "seed": 20260814}),
+    (lambda: checks.check_ideal_stability(2, 2),
+     {"n": 2, "dmax": 2, "r": "symbolic", "generator": [1, 1]}),
+    (lambda: checks.check_ideal_stability(1, 2, "2"),
+     {"n": 1, "dmax": 2, "r": "2", "generator": [1]}),
+], ids=["special-forms", "uniqueness", "degree-bound", "degree-bound-1/2",
+        "ideal-stability", "ideal-stability-n1"])
+def test_fixed_sampling_is_reported_in_params(call, want):
+    report = call()
+    assert report["status"] == "pass"
+    assert list(report["params"].items()) == list(want.items())
 
 
 def test_failure_produces_witness(monkeypatch):
@@ -84,7 +131,7 @@ def test_commutativity_detects_broken_raising_operator(monkeypatch):
         return img
 
     monkeypatch.setattr(checks, "apply_raising", skewed)
-    for n, dmax, r in ((2, 2, "symbolic"), (3, 3, Fraction(3, 2))):
+    for n, dmax, r in ((2, 2, None), (3, 3, Fraction(3, 2))):
         report = checks.check_commutativity(n, dmax, r=r)
         assert report["status"] == "fail"
         assert report["witness"] == {"family": "raising", "i": 1, "j": 2}

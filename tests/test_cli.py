@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shifted_symfun import cli
+from shifted_symfun import checks, cli
 from shifted_symfun import jack as jack_module
+from shifted_symfun.interpolation import ShiftVector
 from shifted_symfun.partitions import enumerate_upto
 from shifted_symfun.scalars import RationalFunction
 
@@ -225,7 +226,7 @@ def test_verify_alpha_check_rejects_r(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    def broken(n, dmax, r="symbolic"):
+    def broken(n, dmax, r=None):
         return {"schema": 1, "check": "vanishing", "params": {"n": n},
                 "status": "fail", "witness": {"kind": "synthetic"}}
 
@@ -276,7 +277,7 @@ def test_scan_worker_determinism(capsys):
 
 def test_scan_solves_every_basis_before_the_pool(capsys, monkeypatch):
     from shifted_symfun import interpolation
-    rho = jack_module.staircase_shift(3)
+    rho = ShiftVector.staircase_multiple(3)
     seen = []
     real = cli._run_tasks
 
@@ -295,6 +296,26 @@ def test_scan_solves_every_basis_before_the_pool(capsys, monkeypatch):
     finally:
         cache.update(saved)
     assert code == 0 and seen == [0, 1, 2, 3, 4]
+
+
+def test_symbolic_checks_reuse_the_bases_scan_solved(capsys):
+    # scan's pre-solve, jack_P and the symbolic checks build the symbolic
+    # staircase separately; all of them must land on one entry per degree
+    from shifted_symfun import interpolation
+    cache = interpolation._BASIS_CACHE
+    saved = dict(cache)
+    cache.clear()
+    try:
+        code, _, _ = run(capsys, ["scan", "--n", "3", "--dmax", "4",
+                                  "--workers", "1", "--output", "json"])
+        solved = set(cache)
+        assert checks.check_vanishing(3, 4)["status"] == "pass"
+        jack_module.jack_P((2, 1, 1), 3)
+        assert set(cache) == solved
+    finally:
+        cache.clear()
+        cache.update(saved)
+    assert code == 0 and len(solved) == 5
 
 
 class FakePool:

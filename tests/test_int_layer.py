@@ -401,7 +401,7 @@ def test_newton_basis_equals_the_independent_solve(shift):
     # interpolate is the one-solve route with the monomials as unknowns and
     # uncached rows: it shares no reduction step with the Newton basis
     for n in range(1, 4):
-        rho = {"symbolic": lambda: ShiftVector.staircase_multiple(n, R),
+        rho = {"symbolic": lambda: ShiftVector.staircase_multiple(n),
                "r=1/2": lambda: ShiftVector.staircase_multiple(
                    n, Fraction(1, 2)),
                "generic": lambda: generic_dominant_shift(n, 1000 + n)}[shift]()

@@ -282,6 +282,21 @@ def test_staircase_convention():
         tuple(Fraction(2) * k for k in staircase(3))
 
 
+def test_staircase_multiple_is_the_one_staircase_builder():
+    for n in range(1, 5):
+        sym = ShiftVector.staircase_multiple(n)
+        gen = ShiftVector.generic([R * k for k in staircase(n)])
+        assert sym == gen and sym.key() == gen.key() and sym.r == R
+        assert sym.key() == ShiftVector.staircase_multiple(n, R).key()
+        for r in ("1/2", "2", 2, Fraction(-3, 4)):
+            rho = ShiftVector.staircase_multiple(n, r)
+            want = ShiftVector.generic([Fraction(r) * k for k in staircase(n)])
+            assert rho == want and rho.key() == want.key()
+            assert type(rho.r) is Fraction and rho.r == Fraction(r)
+    with pytest.raises(ValueError):
+        ShiftVector.staircase_multiple(2, "symbolic")
+
+
 def test_cached_polynomial_cannot_be_mutated():
     from shifted_symfun.checks import run_check
     rho = ShiftVector.staircase_multiple(2, Fraction(1, 2))
