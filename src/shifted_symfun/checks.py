@@ -64,11 +64,12 @@ def check_vanishing(n, dmax, r=None):
     """Vanishing at foreign nodes plus the hook-product normalization."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = ShiftVector.staircase_multiple(n, r)
+    points = {mu: rho.point(mu) for mu in enumerate_upto(n, dmax)}
     for d in range(dmax + 1):
         nodes = enumerate_upto(n, d)
         for lam, P in interpolation_basis(n, d, rho).items():
             for mu in nodes:
-                val = P.evaluate(rho.point(mu))
+                val = P.evaluate(points[mu])
                 if mu == lam:
                     want = rho_hook_product(lam, rho.entries)
                     if val != want:
@@ -305,13 +306,13 @@ def check_extra_vanishing(n, dmax, r=None):
     """Vanishing at every node whose partition does not contain lam."""
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = ShiftVector.staircase_multiple(n, r)
-    nodes = enumerate_upto(n, dmax)
-    for lam in nodes:
+    points = {mu: rho.point(mu) for mu in enumerate_upto(n, dmax)}
+    for lam in points:
         P = interpolation_polynomial(lam, rho)
-        for mu in nodes:
+        for mu, point in points.items():
             if contains(lam, mu):
                 continue
-            val = P.evaluate(rho.point(mu))
+            val = P.evaluate(point)
             if val:
                 return _report("extra-vanishing", params, _w(
                     lam=lam, mu=mu, value=val))
@@ -331,14 +332,15 @@ def check_ideal_stability(n, dmax, r=None):
     rho = ShiftVector.staircase_multiple(n, r)
     nodes = enumerate_upto(n, dmax)
     members = [lam for lam in nodes if contains(generator, lam)]
-    outside = [mu for mu in nodes if not contains(generator, mu)]
+    outside = {mu: rho.point(mu) for mu in nodes
+               if not contains(generator, mu)}
     for lam in members:
         P = interpolation_polynomial(lam, rho)
         if not rho_hook_product(lam, rho.entries):
             return _report("ideal-stability", params, _w(
                 kind="degenerate-node", lam=lam))
-        for mu in outside:
-            if P.evaluate(rho.point(mu)):
+        for mu, point in outside.items():
+            if P.evaluate(point):
                 return _report("ideal-stability", params, _w(
                     lam=lam, mu=mu))
     return _report("ideal-stability", params)

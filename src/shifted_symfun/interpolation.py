@@ -3,12 +3,13 @@
 The basic object is the family P_lam attached to a shift vector rho: the
 unique symmetric polynomial of degree <= |lam| that vanishes at mu + rho
 for every partition mu != lam with |mu| <= |lam| and takes the shifted
-hook product as its value at lam + rho.  Equivalently (and the solver
-checks this on every run) its m_lam coefficient is 1.
+hook product as its value at lam + rho.  It is m_lam plus terms strictly
+below lam in dominance, so Newton steps against the P_kappa below lam
+build it, and the solver reads it at every other node on each run.
 
-Everything is exact.  Symbolic shifts produce coefficients in Q(r); the
-linear systems are solved fraction-free and only leave the polynomial
-ring during back-substitution.
+Everything is exact.  Symbolic shifts produce coefficients in Q(r);
+``interpolate`` solves its linear system fraction-free and only leaves
+the polynomial ring during back-substitution.
 """
 
 from fractions import Fraction
@@ -16,11 +17,12 @@ from itertools import combinations, combinations_with_replacement
 from math import prod
 from types import MappingProxyType
 
-from .partitions import (as_partition, enumerate_exact, enumerate_upto,
-                         horizontal_strips, rho_hook_product, staircase)
+from .partitions import (as_partition, dominance_less, enumerate_exact,
+                         enumerate_upto, horizontal_strips, rho_hook_product,
+                         staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       clear_denominators, memoized, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, _combine, _common, _from_cleared,
+from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
                       _point_row, _Row, collect_symmetric, complete_eval,
                       elementary, factorial_monomial, falling_power)
 
@@ -210,12 +212,12 @@ def solve_linear(A, B):
 _BASIS_CACHE = {}
 
 
-def _node_matrix(rho, nodes, forms, row_of=_point_row):
+def _node_matrix(rho, nodes, forms):
     """Row mu, column j: the polynomial with the cleared form forms[j]
     (den, lams, nums) at the node mu + rho, read off one evaluation row
-    per node (kept per process unless row_of says not)."""
+    per node, built for this matrix only."""
     return [[row.value(*form) for form in forms]
-            for row in (row_of(rho.point(mu)) for mu in nodes)]
+            for row in (_Row(rho.point(mu)) for mu in nodes)]
 
 
 def _require_shift(n, d, rho):
@@ -239,56 +241,49 @@ def _node_values(n, d, values):
 def interpolation_basis(n, d, rho):
     """All P_lam for |lam| = d at once; cached per (n, d, rho).
 
-    Newton's construction on top of the cached lower degrees.  Each m_nu
-    of degree d is first reduced against every lower P_kappa in
-    increasing degree, Q <- Q - (Q(kappa + rho) / hook_kappa) P_kappa:
-    P_kappa vanishes at the other nodes of degree <= |kappa|, so each
-    step keeps the zeros made so far, and the reduced Q_nu vanish at
-    every node below degree d.  P_lam is then the combination of the Q_nu
-    with the hook product at lam + rho and zeros at the other degree-d
-    nodes: one fraction-free p_n(d) x p_n(d) solve covers every lam.
+    Newton's construction on top of the cached lower degrees: P_lam is
+    m_lam reduced against every P_kappa with kappa < lam in dominance,
+    lower degrees first (see ``_reduce``).  P_kappa vanishes at the other
+    nodes of degree <= |kappa|, so each step keeps the zeros made so far.
+    Taking lam in lexicographic order, which refines dominance, builds
+    every degree-d P_kappa below lam first, and no step touches the m_lam
+    coefficient, which stays 1.  P_lam is then read at every node the
+    reduction did not use, so each lam reads one value per node: the hook
+    product at lam + rho and zero elsewhere, or ArithmeticError.
 
-    No polynomial is built before P_lam itself: each Q_nu stays a cleared
-    form (den, lams, nums) whose values are read off the nodes' evaluation
-    rows, each step and each P_lam is one ``sympoly._combine`` on cleared
-    numerators, and only P_lam's coefficients become scalars.  The result
-    is a read-only {lam: P_lam} view of the cached entry.
+    Only P_lam's coefficients become scalars; the reductions run on
+    cleared forms.  The result is a read-only {lam: P_lam} view of the
+    cached entry.
     """
     _require_shift(n, d, rho)
-    lower = [(_point_row(rho.point(kappa)), P._int_form(),
-              rho_hook_product(kappa, rho.entries))
-             for e in range(d)
-             for kappa, P in interpolation_basis(n, e, rho).items()]
-    tops = enumerate_exact(n, d)
-    reduced = [_reduce(nu, lower) for nu in tops]
-    A = _node_matrix(rho, tops, reduced)
-    B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
-          for lam in tops] for mu in tops]
-    cols = solve_linear(A, B)
-    # the Q_nu over one denominator, so each P_lam needs no common multiple
-    common, mults = _common([den for den, _, _ in reduced])
+    nodes = {mu: (_point_row(rho.point(mu)), rho_hook_product(mu, rho.entries))
+             for mu in enumerate_upto(n, d)}
+    forms = {kappa: P._int_form() for e in range(d)
+             for kappa, P in interpolation_basis(n, e, rho).items()}
     out = {}
-    for j, lam in enumerate(tops):
-        xden, xs = clear_denominators(cols[j])
-        den, acc = _combine([(x * mults[qden], common, lams, nums)
-                             for x, (qden, lams, nums) in zip(xs, reduced)
-                             if x])
-        f = _from_cleared(n, xden * den, acc)
-        if f.coefficient(lam) != 1:
-            raise ArithmeticError(
-                f"hook-product normalization did not give a unit leading "
-                f"coefficient for {lam}")
-        out[lam] = f
+    for lam in enumerate_exact(n, d):
+        below = [kappa for kappa in forms if dominance_less(kappa, lam)]
+        den, lams, nums = forms[lam] = _reduce(
+            lam, [(*nodes[kappa], forms[kappa]) for kappa in below])
+        used = set(below)
+        for mu, (row, hook) in nodes.items():
+            if mu in used:
+                continue
+            if row.value(den, lams, nums) != (hook if mu == lam else 0):
+                raise ArithmeticError(
+                    f"P_{lam}, reduced against the P_kappa below it, takes "
+                    f"the wrong value at the node {mu}")
+        out[lam] = _from_cleared(n, den, dict(zip(lams, nums)))
     return MappingProxyType(out)
 
 
 def _reduce(nu, lower):
-    """m_nu reduced against the lower (row, cleared P_kappa, hook) triples,
+    """m_nu reduced against the lower (row, hook, cleared P_kappa) triples,
     as a cleared form (den, lams, nums): each step reads Q's value at
     kappa + rho off the node's row and subtracts (value / hook) * P_kappa
     over one common multiple of the two denominators."""
     den, lams, nums = 1, (nu,), (1,)
-    for row, (pden, plams, pnums), hook in lower:
+    for row, hook, (pden, plams, pnums) in lower:
         v = row.value(den, lams, nums)
         if v:
             sden, (a,) = clear_denominators([-v / hook])
@@ -313,7 +308,7 @@ def interpolate(n, d, values, rho):
     """
     basis, vals = _node_values(n, d, values)
     _require_shift(n, d, rho)
-    A = _node_matrix(rho, basis, [(1, (nu,), (1,)) for nu in basis], _Row)
+    A = _node_matrix(rho, basis, [(1, (nu,), (1,)) for nu in basis])
     B = [[vals[mu]] for mu in basis]
     col = solve_linear(A, B)[0]
     return SymPoly(n, {nu: c for nu, c in zip(basis, col)})

@@ -298,11 +298,6 @@ class UniPoly:
     def degree(self):
         return len(self.prim) - 1
 
-    def leading(self):
-        if not self.prim:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_constant(self):
         return len(self.prim) <= 1
 
@@ -882,20 +877,33 @@ def invert_parameter(x, new_param):
 
     Fractions pass through unchanged.  For a rational function N(p)/D(p)
     the result is q^(deg D - deg N) * rev(N)(q) / rev(D)(q) where rev
-    reverses the coefficient sequence.
+    reverses the coefficient sequence, read off the primitive int tuples:
+    with the powers of p split off first, the reversals of a coprime pair
+    stay coprime and neither has the factor q, so no gcd is taken.
     """
     if isinstance(x, (int, Fraction)):
         return _lift(x)
     if not isinstance(x, RationalFunction):
         raise TypeError(f"cannot invert parameter of {type(x).__name__}")
-    if not x:
-        return RationalFunction(UniPoly(new_param))
-    rev_num = UniPoly(new_param, tuple(reversed(x.num.coeffs)))
-    rev_den = UniPoly(new_param, tuple(reversed(x.den.coeffs)))
-    shift = x.den.degree() - x.num.degree()
-    t = UniPoly.gen(new_param)
+    k, num, den = _rf_scale(x), x.num.prim, x.den.prim
+    if not num:
+        return _rf(new_param, 0, (), (1,))
+    shift = len(den) - len(num)
+    num, den = _reversed(num), _reversed(den)
+    if num[-1] < 0:
+        k, num = -k, tuple(-c for c in num)
+    if den[-1] < 0:
+        k, den = -k, tuple(-c for c in den)
     if shift > 0:
-        rev_num = rev_num * t ** shift
+        num = (0,) * shift + num
     elif shift < 0:
-        rev_den = rev_den * t ** (-shift)
-    return RationalFunction(rev_num, rev_den)
+        den = (0,) * -shift + den
+    return _rf(new_param, k, num, den)
+
+
+def _reversed(cs):
+    """The int tuple cs reversed, with the zeros it ends in dropped."""
+    low = 0
+    while not cs[low]:
+        low += 1
+    return cs[low:][::-1]

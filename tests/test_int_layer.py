@@ -378,6 +378,19 @@ def test_newton_basis_equals_the_full_solve(n, d, r):
     assert dict(interpolation_basis(n, d, rho)) == full_solve(n, d, rho)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.integers(0, 5), st.lists(shifts, min_size=n, max_size=n))))
+def test_newton_basis_equals_the_full_solve_at_generic_shifts(case):
+    """Generic shifts, dominant or only d-dominant, that are no staircase
+    multiple: special-forms builds one-column P's at such shifts."""
+    d, entries = case
+    rho = ShiftVector.generic(entries)
+    assume(rho.is_d_dominant(d))
+    n = rho.n
+    assert dict(interpolation_basis(n, d, rho)) == full_solve(n, d, rho)
+
+
 def test_newton_basis_equals_the_full_solve_at_n4():
     rho = ShiftVector.staircase_multiple(4, R)
     for d in range(5):

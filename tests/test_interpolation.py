@@ -357,22 +357,48 @@ def test_memo_miss_stores_one_entry_and_hit_none(monkeypatch):
     assert len(jack._EIGEN_CACHE) == before + 1
 
 
-def test_newton_solves_one_block_per_degree(monkeypatch):
+def test_newton_reduces_each_partition_once(monkeypatch):
     from shifted_symfun import interpolation
-    real = interpolation.solve_linear
-    blocks = []
+    real = interpolation._reduce
+    degrees = []
 
-    def counted(A, B):
-        blocks.append(len(A))
-        return real(A, B)
+    def counted(nu, lower):
+        degrees.append(sum(nu))
+        return real(nu, lower)
 
-    monkeypatch.setattr(interpolation, "solve_linear", counted)
-    rho = ShiftVector.staircase_multiple(4, 3 * R)  # not cached yet
+    monkeypatch.setattr(interpolation, "_reduce", counted)
+    rho = ShiftVector.staircase_multiple(4, 3 * R)
+    for key in [k for k in interpolation._BASIS_CACHE if k[2] == rho.key()]:
+        monkeypatch.delitem(interpolation._BASIS_CACHE, key)
     interpolation_basis(4, 6, rho)
-    # p_4(d) unknowns at degree d, lowest degree first
-    assert blocks == [1, 1, 2, 3, 5, 6, 9]
+    # one reduction per partition, p_4(d) at degree d, lowest degree first;
+    # no linear system is solved
+    assert [degrees.count(d) for d in range(7)] == [1, 1, 2, 3, 5, 6, 9]
+    assert degrees == sorted(degrees)
     interpolation_basis(4, 6, rho)
-    assert len(blocks) == 7
+    assert len(degrees) == 27
+
+
+def test_basis_refuses_a_reduction_that_skips_the_same_degree(monkeypatch):
+    """The basis checks its own node values: reduced only against the
+    lower degrees, P_(2,0,0) keeps its value at (1,1,0) + rho."""
+    from shifted_symfun import interpolation, partitions
+    rho = ShiftVector.staircase_multiple(3, 5 * R)
+    cache = interpolation._BASIS_CACHE
+    saved = dict(cache)
+    for key in [k for k in cache if k[2] == rho.key()]:
+        del cache[key]
+    monkeypatch.setattr(
+        interpolation, "dominance_less",
+        lambda mu, lam: sum(mu) < sum(lam) and partitions.dominance_less(
+            mu, lam))
+    try:
+        with pytest.raises(ArithmeticError,
+                           match=r"P_\(2, 0, 0\).* node \(1, 1, 0\)"):
+            interpolation_basis(3, 4, rho)
+    finally:
+        cache.clear()
+        cache.update(saved)
 
 
 def test_memoized_function_stays_a_plain_function():

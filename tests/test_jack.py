@@ -187,6 +187,42 @@ def test_conjecture_report_keeps_the_slotted_record_shape():
         report.extra = 1
 
 
+def test_conjecture_grades_each_failing_coefficient(monkeypatch):
+    """Each grading rule on a row built to break it alone.  The m_mu
+    coefficient is alpha^(|mu| - |lam|) * a, so the rows below |lam| = 3
+    carry a divided by powers of alpha."""
+    from shifted_symfun import jack
+    lam = (2, 1, 0)
+    J = SymPoly(3, {
+        (2, 1, 0): ALPHA * ALPHA - ALPHA,   # a negative coefficient
+        (1, 1, 0): Fraction(1, 2),          # a = alpha / 2, not integral
+        (1, 0, 0): 1 / (ALPHA + 1),         # a = alpha^2 / (alpha + 1)
+        (1, 1, 1): ALPHA + 2,               # every rule holds
+    })
+    monkeypatch.setattr(jack, "shifted_jack_J", lambda lam, n: J)
+    report = conjecture_expand(lam, 3)
+    flags = {r.mu: (r.polynomial, r.integral, r.nonneg) for r in report.rows}
+    assert flags == {(2, 1, 0): (True, True, False),
+                     (1, 1, 0): (True, False, True),
+                     (1, 0, 0): (False, False, False),
+                     (1, 1, 1): (True, True, True)}
+    assert report.dominance_ok and report.verdict == "fail"
+    # a good row alone passes; a mu not dominated by lam fails on its own
+    monkeypatch.setattr(jack, "shifted_jack_J",
+                        lambda lam, n: SymPoly(3, {(1, 1, 1): ALPHA + 2}))
+    assert conjecture_expand(lam, 3).verdict == "pass"
+    monkeypatch.setattr(jack, "shifted_jack_J",
+                        lambda lam, n: SymPoly(3, {(3, 0, 0): ALPHA}))
+    report = conjecture_expand(lam, 3)
+    assert [(r.polynomial, r.integral, r.nonneg) for r in report.rows] == \
+        [(True, True, True)]
+    assert not report.dominance_ok and report.verdict == "fail"
+    for bad in ((2, 1, 0), (1, 1, 0), (1, 0, 0)):
+        monkeypatch.setattr(jack, "shifted_jack_J", lambda lam, n, bad=bad:
+                            SymPoly(3, {bad: J.terms[bad]}))
+        assert conjecture_expand(lam, 3).verdict == "fail", bad
+
+
 def test_import_does_not_load_dataclasses():
     # dataclasses pulls in inspect, ast and dis: most of the package's
     # import time, paid by every command

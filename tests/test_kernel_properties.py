@@ -17,7 +17,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from shifted_symfun.interpolation import solve_linear  # noqa: E402
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
-                                    TagMismatchError, UniPoly)
+                                    TagMismatchError, UniPoly,
+                                    invert_parameter, substitute)
 
 PROPS = settings(max_examples=60, deadline=None)
 R_SYM = sympy.Symbol("r")
@@ -219,6 +220,73 @@ def test_solve_linear_matches_domain_matrix(system):
                     else RationalFunction.const("r", got)
             num, den = sympy_normal_form(want[i, j])
             assert got.num == num and got.den == den
+
+
+# -- parameter inversion ------------------------------------------------------
+
+def invert_by_gcd(x, new_param):
+    """f(p) as f(1/q): q^(deg D - deg N) rev(N)(q) / rev(D)(q) built from
+    the Fraction coefficients and renormalized through a gcd."""
+    if not x:
+        return RationalFunction(UniPoly(new_param))
+    rev_num = UniPoly(new_param, tuple(reversed(x.num.coeffs)))
+    rev_den = UniPoly(new_param, tuple(reversed(x.den.coeffs)))
+    shift = x.den.degree() - x.num.degree()
+    t = UniPoly.gen(new_param)
+    if shift > 0:
+        rev_num = rev_num * t ** shift
+    elif shift < 0:
+        rev_den = rev_den * t ** (-shift)
+    return RationalFunction(rev_num, rev_den)
+
+
+def times_r_power(p, k):
+    return UniPoly("r", (0,) * k + p.coeffs)
+
+
+# N(0) = 0 and D(0) = 0 both come up, and constants and zero
+inversion_inputs = st.one_of(
+    st.builds(lambda a, b, i, j: RationalFunction(times_r_power(a, i),
+                                                  times_r_power(b, j)),
+              polys(3), nonzero_polys(3), st.integers(0, 3),
+              st.integers(0, 3)),
+    st.builds(lambda c: RationalFunction.const("r", c), rationals))
+
+
+@PROPS
+@given(inversion_inputs)
+def test_invert_parameter_matches_the_gcd_construction(f):
+    got, want = invert_parameter(f, "s"), invert_by_gcd(f, "s")
+    assert got == want
+    assert (got.num.cont, got.num.prim) == (want.num.cont, want.num.prim)
+    assert (got.den.cont, got.den.prim) == (want.den.cont, want.den.prim)
+    for q in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
+        if f.den(1 / q):
+            assert substitute(got, q) == substitute(f, 1 / q)
+
+
+@PROPS
+@given(inversion_inputs)
+def test_invert_parameter_round_trip(f):
+    g = invert_parameter(f, "s")
+    assert g.param == "s"
+    assert invert_parameter(g, "r") == f
+
+
+def test_invert_parameter_edge_cases():
+    r, s = RationalFunction.gen("r"), RationalFunction.gen("s")
+    zero = RationalFunction(UniPoly("r"))
+    assert invert_parameter(zero, "s") == RationalFunction(UniPoly("s"))
+    assert invert_parameter(RationalFunction.const("r", Fraction(-3, 2)),
+                            "s") == RationalFunction.const("s",
+                                                           Fraction(-3, 2))
+    assert invert_parameter(r, "s") == 1 / s
+    assert invert_parameter(1 / r, "s") == s
+    # N(0) = 0 and a negative lowest coefficient: (2r^2 - r) / (r + 1)
+    # becomes (2 - s) / (s^2 + s)
+    assert invert_parameter((2 * r * r - r) / (r + 1), "s") == \
+        (2 - s) / (s * s + s)
+    assert invert_parameter(Fraction(3, 4), "s") == Fraction(3, 4)
 
 
 # -- one storage form: UniPoly has rational coefficients only ----------------
