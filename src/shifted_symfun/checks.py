@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import sub
 
 from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             factorial_schur, first_column_reduction,
@@ -26,13 +27,13 @@ from .interpolation import (ShiftVector, column_forms, factorial_monomial_sym,
                             single_row)
 from .jack import (alpha_gen, jack_J, jack_P, jack_P_at, jack_P_eigen,
                    pieri_verify)
-from .operators import (_block_factor, apply_difference_family,
-                        apply_raising, eigenvalue_poly, inhomogeneous_lift)
+from .operators import (_members, apply_difference_family, apply_raising,
+                        eigenvalue_poly, inhomogeneous_lift)
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
-                         pieri_coefficient, rho_hook_product)
+                         pieri_coefficient, rho_hook_product, staircase)
 from .scalars import substitute
-from .sympoly import SymPoly, _sign, elementary
+from .sympoly import SymPoly, _Row, _make, _sign, elementary, schur_expand
 
 DEFAULT_SEED = 20260814
 
@@ -239,23 +240,42 @@ def check_cutoff(n, dmax, r=None):
     """Cut-off determinants vanish where the shifted index set breaks.
 
     phi_I(x) = sgn(tau) phi_(I0)(x_tau), tau listing I then the rest, and
-    phi_(I0) is V(x_I0) V(x_rest) times the operators' cached factor; the
-    empty I is left out, as mu - eps_I = mu never breaks.
+    phi_(I0) is read off the keys of the raising member the operators
+    multiply by, with a_kappa = V * s_(kappa - delta); the empty I is
+    left out, as mu - eps_I = mu never breaks.
     """
     params = {"n": n, "dmax": dmax, "r": _r_label(r)}
     rho = ShiftVector.staircase_multiple(n, r)
+
+    def s_row(k, kappa):  # s_(kappa - delta) in k variables
+        return schur_expand(k, tuple(map(sub, kappa, staircase(k))))
+    forms = {}  # per size and head: s_(head - delta), sum c * s_(tail - delta)
+    for size in range(1, n + 1):
+        _, cont, keys = _members(n, rho.r, size)[0]
+        m, param, tails = n - size, getattr(cont, "param", None), {}
+        for x, _, j, v in keys:
+            acc = tails.setdefault(x[:size], {})
+            for lam, k in s_row(m, x[size:]):
+                key = lam + (j,) if param else lam
+                acc[key] = acc.get(key, 0) + k * v
+        forms[size] = [
+            (SymPoly(size, dict(s_row(size, head)))._int_form(),
+             SymPoly(m, _make(m, False, param, cont, acc).terms)._int_form())
+            for head, acc in tails.items()]
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
         for size in range(1, n + 1):
-            b = _block_factor(n, rho.r, size)
             for rows in combinations(range(n), size):
                 if is_partition([m - (i in rows) for i, m in enumerate(mu)]):
                     continue
                 tau = rows + tuple(i for i in range(n) if i not in rows)
                 y = [pt[i] for i in tau]
+                top, rest = _Row(y[:size]), _Row(y[size:])
+                val = sum(top.value(*a) * rest.value(*b)
+                          for a, b in forms[size])
                 val = prod((y[i] - y[j] for i, j in combinations(range(n), 2)
                             if (i < size) == (j < size)),
-                           start=_sign(tau) * b.evaluate(y))
+                           start=_sign(tau) * val)
                 if val:
                     return _report("cutoff", params, _w(
                         mu=mu, rows=list(rows), value=val))

@@ -14,20 +14,18 @@ interpolation family hit.  For symmetric f its sum over permutations is
 the antisymmetrization of x^delta * prod_i (x_i d_i + r*delta_i + t) f,
 so each monomial of m_mu gives one term.
 
-The Vandermonde identity gives phi_(I0) = V(x_I0) V(x_rest) B_k, with
-I0 = {0, ..., k-1} and B_k = prod_{i<k} x_i * prod_{i<k<=j} (x_i - x_j - r),
-and multilinearity in the rows gives
-d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I.  Permuting rows
-gives c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma), so
+With I0 = {0, ..., k-1}, the Laplace expansion by the first k rows gives
+phi_(I0) = sum_C sgn * a_(C+1)(x_I0) * a_beta(x_rest + r), over the
+k-subsets C of the staircase exponents, beta the rest, and multilinearity
+in the rows gives d_I = (-1)^|I| * prod_{i not in I} (x_i + t) * phi_I.
+Permuting rows gives c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma), so
 for symmetric f the sum of c_I * f(x - eps_I) over |I| = k is the
 antisymmetrization of g_k = c_(I0) * f(x - eps_(I0)) over k!(n - k)!
-(Macdonald I.3): one representative and one product per size.  That
-needs g_k to alternate inside I0 and inside its complement; the factor
-of each c_(I0) past V(x_I0) V(x_rest) is checked to be symmetric inside
-both blocks before it is cached.  Only the strictly decreasing keys of
-the antisymmetrization are formed, from the block-strict keys of c_(I0)
-read off that factor, so no Vandermonde factor is expanded, and the
-quotient by the Vandermonde is read off through one Schur read-off tail.
+(Macdonald I.3): one representative and one product per size, which
+pairs only the keys of c_(I0) strictly decreasing inside both blocks,
+and the Laplace expansion gives exactly those.  No determinant is
+expanded, and the quotient by the Vandermonde is read off through one
+Schur read-off tail.
 
 All three operators are linear, so each is fixed by its images on the
 monomial basis, in the cleared int form the kernels return (a
@@ -43,41 +41,66 @@ route, is memoized per degree.
 
 from fractions import Fraction
 from functools import partial
-from math import prod
+from itertools import combinations, product
+from math import comb
 
 from .partitions import staircase
-from .scalars import _lift, memoized, scalar_key
-from .sympoly import (SparsePoly, SymPoly, _block_strict, _combine,
-                      _from_cleared, e_basis_expand, family_image,
+from .scalars import _lift, _ratio, memoized, scalar_key
+from .sympoly import (SymPoly, _cleared, _combine, _from_cleared, _r_pairs,
+                      _sort_sign, _strict, e_basis_expand, family_image,
                       sekiguchi_image)
 
-
-def _block_symmetric(b, size):
-    """b, once every adjacent transposition s_i inside the blocks
-    [0, size) and [size, n) leaves it unchanged."""
-    for i in range(b.n - 1):
-        if i != size - 1 and b.swap_vars(i, i + 1) != b:
-            raise ArithmeticError(
-                f"representative c_{tuple(range(size))} over V(x_I0) "
-                f"V(x_rest) is not block-symmetric: s_{i} moves it")
-    return b
-
-
-_FACTOR_CACHE = {}
 _MEMBER_CACHE = {}
 _IMAGE_CACHE = {}
 _PARTITION_CACHE = {}
 
 
-@memoized(_FACTOR_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
-def _block_factor(n, r, size):
-    """B_size, the factor of phi_(I0) past V(x_I0) V(x_rest), from its
-    linear factors."""
-    r = _lift(r)
-    x = [SparsePoly.variable(n, i) for i in range(n)]
-    inside = prod(x[:size], start=SparsePoly.const(n, Fraction(1)))
-    cross = (x[i] - x[j] - r for i in range(size) for j in range(size, n))
-    return _block_symmetric(prod(cross, start=inside), size)
+def _shifted_alternant(beta):
+    """a_beta(x + r) = sum_gamma c_gamma r^(|beta| - |gamma|) a_gamma(x)
+    as {gamma: c_gamma}, beta and each gamma strictly decreasing, one
+    column at a time: (x + r)^b = sum_c C(b, c) r^(b - c) x^c, and each c
+    joins the key with the sign of the sort, or drops on a repeat.  A key
+    is a set of exponents up to beta_0: at most 2^(beta_0 + 1) are kept."""
+    out = {(): 1}
+    for b in beta:
+        grown = {}
+        for key, v in out.items():
+            for c in range(b + 1):
+                k, s = _sort_sign(key + (c,))
+                if s:
+                    grown[k] = grown.get(k, 0) + s * comb(b, c) * v
+        out = {k: v for k, v in grown.items() if v}
+    return out
+
+
+def _member(n, r, size, with_t):
+    """The ``family_image`` member (size, content, keys) of phi_(I0), or
+    of d_(I0) = (-1)^size prod_{i >= size} (x_i + t) phi_(I0) if with_t:
+    a key (x-part, t, j, int) is a head C + 1 and a tail of
+    ``_shifted_alternant(beta)`` with the Laplace sign of C + beta, the
+    tail grown for d_(I0) by the 0/1 vectors u of e_e(x_rest) a_gamma =
+    sum_(|u| = e) a_(gamma + u), at t^(n - size - e) (Macdonald I.3).
+    r = a/q folds into the ints as r^p = a^p q^(top - p) / q^top, top =
+    size * (n - size), j the power of r over Q(r); at top = 0, over Q."""
+    m, delta, top = n - size, staircase(n), size * (n - size)
+    q, _, (a,) = _cleared([_lift(r)])
+    strips = ([(u, m - sum(u)) for u in product((0, 1), repeat=m)]
+              if with_t else [((0,) * m, 0)])
+    acc = {}
+    for cols in combinations(delta, size):
+        beta = tuple(e for e in delta if e not in cols)
+        head = tuple(c + 1 for c in cols)
+        s = (-1) ** (size * with_t) * _sort_sign(cols + beta)[1]
+        for gamma, c in _shifted_alternant(beta).items():
+            for u, t in strips:
+                tail = tuple(g + e for g, e in zip(gamma, u))
+                if _strict(tail):
+                    k = head + tail, t, sum(beta) - sum(gamma)
+                    acc[k] = acc.get(k, 0) + s * c
+    folds = [_r_pairs(a ** p * q ** (top - p)) for p in range(top + 1)]
+    keys = tuple([(x, t, j, v * w) for (x, t, p), v in acc.items() if v
+                  for j, w in folds[p]])
+    return size, _ratio(1, q ** top) if top else Fraction(1), keys
 
 
 _T_FAMILY = "t"  # the image key of the generating t-family
@@ -90,17 +113,8 @@ def _members(n, r, family):
     k), or per size the d_(I0) of the t-family, whose row i is
     -x_i^(delta_j + 1) inside I and (x_i + t)(x_i + r)^delta_j outside."""
     if family != _T_FAMILY:
-        return (_block_strict(family, _block_factor(n, r, family)),)
-    t = SparsePoly.t_var(n)
-    members = []
-    for size in range(n + 1):
-        # the sign as a polynomial, not a scalar: it lands in the int map,
-        # so every d_(I0) keeps the content of its B
-        sign = SparsePoly.const(n, (-1) ** size)
-        outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
-        b = prod(outside, start=sign * _block_factor(n, r, size))
-        members.append(_block_strict(size, _block_symmetric(b, size)))
-    return tuple(members)
+        return (_member(n, r, family, False),)
+    return tuple(_member(n, r, size, True) for size in range(n + 1))
 
 
 @memoized(_PARTITION_CACHE, lambda lam: lam)

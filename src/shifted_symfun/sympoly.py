@@ -908,30 +908,11 @@ def _shifted_orbit(mu, k, width):
     return [(x, c) for x, c in out.items() if c]
 
 
-def _block_strict(size, b):
-    """The ``family_image`` member (size, content, keys) of
-    c_(I0) = V(x_[0, size)) V(x_[size, n)) * b, b block-symmetric: keys
-    are the (x-part, t, r, int) of c_(I0) strictly decreasing in both
-    blocks.  c_(I0) is the block antisymmetrization of
-    x^(delta_size, delta_(n - size)) * b (Macdonald I.3), so each key of
-    b plus that staircase is sorted in each block with its sign."""
-    n, has_r = b.n, b.param is not None
-    shift = staircase(size) + staircase(n - size)
-    acc = {}
-    for key, a in b.ints.items():
-        x = tuple(map(add, key, shift))  # the x-part: shift has n slots
-        (head, s), (tail, u) = _sort_sign(x[:size]), _sort_sign(x[size:])
-        if s and u:
-            k = head + tail, key[-1] if b.has_t else 0, key[n] if has_r else 0
-            acc[k] = acc.get(k, 0) + s * u * a
-    return size, b.cont, tuple([k + (a,) for k, a in acc.items() if a])
-
-
 def family_image(n, mu, members):
     """The image of m_mu under a coefficient family, in cleared form.
 
-    members holds the ``_block_strict`` entries (size, content, keys) of
-    c_(I0), I0 = {0, ..., size - 1}, one per size, with every other
+    members holds the ``operators._members`` entries (size, content,
+    keys) of c_(I0), I0 = {0, ..., size - 1}, one per size, with every other
     member c_(sigma I0)(x) = sgn(sigma) c_(I0)(x_sigma).  The image is
     the sum over the members and every I of their size of
     c_I * m_mu(x - eps_I), divided by the Vandermonde, as a tuple of

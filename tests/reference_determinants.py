@@ -3,32 +3,38 @@ definitions.
 
 The package expands no determinant: ``alternant`` here is the n!-term
 signed-permutation sum, and ``divide_by_vandermonde`` divides by the
-Vandermonde one factor x_i - x_j at a time.  The package forms the
-cut-off determinant phi_I and the subset coefficients d_I of the
-generating determinant as two block Vandermondes times a
-block-symmetric factor, which it never expands; these helpers build
-each as its own n x n alternant, ``block_vandermonde`` expands the
-block Vandermondes, and ``block_strict_part`` reads off a product
-formed in full the keys that the image kernel pairs, so tests can
-compare the two.  The Schur rows, which the package counts as Kostka
-numbers, and the factorial Schur functions, which it sums over
-tableaux, are built here as bialternants, and an operator application
-as the full product of each family representative with the shifted
-input, antisymmetrized and read off its strictly decreasing keys as a
-scalar polynomial (``collect_alternating``), where the package reads
-off cleared ints.
+Vandermonde one factor x_i - x_j at a time.  The package reads the
+keys of the cut-off determinant phi_I and of the subset coefficients
+d_I of the generating determinant that the image kernel pairs straight
+off the Laplace expansion of phi_I; these helpers build each as its own
+n x n alternant, ``block_vandermonde`` expands the block Vandermondes,
+and ``block_strict_part`` reads those keys off a product formed in
+full, so tests can compare the two.  ``block_members`` is a second,
+independent route to the same keys: each phi_I as two block
+Vandermondes times the factor B_k = prod_{i<k} x_i *
+prod_{i<k<=j} (x_i - x_j - r), expanded from its linear factors
+(``block_factor``), checked symmetric inside both blocks
+(``block_symmetric``), and its keys moved by the block staircase and
+sorted with their signs (``block_strict``).  The Schur rows, which the
+package counts as Kostka numbers, and the factorial Schur functions,
+which it sums over tableaux, are built here as bialternants, and an
+operator application as the full product of each family representative
+with the shifted input, antisymmetrized and read off its strictly
+decreasing keys as a scalar polynomial (``collect_alternating``), where
+the package reads off cleared ints.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 from operator import add, sub
 
 from shifted_symfun.partitions import as_partition, staircase
-from shifted_symfun.scalars import RationalFunction
+from shifted_symfun.scalars import (RationalFunction, _lift, memoized,
+                                    scalar_key)
 from shifted_symfun.sympoly import (SparsePoly, _make, _scalars,
-                                    _schur_to_m, _sign, _strict, _sym,
-                                    collect_symmetric, falling_power,
+                                    _schur_to_m, _sign, _sort_sign, _strict,
+                                    _sym, collect_symmetric, falling_power,
                                     schur_expand)
 
 
@@ -97,6 +103,69 @@ def member_terms(member):
         v = a * RationalFunction.gen(cont.param) ** j if j else a
         sums[x, t] = sums.get((x, t), 0) + v
     return {k: cont * v for k, v in sums.items()}
+
+
+def block_symmetric(b, size):
+    """b, once every adjacent transposition s_i inside the blocks
+    [0, size) and [size, n) leaves it unchanged."""
+    for i in range(b.n - 1):
+        if i != size - 1 and b.swap_vars(i, i + 1) != b:
+            raise ArithmeticError(
+                f"representative c_{tuple(range(size))} over V(x_I0) "
+                f"V(x_rest) is not block-symmetric: s_{i} moves it")
+    return b
+
+
+_FACTOR_CACHE = {}
+
+
+@memoized(_FACTOR_CACHE, lambda n, r, size: (n, scalar_key(_lift(r)), size))
+def block_factor(n, r, size):
+    """B_size, the factor of phi_(I0) past V(x_I0) V(x_rest), from its
+    linear factors."""
+    r = _lift(r)
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    inside = prod(x[:size], start=SparsePoly.const(n, Fraction(1)))
+    cross = (x[i] - x[j] - r for i in range(size) for j in range(size, n))
+    return block_symmetric(prod(cross, start=inside), size)
+
+
+def block_strict(size, b):
+    """The ``family_image`` member (size, content, keys) of
+    c_(I0) = V(x_[0, size)) V(x_[size, n)) * b, b block-symmetric: keys
+    are the (x-part, t, r, int) of c_(I0) strictly decreasing in both
+    blocks.  c_(I0) is the block antisymmetrization of
+    x^(delta_size, delta_(n - size)) * b (Macdonald I.3), so each key of
+    b plus that staircase is sorted in each block with its sign."""
+    n, has_r = b.n, b.param is not None
+    shift = staircase(size) + staircase(n - size)
+    acc = {}
+    for key, a in b.ints.items():
+        x = tuple(map(add, key, shift))  # the x-part: shift has n slots
+        (head, s), (tail, u) = _sort_sign(x[:size]), _sort_sign(x[size:])
+        if s and u:
+            k = head + tail, key[-1] if b.has_t else 0, key[n] if has_r else 0
+            acc[k] = acc.get(k, 0) + s * u * a
+    return size, b.cont, tuple([k + (a,) for k, a in acc.items() if a])
+
+
+def block_members(n, r, family):
+    """The members of ``operators._members`` formed from the factors
+    B_size: phi_(I0) for raising by k (family = k), or per size the
+    d_(I0) of the t-family ("t"), each checked block-symmetric and read
+    off by ``block_strict``."""
+    if family != "t":
+        return (block_strict(family, block_factor(n, r, family)),)
+    t = SparsePoly.t_var(n)
+    members = []
+    for size in range(n + 1):
+        # the sign as a polynomial, not a scalar: it lands in the int map,
+        # so every d_(I0) keeps the content of its B
+        sign = SparsePoly.const(n, (-1) ** size)
+        outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
+        b = prod(outside, start=sign * block_factor(n, r, size))
+        members.append(block_strict(size, block_symmetric(b, size)))
+    return tuple(members)
 
 
 def divide_by_vandermonde(p):

@@ -141,8 +141,7 @@ def test_commutativity_detects_broken_raising_operator(monkeypatch):
 def restored_operator_caches():
     """The operator caches, put back exactly as they were after the test,
     so entries a mutant fills do not outlive it."""
-    tables = (operators._FACTOR_CACHE, operators._MEMBER_CACHE,
-              operators._IMAGE_CACHE)
+    tables = (operators._MEMBER_CACHE, operators._IMAGE_CACHE)
     saved = [dict(table) for table in tables]
     yield
     for table, entries in zip(tables, saved):
@@ -175,17 +174,17 @@ def test_checks_read_the_operator_coefficients_through_the_cache(
     n, dmax, r = 3, 2, Fraction(13, 4)
     assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "pass"
     assert checks.check_raising_stability(n, dmax, r=r)["status"] == "pass"
-    # 2 * B_1 is still symmetric inside its blocks, so only the checks
-    # can tell it from B_1
-    real = operators._block_factor
+    # the size-1 member doubled still alternates inside its blocks, so
+    # only the checks can tell it from the member
+    real = operators._members
     monkeypatch.setattr(
-        operators, "_block_factor",
-        lambda nn, rr, size: real(nn, rr, size) * (2 if size == 1 else 1))
+        operators, "_members",
+        lambda nn, rr, family: tuple(
+            (size, cont * 2 if size == 1 else cont, keys)
+            for size, cont, keys in real(nn, rr, family)))
     key = scalar_key(r)
-    del operators._FACTOR_CACHE[n, key, 1]
-    for table in (operators._MEMBER_CACHE, operators._IMAGE_CACHE):
-        for entry in [k for k in table if k[:2] == (n, key)]:
-            del table[entry]
+    for entry in [k for k in operators._IMAGE_CACHE if k[:2] == (n, key)]:
+        del operators._IMAGE_CACHE[entry]
     assert checks.check_eigenvalue(n, dmax, r=r)["status"] == "fail"
     assert checks.check_raising_stability(n, dmax, r=r)["status"] == "fail"
 
@@ -234,25 +233,25 @@ def test_node_checks_read_the_coefficients(monkeypatch):
 
 
 def test_cutoff_reads_the_raising_families(monkeypatch):
-    real = operators._block_symmetric
+    real = operators._member
     fills = []
 
-    def counted(b, size):
-        """Runs once per cache fill of a factor B_size."""
+    def counted(n, r, size, with_t):
+        """Runs once per cache fill of a member."""
         fills.append(size)
-        return real(b, size)
+        return real(n, r, size, with_t)
 
-    monkeypatch.setattr(operators, "_block_symmetric", counted)
+    monkeypatch.setattr(operators, "_member", counted)
     r = Fraction(7, 3)  # a shift no other test builds families at
     assert checks.check_raising_stability(3, 1, r=r)["status"] == "pass"
-    # one factor B_size per nonempty size, not one per I
+    # one raising member per nonempty size, not one per I
     assert sorted(fills) == [1, 2, 3]
-    assert sorted(key[2] for key in operators._FACTOR_CACHE
+    assert sorted(key[2] for key in operators._MEMBER_CACHE
                   if key[:2] == (3, scalar_key(r))) == [1, 2, 3]
     built = len(fills)
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert len(fills) == built
-    # on its own the check builds each factor once
+    # on its own the check builds each member once
     r = Fraction(11, 4)
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
     assert checks.check_cutoff(3, 1, r=r)["status"] == "pass"
@@ -260,17 +259,22 @@ def test_cutoff_reads_the_raising_families(monkeypatch):
 
 
 def test_cutoff_reads_each_member_off_its_representative(monkeypatch):
-    # adding x_2 to B_2 adds sgn(tau) * (y_0 - y_1) * y_2 to phi_I, with
-    # y = x_tau: 0 at the node (4, 2, 0) for I = (0, 1), and
-    # -(4 - 0) * 2 = -8 for I = (0, 2), tau = (0, 2, 1)
-    from shifted_symfun.sympoly import SparsePoly
-    real = checks._block_factor
+    # the key with head (1, 0) and tail (1,) adds
+    # a_(1,0)(y_0, y_1) * a_(1)(y_2) = (y_0 - y_1) * y_2 to phi_(I0), so
+    # sgn(tau) * (y_0 - y_1) * y_2 to phi_I, with y = x_tau: 0 at the node
+    # (4, 2, 0) for I = (0, 1), and -(4 - 0) * 2 = -8 for I = (0, 2),
+    # tau = (0, 2, 1); at r = 2 the member's content is 1
+    real = checks._members
 
-    def skewed(n, r, size):
-        b = real(n, r, size)
-        return b + SparsePoly.variable(n, 2) if size == 2 else b
+    def skewed(n, r, family):
+        members = real(n, r, family)
+        if family != 2:
+            return members
+        ((size, cont, keys),) = members
+        assert cont == 1
+        return ((size, cont, keys + (((1, 0, 1), 0, 0, 1),)),)
 
-    monkeypatch.setattr(checks, "_block_factor", skewed)
+    monkeypatch.setattr(checks, "_members", skewed)
     report = checks.check_cutoff(3, 0, r="2")
     assert report["status"] == "fail"
     assert report["witness"] == {"mu": [0, 0, 0], "rows": [0, 2],

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import combinations, product
+from math import comb, prod
+from types import FunctionType
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,16 +10,17 @@ from hypothesis import strategies as st
 
 from shifted_symfun.interpolation import (ShiftVector, interpolation_basis,
                                           interpolation_polynomial)
-from shifted_symfun import operators
+from shifted_symfun import checks, operators
 from shifted_symfun.operators import (OperatorMatrix, apply_difference_family,
                                       apply_raising, apply_sekiguchi_debiard,
                                       eigenvalue_poly, inhomogeneous_lift)
 from shifted_symfun.partitions import (dominance_leq, enumerate_upto,
                                        staircase)
 from shifted_symfun.scalars import RationalFunction, TagMismatchError
-from shifted_symfun.sympoly import SparsePoly, SymPoly, elementary
+from shifted_symfun.sympoly import SparsePoly, SymPoly, _strict, elementary
 
-from reference_determinants import (apply_family, block_strict_part,
+from reference_determinants import (alternant, apply_family, block_factor,
+                                    block_members, block_strict_part,
                                     block_vandermonde, cutoff_determinant,
                                     member_terms, subset_determinant)
 
@@ -51,12 +53,12 @@ def orbit_member(rep, rows):
 
 def expanded_phi(n, r, size):
     """phi_(I0), I0 = {0, ..., size - 1}, expanded in full from the
-    cached factor: V(x_I0) V(x_rest) B_size."""
-    return block_vandermonde(n, size) * operators._block_factor(n, r, size)
+    reference factor: V(x_I0) V(x_rest) B_size."""
+    return block_vandermonde(n, size) * block_factor(n, r, size)
 
 
 def expanded_d(n, r, size):
-    """d_(I0) expanded in full from the cached factor:
+    """d_(I0) expanded in full from the reference factor:
     (-1)^size * prod_{i not in I0} (x_i + t) * phi_(I0)."""
     t = SparsePoly.t_var(n)
     outside = (SparsePoly.variable(n, i) + t for i in range(size, n))
@@ -64,7 +66,7 @@ def expanded_d(n, r, size):
 
 
 def test_subset_coefficient_factorization():
-    """The d_(I0) expanded from the cached factors B_size as
+    """The d_(I0) expanded from the reference factors B_size as
     (-1)^|I0| * prod_{i not in I0} (x_i + t) * V(x_I0) V(x_rest) B_size,
     one per size, give every d_I of the generating determinant through
     the orbit identity."""
@@ -78,7 +80,7 @@ def test_subset_coefficient_factorization():
 
 
 def test_cutoff_phi_equals_its_determinant():
-    """The cached factor B_size times its two block Vandermondes gives
+    """The reference factor B_size times its two block Vandermondes gives
     the cut-off determinant expanded from its definition, for every I at
     n <= 5 through the orbit identity.  Contents may differ while the
     polynomials agree, so the test compares with ==."""
@@ -93,17 +95,22 @@ def test_cutoff_phi_equals_its_determinant():
 
 def test_cutoff_phi_frozen_small():
     # n = 1: B_0 = 1, B_1 = x; n = 2: B_1 = x_0 (x_0 - x_1 - r)
-    assert operators._block_factor(1, R, 0) == SparsePoly.const(1, 1)
-    assert operators._block_factor(1, R, 1) == SparsePoly.variable(1, 0)
+    assert block_factor(1, R, 0) == SparsePoly.const(1, 1)
+    assert block_factor(1, R, 1) == SparsePoly.variable(1, 0)
     x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
-    assert operators._block_factor(2, R, 1) == x0 * (x0 - x1 - R)
+    assert block_factor(2, R, 1) == x0 * (x0 - x1 - R)
+    # phi_(0) at n = 2 is x_0^2 - x_0 x_1 - r x_0: keys (x-part, t, r, int)
+    (member,) = operators._members(2, R, 1)
+    assert member[0] == 1 and member[1] == 1
+    assert sorted(member[2]) == [((1, 0), 0, 1, -1), ((1, 1), 0, 0, -1),
+                                 ((2, 0), 0, 0, 1)]
 
 
 def test_members_are_the_block_strict_parts_of_the_determinants():
-    """Each member the image kernel reads, formed once from the factor
-    B_size, equals the block-strict part of its determinant expanded in
-    full: d_(I0) for the t-family, phi_(I0) for raising by k; compared
-    by == on scalars."""
+    """Each member the image kernel reads, formed once off the Laplace
+    expansion of phi_(I0), equals the block-strict part of its
+    determinant expanded in full: d_(I0) for the t-family, phi_(I0) for
+    raising by k; compared by == on scalars."""
     for r in (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7)):
         for n in range(1, 6):
             family = operators._members(n, r, operators._T_FAMILY)
@@ -119,6 +126,103 @@ def test_members_are_the_block_strict_parts_of_the_determinants():
                 assert member[0] == k
                 assert member_terms(member) == \
                     block_strict_part(want, k), (n, r, k)
+
+
+SHIFTS = (R, Fraction(1, 2), Fraction(-5, 3), Fraction(0), Fraction(7))
+
+
+def members_agree(build, n, r):
+    """build(n, r, family) against the reference pipeline, which expands
+    each B_size from its linear factors, checks it block-symmetric and
+    sorts its keys (``block_members``): equal terms for every family
+    at n, and contents of the same scalar type, so a member with no r
+    stays over Q."""
+    for family in [operators._T_FAMILY, *range(n + 1)]:
+        got, want = build(n, r, family), block_members(n, r, family)
+        if [m[0] for m in got] != [m[0] for m in want]:
+            return False
+        for g, w in zip(got, want):
+            if (member_terms(g) != member_terms(w)
+                    or type(g[1]) is not type(w[1])):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("r", SHIFTS, ids=str)
+def test_members_equal_the_block_factor_pipeline(r):
+    assert all(members_agree(operators._members, n, r) for n in range(1, 7))
+
+
+def _laplace_sign_dropped(monkeypatch):
+    """Every Laplace sign forced to +1; ``_shifted_alternant`` keeps the
+    real sort signs, rebuilt over globals that hold the real sort."""
+    real, alternant = operators._sort_sign, operators._shifted_alternant
+    monkeypatch.setattr(operators, "_shifted_alternant", FunctionType(
+        alternant.__code__, dict(vars(operators), _sort_sign=real)))
+    monkeypatch.setattr(operators, "_sort_sign", lambda x: (real(x)[0], 1))
+
+
+def _binomial_off_by_one(monkeypatch):
+    """C(b + 1, c) for C(b, c) in every column of a_beta(x + r)."""
+    monkeypatch.setattr(operators, "comb", lambda b, c: comb(b + 1, c))
+
+
+def _one_strip_dropped(monkeypatch):
+    """The t-strips u with one entry left out of d_(I0)."""
+    monkeypatch.setattr(operators, "product", lambda *a, **kw: [
+        u for u in product(*a, **kw) if sum(u) != 1])
+
+
+MUTANTS = {"sign": _laplace_sign_dropped, "binomial": _binomial_off_by_one,
+           "t-strip": _one_strip_dropped}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_member_mutants_are_caught(monkeypatch, mutant):
+    """Each mutant's members, built past their cache, no longer agree
+    with the reference pipeline."""
+    MUTANTS[mutant](monkeypatch)
+    fresh = operators._members.__wrapped__
+    assert not all(members_agree(fresh, n, r)
+                   for r in (R, Fraction(1, 2)) for n in range(1, 4))
+
+
+@pytest.mark.parametrize("mutant", ["sign", "binomial"])
+@pytest.mark.parametrize("r", [None, Fraction(1, 2)], ids=["symbolic", "1/2"])
+def test_cutoff_catches_the_member_mutants(monkeypatch, mutant, r):
+    """check_cutoff reads the raising members themselves, so a mutant
+    member fails it."""
+    MUTANTS[mutant](monkeypatch)
+    monkeypatch.setattr(checks, "_members", operators._members.__wrapped__)
+    assert checks.check_cutoff(3, 3, r=r)["status"] == "fail"
+
+
+betas = st.sets(st.integers(0, 6), min_size=1, max_size=4).map(
+    lambda s: tuple(sorted(s, reverse=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(betas, st.one_of(st.just(R), st.builds(Fraction, st.integers(-9, 9),
+                                              st.integers(1, 5))))
+@example((6, 5, 3, 0), R)
+@example((4, 2), Fraction(-3, 2))
+@example((1,), Fraction(0))
+def test_shifted_alternant_is_the_expanded_determinant(beta, r):
+    """a_beta(x + r) = sum_gamma c_gamma r^(|beta| - |gamma|) a_gamma(x):
+    the column helper's c_gamma against the strictly decreasing keys of
+    det[(x_i + r)^beta_j] expanded by the reference ``alternant``."""
+    m = len(beta)
+
+    def entry(i, j):
+        p = SparsePoly.const(m, Fraction(1))
+        for _ in range(beta[j]):
+            p = p * (SparsePoly.variable(m, i) + r)
+        return p
+    want = {k: c for k, c in alternant(m, entry).terms.items() if _strict(k)}
+    got = operators._shifted_alternant(beta)
+    assert all(_strict(g) for g in got)
+    terms = {g: c * r ** (sum(beta) - sum(g)) for g, c in got.items()}
+    assert {g: c for g, c in terms.items() if c} == want
 
 
 def test_cutoff_vanishing_where_strip_breaks():
@@ -343,38 +447,36 @@ def test_difference_family_never_raises_degree():
 
 def test_families_are_cached_per_scalar_world():
     """Equal shifts from Q and Q(r) fill separate cache entries, and the
-    factors and members of each world give every member of its family."""
+    members of each world give every member of its family."""
     one_q, one_r = Fraction(1), RationalFunction.const("r", 1)
     assert one_q == one_r and hash(one_q) == hash(one_r)
     t_family = operators._T_FAMILY
     for n in (1, 2, 3, 4):
-        worlds = []  # (B_size per size, the t-family's members) over Q, Q(r)
+        worlds = []  # the t-family's and the raising members over Q, Q(r)
         for one in (one_q, one_r):
             members = operators._members(n, one, t_family)
             assert isinstance(members, tuple) and len(members) == n + 1
             assert operators._members(n, one, t_family) is members
-            factors = [operators._block_factor(n, one, size)
-                       for size in range(n + 1)]
-            assert all(operators._block_factor(n, one, size) is b
-                       for size, b in enumerate(factors))
-            worlds.append((factors, members))
-        (factors_q, members_q), (factors_r, members_r) = worlds
+            raising = [operators._members(n, one, k)[0]
+                       for k in range(n + 1)]
+            assert all(operators._members(n, one, k)[0] is member
+                       for k, member in enumerate(raising))
+            worlds.append((members, raising))
+        (members_q, raising_q), (members_r, raising_r) = worlds
         assert members_q is not members_r
-        assert all(a is not b for a, b in zip(factors_q, factors_r))
-        for (factors, members), world_r in zip(worlds, (False, True)):
-            # r enters through the factors x_i - x_j - r, so from n = 2 on
-            coeffs = [c for b in factors for c in b.terms.values()]
-            coeffs += [cont for _, cont, _ in members]
-            assert any(isinstance(c, RationalFunction) for c in coeffs) \
+        assert all(a is not b for a, b in zip(raising_q, raising_r))
+        for (members, raising), world_r in zip(worlds, (False, True)):
+            # r enters every member of size 0 < k < n, so from n = 2 on
+            conts = [cont for _, cont, _ in members + tuple(raising)]
+            assert any(isinstance(c, RationalFunction) for c in conts) \
                 == (world_r and n > 1)
             for size in range(n + 1):
-                phi = block_vandermonde(n, size) * factors[size]
                 d = subset_determinant(tuple(range(size)), n, one_q)
                 assert member_terms(members[size]) == \
                     block_strict_part(d, size), (n, size)
-                for rows in combinations(range(n), size):
-                    assert orbit_member(phi, rows) == \
-                        cutoff_determinant(rows, n, one_q), (n, rows)
+                phi = cutoff_determinant(tuple(range(size)), n, one_q)
+                assert member_terms(raising[size]) == \
+                    block_strict_part(phi, size), (n, size)
 
 
 # -- application by linearity -------------------------------------------------

@@ -9,12 +9,10 @@ divides by the Vandermonde and collects the orbits
 phi_I expanded from the determinant that defines it, and the image
 kernel ``sympoly.family_image`` with the full product of each
 representative, antisymmetrized and read off by the reference
-``collect_alternating``, and the block-strict keys the kernel reads off
-a block-symmetric factor with those of the product formed in full.
+``collect_alternating``, and the block-strict keys the reference reads
+off a block-symmetric factor with those of the product formed in full.
 They also pin the s -> m table to known Kostka rows and to the
-bialternant, check that a representative whose factor past its block
-Vandermondes is not symmetric inside its blocks is refused when its
-cache is filled, and check the sign rules that the read-off rests on
+bialternant, and check the sign rules that the read-off rests on
 against a cycle count.
 """
 
@@ -22,7 +20,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +27,14 @@ from shifted_symfun import operators, sympoly
 from shifted_symfun.operators import (apply_difference_family, apply_raising,
                                       apply_sekiguchi_debiard)
 from shifted_symfun.partitions import enumerate_upto, staircase
-from shifted_symfun.scalars import (RationalFunction, _lift, scalar_key,
-                                    substitute)
+from shifted_symfun.scalars import RationalFunction, _lift, substitute
 from shifted_symfun.sympoly import (SparsePoly, SymPoly, _from_cleared, _sign,
                                     _sort_sign, collect_symmetric, complete,
                                     elementary, family_image, schur_expand)
 
 from reference_determinants import (_signed_permutations, apply_family,
-                                    bialternant_row, block_strict_part,
+                                    bialternant_row, block_members,
+                                    block_strict, block_strict_part,
                                     block_vandermonde, collect_alternating,
                                     cutoff_determinant, divide_by_vandermonde,
                                     member_terms, subset_determinant,
@@ -195,19 +192,19 @@ kernel_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
 @example((4, (2, 1, 0, 0), True, {0, 1, 2, 3, 4}), R)
 @example((2, (1, 1), False, {0, 1, 2}), Fraction(3, 2))
 def test_family_image_is_the_antisymmetrized_full_product(case, r):
-    """The kernel pairs the cached block-decreasing keys of each
-    representative with the packed shifted orbit, and sums the members
-    before the Schur rows; the reference forms each full product with
-    the determinant, antisymmetrizes it and reads it off by
-    ``collect_alternating``."""
+    """The kernel pairs the block-decreasing keys of each representative,
+    here read off its block-symmetric factor by the reference pipeline,
+    with the packed shifted orbit, and sums the members before the Schur
+    rows; the reference forms each full product with the determinant,
+    antisymmetrizes it and reads it off by ``collect_alternating``."""
     n, mu, subset, sizes = case
     sizes = sorted(sizes)
     if subset:
-        family = operators._members(n, r, operators._T_FAMILY)
+        family = block_members(n, r, "t")
         members = [family[k] for k in sizes]
         determinant = subset_determinant
     else:
-        members = [operators._members(n, r, k)[0] for k in sizes]
+        members = [block_members(n, r, k)[0] for k in sizes]
         determinant = cutoff_determinant
     full = [(k, determinant(tuple(range(k)), n, r)) for k in sizes]
     want = apply_family(SymPoly.basis(n, mu), full, subset)
@@ -232,10 +229,10 @@ block_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
 @example((3, 1, True, {(2, 1, 0, 1): R, (0, 0, 0, 0): Fraction(1, 2)}))
 @example((4, 2, False, {(1, 0, 2, 1, 0): 3, (2, 2, 1, 1, 0): 2 * R - 1}))
 def test_block_sort_is_the_block_strict_part_of_the_full_product(case):
-    """For b symmetrized inside [0, size) and [size, n), the member
-    ``_block_strict`` forms (each key of b plus the block staircase,
-    sorted with its sign inside each block) against the block-strict
-    part of V(x_I0) V(x_rest) b expanded with the reference
+    """For b symmetrized inside [0, size) and [size, n), the member the
+    reference ``block_strict`` forms (each key of b plus the block
+    staircase, sorted with its sign inside each block) against the
+    block-strict part of V(x_I0) V(x_rest) b expanded with the reference
     ``vandermonde``."""
     n, size, has_t, terms = case
     width = n + 1 if has_t else n
@@ -248,7 +245,7 @@ def test_block_sort_is_the_block_strict_part_of_the_full_product(case):
                 moved = tuple(k[i] for i in perm) + k[n:]
                 sym[moved] = sym.get(moved, 0) + c
     b = SparsePoly(n, sym, has_t)
-    member = sympoly._block_strict(size, b)
+    member = block_strict(size, b)
     assert member[0] == size
     assert member_terms(member) == \
         block_strict_part(block_vandermonde(n, size) * b, size)
@@ -291,52 +288,6 @@ def test_schur_table_matches_kostka_rows():
                 assert SymPoly(n, dict(schur_expand(n, (1,) * d))) == \
                     elementary(d, n)
     assert all(type(k) is int for _, k in schur_expand(3, (3, 1)))
-
-
-def flip_moved_term(p, size):
-    """p with the sign of its first term flipped whose key some
-    permutation inside [0, size) or [size, n) moves; p as it is when
-    there is none."""
-    n = p.n
-    terms = dict(p.terms)
-    key = next((k for k in terms if len(set(k[:size])) > 1
-                or len(set(k[size:n])) > 1), None)
-    if key is not None:
-        terms[key] = -terms[key]
-    return SparsePoly(n, terms, p.has_t)
-
-
-def test_skewed_phi_representative_is_refused_when_the_cache_fills(
-        monkeypatch):
-    # B_1 at n = 3 is a product of linear factors; flip a term of it
-    real = operators.prod
-    monkeypatch.setattr(operators, "prod",
-                        lambda *a, **kw: flip_moved_term(real(*a, **kw), 1))
-    r = Fraction(1, 2)
-    key = (3, scalar_key(r), 1)
-    monkeypatch.delitem(operators._FACTOR_CACHE, key, raising=False)
-    # I0 = {0}: the blocks are {0} and {1, 2}, so only s_1 is checked
-    with pytest.raises(ArithmeticError, match=r"c_\(0,\) .* s_1 "):
-        operators._block_factor(3, r, 1)
-    assert key not in operators._FACTOR_CACHE
-
-
-def test_skewed_subset_representative_is_refused_when_the_cache_fills(
-        monkeypatch):
-    # the factors B_size pass their own check; the d_(I0) members formed
-    # from them must pass the same check
-    real = operators._block_factor
-    r = Fraction(1, 2)
-
-    def skewed(n, rr, size):
-        b = real(n, rr, size)
-        return flip_moved_term(b, size) if size == 2 else b
-    monkeypatch.setattr(operators, "_block_factor", skewed)
-    key = (3, scalar_key(r), operators._T_FAMILY)
-    monkeypatch.delitem(operators._MEMBER_CACHE, key, raising=False)
-    with pytest.raises(ArithmeticError, match=r"c_\(0, 1\) .* s_0 "):
-        operators._members(3, r, operators._T_FAMILY)
-    assert key not in operators._MEMBER_CACHE
 
 
 def cycle_sign(perm):
