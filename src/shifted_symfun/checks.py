@@ -264,14 +264,18 @@ def check_cutoff(n, dmax, r=None):
             for head, acc in tails.items()]
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)
+        by_set = {}  # one row per index set: I's head is its complement's tail
         for size in range(1, n + 1):
             for rows in combinations(range(n), size):
                 if is_partition([m - (i in rows) for i, m in enumerate(mu)]):
                     continue
-                tau = rows + tuple(i for i in range(n) if i not in rows)
+                rest = tuple(i for i in range(n) if i not in rows)
+                for s in (rows, rest):
+                    if s not in by_set:
+                        by_set[s] = _Row([pt[i] for i in s])
+                tau = rows + rest
                 y = [pt[i] for i in tau]
-                top, rest = _Row(y[:size]), _Row(y[size:])
-                val = sum(top.value(*a) * rest.value(*b)
+                val = sum(by_set[rows].value(*a) * by_set[rest].value(*b)
                           for a, b in forms[size])
                 val = prod((y[i] - y[j] for i, j in combinations(range(n), 2)
                             if (i < size) == (j < size)),

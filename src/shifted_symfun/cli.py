@@ -178,9 +178,10 @@ def _resolve_parameter(args):
 
 
 def _check_bounds(args, need_dmax=False):
-    """Refuse n and dmax out of range before any work.  No determinant
-    is expanded, but above MAX_COMPUTE_N = 6 the orbit sums (up to n!
-    terms) and the partition recursion still explode, so the bound stays."""
+    """Refuse n and dmax out of range before any work.  No orbit is
+    listed to evaluate it, but above MAX_COMPUTE_N = 6 the image kernel's
+    pairing, the orbit expansions of to_sparse and the Sekiguchi-Debiard
+    images (up to n! keys) and the partition counts grow: the bound stays."""
     if args.n < 1:
         raise ConfigError(f"n must be >= 1, got {args.n}")
     if args.n > MAX_COMPUTE_N:

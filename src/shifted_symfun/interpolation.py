@@ -354,8 +354,9 @@ def _interp_rec(n, d, vals, rho):
         if not denom:
             raise NonDominantError(
                 f"node {mu} makes the reduction factor vanish")
-        h_vals[tuple(p - 1 for p in mu)] = \
-            (vals[mu] - g_shift.evaluate(pt)) / denom
+        # g_shift(pt) = g(pt - rho_n), off a row of its own: a one-off shift
+        at = _Row([x - last for x in pt]).value(*g_ext._int_form())
+        h_vals[tuple(p - 1 for p in mu)] = (vals[mu] - at) / denom
     h = _interp_rec(n, d - n, h_vals, rho)
     return collect_symmetric(g_shift + _full_column(h, last))
 

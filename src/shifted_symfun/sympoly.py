@@ -20,7 +20,7 @@ coefficients.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add, gt, mul, sub
 from types import MappingProxyType
 
@@ -342,15 +342,15 @@ class SparsePoly:
         return bool(self.ints)
 
     def evaluate(self, point):
-        """The value at a point, off an evaluation row built for this
-        call (``_Row.monomials``)."""
+        """The value at a point, as the plain sum of its scalar terms."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
         if self.has_t:
             raise ValueError("evaluate t components separately")
-        if not self.ints:
-            return Fraction(0)
-        return _Row(point).monomials(self.ints, self.param, self.cont)
+        total = Fraction(0)
+        for key, c in self.terms.items():
+            total += prod((x ** e for x, e in zip(point, key) if e), start=c)
+        return total
 
     def translate(self, deltas):
         """Substitute x_i -> x_i - deltas[i]; r and t are untouched.
@@ -603,29 +603,22 @@ def _powers(x, top):
     return out
 
 
-def _horner(pw, vals):
-    """The sum of v * prod_i pw[i][x[i]] over the items (x, v) of vals,
-    for power tables pw: summed from the last variable out (as sympy's
-    ``dmp_eval_tail``), so each prefix of exponents is multiplied once."""
-    for i in reversed(range(len(pw))):
-        col = pw[i]
-        out = {}
-        get = out.get
-        for x, v in vals.items():
-            head = x[:i]
-            out[head] = get(head, 0) + col[x[i]] * v
-        vals = out
-    return vals[()]
+def _removals(parts):
+    """(a, parts with one a taken out) for a = 0 and each distinct part a
+    of a partition's nonzero parts: the terms of ``_Row.orbit``'s step."""
+    return [(0, parts)] + [(a, parts[:j] + parts[j + 1:])
+                           for j, a in enumerate(parts)
+                           if not j or parts[j - 1] != a]
 
 
 class _Row:
     """One point, cleared to one denominator q: the one place where a
-    polynomial is evaluated.  Over Q the cleared coordinates are ints;
-    over Q(r) each integer polynomial in r is packed into one int, its
-    value at r = 2^bits (Kronecker substitution; see ``_pack``), so both
-    worlds run one int loop, summed by ``_horner`` for two readers:
-    ``orbit`` (kept on the row; ``value`` reads it for
-    ``SymPoly.evaluate``) and ``monomials`` (``SparsePoly.evaluate``)."""
+    polynomial is evaluated, and only a symmetric one.  Over Q the
+    cleared coordinates are ints; over Q(r) each integer polynomial in r
+    is packed into one int, its value at r = 2^bits (Kronecker
+    substitution; see ``_pack``), so both worlds run one int loop.
+    ``orbit`` sums a monomial symmetric function (kept on the row) and
+    ``value`` reads a cleared m-basis combination off those sums."""
 
     __slots__ = ("den", "var", "coords", "norm", "powers", "orbits")
 
@@ -649,59 +642,45 @@ class _Row:
         return [_powers(_pack(z, bits), top) for z in self.coords]
 
     def orbit(self, lam):
-        """The sum of the cleared coordinates' monomials over the orbit of
-        the partition lam: an int over Q, an integer UniPoly over Q(r),
-        and the int 1 for every zero partition in either world.  Over
-        Q(r) no coefficient of it exceeds |orbit| * norm^|lam| in size,
-        norm the largest l1 norm of a coordinate."""
+        """m_lam at the cleared coordinates, for a partition lam: an int
+        over Q, an integer UniPoly over Q(r), and the int 1 for every zero
+        partition in either world.  No rearrangement is listed:
+        m_lam(x_1..x_k) = sum_a x_k^a m_(lam - a)(x_1..x_(k-1)), a over 0
+        and the distinct parts of lam (Macdonald I.2), runs one variable
+        at a time from the last, each sub-partition summed once in a dict
+        local to the call; the a = 0 term goes when x_1..x_(k-1) cannot
+        hold lam, so m_lam = 0 when lam has more than k parts.  Over Q(r)
+        one width serves the call, as packing is a ring map and only the
+        final sum unpacks: no coefficient of it exceeds |orbit| *
+        norm^|lam|, norm the largest l1 norm of a coordinate and |orbit|
+        the multinomial k! / prod_i m_i!, m_i the multiplicities of lam
+        padded to k entries."""
         s = self.orbits.get(lam)
         if s is None:
-            top, var, s = max(lam, default=0), self.var, 1
-            if top:
-                keys = dict.fromkeys(_perms(lam), 1)
-                bits = (len(keys) * self.norm ** sum(lam)).bit_length() + 1
-                s = _horner(self._table(top, bits), keys)
+            parts, k = tuple(filter(None, lam)), len(self.coords)
+            var, s, bits = self.var, 1, 1
+            if parts:
+                if var is not None and len(parts) <= k:
+                    size = factorial(k) // factorial(k - len(parts))
+                    for a in set(parts):
+                        size //= factorial(parts.count(a))
+                    bits = (size * self.norm ** sum(parts)).bit_length() + 1
+                pw, sums, steps = self._table(parts[0], bits), {parts: 1}, {}
+                for i in reversed(range(k)):
+                    col, out = pw[i], {}
+                    get = out.get
+                    for rest, v in sums.items():
+                        if rest not in steps:
+                            steps[rest] = _removals(rest)
+                        for a, sub in steps[rest]:
+                            if a or len(rest) <= i:
+                                out[sub] = get(sub, 0) + col[a] * v
+                    sums = out
+                s = sums.get((), 0)
                 if var is not None:
                     s = UniPoly(var, _unpack(s, bits))
             self.orbits[lam] = s
         return s
-
-    def monomials(self, ints, param, cont):
-        """cont * sum c x^k over a SparsePoly int map (no t slot; k[n] the
-        power of r when param is set) at the point.  With E_i the top
-        exponent of x_i, x_i^e is read off the column x_i^e q^(E_i - e), so
-        the sum leaves over q^E, E = sum E_i, and no coefficient of it
-        exceeds sum |c| * m^E, m the largest l1 norm of q and the x_i."""
-        n = len(self.coords)
-        tops = [max(col) for col in zip(*ints)][:n]
-        e = sum(tops)
-        var, q, bits = param or (self.var if e else None), self.den, 1
-        if e and self.var not in (None, var):
-            raise TagMismatchError(
-                f"polynomial over {param!r} at a point over {self.var!r}")
-        if var is not None:
-            zq = _zcoeffs(q)
-            m = max(self.norm, _norm(zq))
-            bits = (_norm(ints.values()) * m ** e).bit_length() + 1
-            q = _pack(zq, bits)
-            if param:  # the r slot moves into the packed ints
-                packed = {}
-                for k, c in ints.items():
-                    x = k[:n]
-                    packed[x] = packed.get(x, 0) + (c << bits * k[n])
-                ints = packed
-        top = max(tops, default=0)
-        pw = self._table(top, bits)
-        if q != 1:
-            qs = _powers(q, top)
-            pw = [[x * qs[t - k] for k, x in enumerate(col[:t + 1])]
-                  for col, t in zip(pw, tops)]
-        acc = _horner(pw, ints)
-        a, b = (cont.num, cont.den) if param else (cont.numerator,
-                                                   cont.denominator)
-        if var is not None:
-            acc = UniPoly(var, _unpack(acc, bits))
-        return _ratio(acc * a, b * self.den ** e if e else b)
 
     def value(self, den, lams, nums):
         """sum_i nums[i] * m_(lams[i]) / den at the point, for cleared

@@ -1,10 +1,12 @@
 import inspect
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from shifted_symfun import checks, operators
+from shifted_symfun.partitions import enumerate_upto, is_partition
 from shifted_symfun.scalars import scalar_key
 from shifted_symfun.sympoly import SymPoly
 
@@ -279,3 +281,26 @@ def test_cutoff_reads_each_member_off_its_representative(monkeypatch):
     assert report["status"] == "fail"
     assert report["witness"] == {"mu": [0, 0, 0], "rows": [0, 2],
                                  "value": "-8"}
+
+
+@pytest.mark.parametrize("r", [None, Fraction(1, 2)], ids=["symbolic", "1/2"])
+def test_cutoff_builds_one_row_per_node_and_index_set(monkeypatch, r):
+    """The head of I and the tail of its complement are one point, so
+    each node builds one row per index set that a breaking I uses."""
+    real, built = checks._Row, []
+    monkeypatch.setattr(checks, "_Row",
+                        lambda point: built.append(point) or real(point))
+    n, dmax, sets, breaking = 3, 3, 0, 0
+    for mu in enumerate_upto(n, dmax):
+        used = set()
+        for size in range(1, n + 1):
+            for rows in combinations(range(n), size):
+                if not is_partition([m - (i in rows)
+                                     for i, m in enumerate(mu)]):
+                    breaking += 1
+                    used |= {rows, tuple(i for i in range(n)
+                                         if i not in rows)}
+        sets += len(used)
+    assert checks.check_cutoff(n, dmax, r=r)["status"] == "pass"
+    # two rows per breaking I would be 2 * breaking
+    assert len(built) == sets < 2 * breaking

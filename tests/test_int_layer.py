@@ -295,7 +295,10 @@ def test_interpolate_keeps_no_row():
     before = len(sympoly._ROW_CACHE)
     got = interpolate(3, 3, values, rho)
     assert len(sympoly._ROW_CACHE) == before
-    assert got == interpolate_recursive(3, 3, values, rho)
+    # the recursive route reads each g(x - rho_n) off a row of its own
+    rec = interpolate_recursive(3, 3, values, rho)
+    assert len(sympoly._ROW_CACHE) == before
+    assert got == rec
     for mu, v in values.items():
         assert got.evaluate(rho.point(mu)) == v
 
@@ -429,11 +432,12 @@ def test_newton_basis_equals_the_independent_solve(shift):
 # -- orbit sums over Q(r) on packed ints --------------------------------------
 
 def unipoly_orbit(elems, lam):
-    """sum over the orbit of lam of prod_i elems[i]^key[i], one UniPoly
-    product per monomial."""
-    total = UniPoly("r")
+    """sum over the orbit of lam of prod_i elems[i]^key[i], one product
+    per monomial: of UniPolys over Q(r), of ints over Q."""
+    over_r = any(isinstance(x, UniPoly) for x in elems)
+    total = UniPoly("r") if over_r else 0
     for key in set(permutations(lam)):
-        term = UniPoly.const("r", 1)
+        term = UniPoly.const("r", 1) if over_r else 1
         for x, e in zip(elems, key):
             term = term * x ** e
         total = total + term
@@ -448,8 +452,9 @@ coords_in_r = st.one_of(linear_in_r, rational_in_r,
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(coords_in_r, min_size=n, max_size=n),
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.one_of(st.lists(coords_in_r, min_size=n, max_size=n),
+              st.lists(small_rationals, min_size=n, max_size=n)),
     st.lists(st.integers(0, 4), min_size=n, max_size=n))))
 def test_packed_orbit_sums_match_unipoly_products(case):
     point, parts = case
@@ -458,10 +463,55 @@ def test_packed_orbit_sums_match_unipoly_products(case):
     _, elems = clear_denominators(point)
     got = row.orbit(lam)
     assert got == unipoly_orbit(elems, lam)
-    if any(lam):
+    if not any(lam):
+        assert type(got) is int and got == 1
+    elif row.var:
         assert isinstance(got, UniPoly) and got.var == "r"
     else:
-        assert type(got) is int and got == 1
+        assert type(got) is int
+
+
+# repeated parts, fewer parts than variables, and every variable used,
+# over Q and over Q(r)
+ORBIT_CASES = [
+    ([Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5)],
+     (2, 2, 1, 0)),
+    ([Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5),
+      Fraction(1), Fraction(-4)], (3, 1, 1, 0, 0, 0)),
+    ([R + 1, 2 * R, R / 3 - 1, (R + 2) / (R - 1), 5 - R],
+     (2, 1, 1, 0, 0)),
+    ([R + 1, 2 * R, R / 3 - 1], (3, 2, 1)),
+]
+
+
+def orbit_sums_agree():
+    return all(sympoly._Row(point).orbit(lam)
+               == unipoly_orbit(clear_denominators(point)[1], lam)
+               for point, lam in ORBIT_CASES)
+
+
+def _zero_term_dropped(monkeypatch):
+    """x_k^0 * m_lam(x_1..x_(k-1)) left out for every nonzero lam."""
+    real = sympoly._removals
+    monkeypatch.setattr(sympoly, "_removals", lambda parts: [
+        step for step in real(parts) if step[0] or not parts])
+
+
+def _repeated_parts_kept(monkeypatch):
+    """A part taken out once per occurrence, not once per value."""
+    monkeypatch.setattr(sympoly, "_removals", lambda parts: [(0, parts)] + [
+        (a, parts[:j] + parts[j + 1:]) for j, a in enumerate(parts)])
+
+
+ORBIT_MUTANTS = {"zero-term": _zero_term_dropped,
+                 "repeated-parts": _repeated_parts_kept}
+
+
+@pytest.mark.parametrize("mutant", sorted(ORBIT_MUTANTS))
+def test_orbit_mutants_are_caught(monkeypatch, mutant):
+    assert orbit_sums_agree()
+    ORBIT_MUTANTS[mutant](monkeypatch)
+    assert not orbit_sums_agree()
 
 
 def test_packed_orbit_sums_keep_negative_and_large_coefficients():
@@ -475,9 +525,8 @@ def test_packed_orbit_sums_keep_negative_and_large_coefficients():
     for lam in lams:
         assert row.orbit(lam) == unipoly_orbit(elems, lam)
     assert sympoly._Row([R, -R]).orbit((1, 0)) == 0
-    # SparsePoly.evaluate reads its int map off a row of the same point,
-    # packed once per call: the same orbits, and large negative
-    # coefficients in r
+    # SparsePoly.evaluate sums term by term over the scalars: the same
+    # orbits, and large negative coefficients in r
     big = 10 ** 15 * R ** 3 - 999 * R - Fraction(7, 2)
     polys = [sympoly.m_expand(4, lam) for lam in lams] + [
         SparsePoly(4, {(9, 0, 0, 0): big, (0, 1, 4, 0): Fraction(-5 ** 20),
@@ -486,14 +535,17 @@ def test_packed_orbit_sums_keep_negative_and_large_coefficients():
         assert p.evaluate(point) == sparse_reference(p, point)
     x = [SparsePoly.variable(2, i) for i in range(2)]
     assert (x[0] + x[1]).evaluate([R, -R]) == 0
-    # single-term coordinates of one norm at an integral point: the l1
-    # bound equals the size of the value's one coefficient, so a packing
-    # one bit narrower would not hold it
-    polys = [SparsePoly(4, {(2, 1, 0, 3): Fraction(-7)}),
-             SparsePoly(4, {(0, 3, 0, 0): -5 * R ** 2})]
-    for pt in ([3 * R, -3 * R, 3 * R, -3 * R], [Fraction(3), Fraction(-3)] * 2):
-        for p in polys:
-            assert p.evaluate(pt) == sparse_reference(p, pt)
+    # an orbit of size 1 at single-term coordinates of one norm: the
+    # bound |orbit| * norm^|lam| is the size of the sum's one coefficient,
+    # so a packing one bit narrower would not hold it; positive and
+    # negative
+    for pt, lam in (([3 * R, -3 * R, 3 * R, -3 * R], (2, 2, 2, 2)),
+                    ([3 * R, -3 * R, -3 * R, -3 * R], (1, 1, 1, 1)),
+                    ([-5 * R ** 2] * 3, (3, 3, 3))):
+        row = sympoly._Row(pt)
+        got = row.orbit(lam)
+        assert got == unipoly_orbit(clear_denominators(pt)[1], lam)
+        assert sympoly._norm(sympoly._zcoeffs(got)) == row.norm ** sum(lam)
     f = SymPoly(4, {(2, 1, 0, 0): Fraction(-1)})
     assert f.evaluate([3 * R] * 4) == reference_evaluate(f, [3 * R] * 4)
 
