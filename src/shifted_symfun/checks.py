@@ -32,8 +32,9 @@ from .operators import (_members, apply_difference_family, apply_raising,
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product, staircase)
-from .scalars import substitute
-from .sympoly import SymPoly, _Row, _make, _sign, elementary, schur_expand
+from .scalars import clear_denominators, substitute
+from .sympoly import (SymPoly, _numerator, _Row, _sign, elementary,
+                      schur_expand)
 
 DEFAULT_SEED = 20260814
 
@@ -252,15 +253,17 @@ def check_cutoff(n, dmax, r=None):
     forms = {}  # per size and head: s_(head - delta), sum c * s_(tail - delta)
     for size in range(1, n + 1):
         _, cont, keys = _members(n, rho.r, size)[0]
+        den = clear_denominators([cont])[0]  # the content is 1 / den
         m, param, tails = n - size, getattr(cont, "param", None), {}
-        for x, _, j, v in keys:
+        for x, _, j, v in keys:  # tails: head -> lam -> power of r -> int
             acc = tails.setdefault(x[:size], {})
             for lam, k in s_row(m, x[size:]):
-                key = lam + (j,) if param else lam
-                acc[key] = acc.get(key, 0) + k * v
+                ints = acc.setdefault(lam, {})
+                ints[j] = ints.get(j, 0) + k * v
         forms[size] = [
-            (SymPoly(size, dict(s_row(size, head)))._int_form(),
-             SymPoly(m, _make(m, False, param, cont, acc).terms)._int_form())
+            ((1, *zip(*s_row(size, head))),
+             (den, tuple(acc), tuple([_numerator(param, d)
+                                      for d in acc.values()])))
             for head, acc in tails.items()]
     for mu in enumerate_upto(n, dmax):
         pt = rho.point(mu)

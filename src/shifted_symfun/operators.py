@@ -52,7 +52,6 @@ from .sympoly import (SymPoly, _cleared, _combine, _from_cleared, _r_pairs,
 
 _MEMBER_CACHE = {}
 _IMAGE_CACHE = {}
-_PARTITION_CACHE = {}
 
 
 def _shifted_alternant(beta):
@@ -117,13 +116,6 @@ def _members(n, r, family):
     return tuple(_member(n, r, size, True) for size in range(n + 1))
 
 
-@memoized(_PARTITION_CACHE, lambda lam: lam)
-def _partition(lam):
-    """One shared tuple per partition: the cached images hold each
-    partition once, not once per term."""
-    return lam
-
-
 @memoized(_IMAGE_CACHE,
           lambda n, r, k, mu: (n, scalar_key(_lift(r)), k, mu))
 def _image(n, r, k, mu):
@@ -132,10 +124,9 @@ def _image(n, r, k, mu):
     ``sympoly.family_image`` and kept in cleared form only: a tuple of
     (t power, den, lams, nums) over the nonzero t powers, ascending,
     where the t power's coefficient at lams[i] is nums[i] / den (the
-    raising operators have the one power 0)."""
-    return tuple((p, den, tuple(map(_partition, lams)), nums)
-                 for p, den, lams, nums in family_image(n, mu,
-                                                        _members(n, r, k)))
+    raising operators have the one power 0).  The partitions are the
+    tuples held in the cached ``schur_expand`` rows."""
+    return family_image(n, mu, _members(n, r, k))
 
 
 def _by_linearity(f, image):

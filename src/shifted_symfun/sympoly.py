@@ -176,6 +176,14 @@ def _sort_sign(x):
     return y, (-1) ** sum(h < t for h, t in combinations(x, 2))
 
 
+def _numerator(param, ints):
+    """sum_j ints[j] * r^j, for ints keyed by power of r, as a cleared
+    numerator: an int over Q (param None), an integer UniPoly over Q(r)."""
+    if param is None:
+        return ints.get(0, 0)
+    return UniPoly(param, [ints.get(j, 0) for j in range(max(ints) + 1)])
+
+
 def _scalars(p, items):
     """{key without the r slot: scalar} from (key, int) items of p."""
     c = p.cont
@@ -185,8 +193,7 @@ def _scalars(p, items):
     polys = {}
     for k, v in items:
         polys.setdefault(k[:n] + k[n + 1:], {})[k[n]] = v
-    return {k: c * UniPoly(p.param, [d.get(j, 0) for j in range(max(d) + 1)])
-            for k, d in polys.items()}
+    return {k: c * _numerator(p.param, d) for k, d in polys.items()}
 
 
 class SparsePoly:
@@ -643,8 +650,8 @@ class _Row:
 
     def orbit(self, lam):
         """m_lam at the cleared coordinates, for a partition lam: an int
-        over Q, an integer UniPoly over Q(r), and the int 1 for every zero
-        partition in either world.  No rearrangement is listed:
+        over Q, its int coefficient tuple in r (lowest first) over Q(r),
+        and 1 or (1,) for every zero partition.  No rearrangement is listed:
         m_lam(x_1..x_k) = sum_a x_k^a m_(lam - a)(x_1..x_(k-1)), a over 0
         and the distinct parts of lam (Macdonald I.2), runs one variable
         at a time from the last, each sub-partition summed once in a dict
@@ -658,7 +665,7 @@ class _Row:
         s = self.orbits.get(lam)
         if s is None:
             parts, k = tuple(filter(None, lam)), len(self.coords)
-            var, s, bits = self.var, 1, 1
+            var, s, bits = self.var, 1, 2  # two bits unpack m_0 = 1
             if parts:
                 if var is not None and len(parts) <= k:
                     size = factorial(k) // factorial(k - len(parts))
@@ -677,8 +684,8 @@ class _Row:
                                 out[sub] = get(sub, 0) + col[a] * v
                     sums = out
                 s = sums.get((), 0)
-                if var is not None:
-                    s = UniPoly(var, _unpack(s, bits))
+            if var is not None:
+                s = tuple(_unpack(s, bits))
             self.orbits[lam] = s
         return s
 
@@ -702,13 +709,12 @@ class _Row:
         q = self.den
         var = self.var
         if var is not None:
-            zn, zo = list(map(_zcoeffs, nums)), list(map(_zcoeffs, orbits))
-            zq = _zcoeffs(q)
-            bound = (sum(map(mul, map(_norm, zn), map(_norm, zo)))
+            zn, zq = list(map(_zcoeffs, nums)), _zcoeffs(q)
+            bound = (sum(map(mul, map(_norm, zn), map(_norm, orbits)))
                      * _norm(zq) ** top)
             bits = bound.bit_length() + 1
             nums = [_pack(z, bits) for z in zn]
-            orbits = [_pack(z, bits) for z in zo]
+            orbits = [_pack(z, bits) for z in orbits]
             q = _pack(zq, bits)
         if q == 1:  # an integral point, such as a node at a symbolic shift
             acc = sum(map(mul, nums, orbits))
@@ -965,13 +971,9 @@ def family_image(n, mu, members):
         for lam, c in by_lam.items():
             if c:
                 part.setdefault(lam, {})[j] = c
-    out = []
-    for t, by_lam in sorted(parts.items()):
-        nums = (tuple(d[0] for d in by_lam.values()) if param is None else
-                tuple(UniPoly(param, [d.get(j, 0) for j in range(max(d) + 1)])
-                      for d in by_lam.values()))
-        out.append((t, den, tuple(by_lam), nums))
-    return tuple(out)
+    return tuple((t, den, tuple(by_lam),
+                  tuple(_numerator(param, d) for d in by_lam.values()))
+                 for t, by_lam in sorted(parts.items()))
 
 
 def sekiguchi_image(n, mu, r, t_value=None):

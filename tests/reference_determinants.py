@@ -15,7 +15,10 @@ Vandermondes times the factor B_k = prod_{i<k} x_i *
 prod_{i<k<=j} (x_i - x_j - r), expanded from its linear factors
 (``block_factor``), checked symmetric inside both blocks
 (``block_symmetric``), and its keys moved by the block staircase and
-sorted with their signs (``block_strict``).  The Schur rows, which the
+sorted with their signs (``block_strict``).  The forms that the
+cut-off check reads phi_(I0) off are built here through SparsePoly
+terms and SymPoly coefficients (``scalar_cutoff_forms``), where the
+package builds them from the members' ints.  The Schur rows, which the
 package counts as Kostka numbers, and the factorial Schur functions,
 which it sums over tableaux, are built here as bialternants, and an
 operator application as the full product of each family representative
@@ -32,7 +35,7 @@ from operator import add, sub
 from shifted_symfun.partitions import as_partition, staircase
 from shifted_symfun.scalars import (RationalFunction, _lift, memoized,
                                     scalar_key)
-from shifted_symfun.sympoly import (SparsePoly, _make, _scalars,
+from shifted_symfun.sympoly import (SparsePoly, SymPoly, _make, _scalars,
                                     _schur_to_m, _sign, _sort_sign, _strict,
                                     _sym, collect_symmetric, falling_power,
                                     schur_expand)
@@ -166,6 +169,30 @@ def block_members(n, r, family):
         b = prod(outside, start=sign * block_factor(n, r, size))
         members.append(block_strict(size, block_symmetric(b, size)))
     return tuple(members)
+
+
+def scalar_cutoff_forms(n, members):
+    """The forms ``checks.check_cutoff`` reads phi_(I0) off, built
+    through the scalars, for the raising members (size, content, keys)
+    of sizes 1 to n: per size and head, s_(head - delta) as a SymPoly, and
+    sum c * s_(tail - delta) as a SparsePoly over the member's content
+    (the power of r in the r slot) read back through its scalar
+    ``terms`` into a SymPoly, each cleared by ``_int_form``."""
+    def s_row(k, kappa):  # s_(kappa - delta) in k variables
+        return schur_expand(k, tuple(map(sub, kappa, staircase(k))))
+    forms = {}
+    for size, cont, keys in members:
+        m, param, tails = n - size, getattr(cont, "param", None), {}
+        for x, _, j, v in keys:
+            acc = tails.setdefault(x[:size], {})
+            for lam, k in s_row(m, x[size:]):
+                key = lam + (j,) if param else lam
+                acc[key] = acc.get(key, 0) + k * v
+        forms[size] = [
+            (SymPoly(size, dict(s_row(size, head)))._int_form(),
+             SymPoly(m, _make(m, False, param, cont, acc).terms)._int_form())
+            for head, acc in tails.items()]
+    return forms
 
 
 def divide_by_vandermonde(p):

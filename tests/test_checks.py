@@ -6,9 +6,12 @@ from itertools import combinations
 import pytest
 
 from shifted_symfun import checks, operators
+from shifted_symfun.interpolation import ShiftVector
 from shifted_symfun.partitions import enumerate_upto, is_partition
 from shifted_symfun.scalars import scalar_key
-from shifted_symfun.sympoly import SymPoly
+from shifted_symfun.sympoly import SymPoly, _Row
+
+from reference_determinants import scalar_cutoff_forms
 
 
 def test_registry_names():
@@ -281,6 +284,64 @@ def test_cutoff_reads_each_member_off_its_representative(monkeypatch):
     assert report["status"] == "fail"
     assert report["witness"] == {"mu": [0, 0, 0], "rows": [0, 2],
                                  "value": "-8"}
+
+
+def cutoff_forms_read(monkeypatch, n, r):
+    """{size: [(head form, tail form)]}, the forms check_cutoff reads
+    phi_(I0) off, in the order it reads them: at the node 0 every
+    nonempty index set I breaks, and for each I the check reads the head
+    and then the tail of every pair, at the rows of I and of its
+    complement."""
+    calls, real = [], _Row.value
+
+    def recorded(row, *form):
+        calls.append((len(row.coords), form))
+        return real(row, *form)
+
+    with monkeypatch.context() as m:
+        m.setattr(_Row, "value", recorded)
+        assert checks.check_cutoff(n, 0, r)["status"] == "pass"
+    pairs = {}  # a form is known by its partition tuple, built once
+    for (size, head), (_, tail) in zip(calls[0::2], calls[1::2]):
+        pairs.setdefault(size, {}).setdefault((id(head[1]), id(tail[1])),
+                                              (head, tail))
+    return {size: list(p.values()) for size, p in pairs.items()}
+
+
+@pytest.mark.parametrize("r", [None, Fraction(1, 2), Fraction(3, 2)],
+                         ids=["symbolic", "1/2", "3/2"])
+def test_cutoff_forms_equal_the_scalar_construction(monkeypatch, r):
+    """The forms read off the members' ints take the values, of the same
+    scalar type, of the forms built through SparsePoly terms, SymPoly
+    and ``_int_form``, at every node of degree <= 3: each head form at
+    every index set I, each tail form at its complement."""
+    for n in range(1, 6):
+        rho = ShiftVector.staircase_multiple(n, r)
+        got = cutoff_forms_read(monkeypatch, n, r)
+        want = scalar_cutoff_forms(n, [operators._members(n, rho.r, size)[0]
+                                       for size in range(1, n + 1)])
+        assert {k: len(v) for k, v in got.items()} == {
+            k: len(v) for k, v in want.items()}
+        for mu in enumerate_upto(n, 3):
+            pt = rho.point(mu)
+            for size, pairs in got.items():
+                for rows in combinations(range(n), size):
+                    rest = [i for i in range(n) if i not in rows]
+                    rows = [_Row([pt[i] for i in s]) for s in (rows, rest)]
+                    for forms, ref in zip(pairs, want[size]):
+                        for row, form, ref_form in zip(rows, forms, ref):
+                            a, b = row.value(*form), row.value(*ref_form)
+                            assert a == b and type(a) is type(b), (n, mu)
+
+
+def test_cutoff_fails_when_the_tails_lose_their_power_of_r(monkeypatch):
+    """A mutant that puts every tail int at r^0 fails the check at the
+    symbolic shift."""
+    assert checks.check_cutoff(3, 3)["status"] == "pass"
+    real = checks._numerator
+    monkeypatch.setattr(checks, "_numerator", lambda param, ints: real(
+        param, {0: sum(ints.values())}))
+    assert checks.check_cutoff(3, 3)["status"] == "fail"
 
 
 @pytest.mark.parametrize("r", [None, Fraction(1, 2)], ids=["symbolic", "1/2"])
