@@ -32,7 +32,7 @@ from .operators import (_members, apply_difference_family, apply_raising,
 from .partitions import (contains, dominance_less, enumerate_exact,
                          enumerate_upto, hook_product_lower, is_partition,
                          pieri_coefficient, rho_hook_product, staircase)
-from .scalars import clear_denominators, substitute
+from .scalars import clear_denominators, invert_parameter, substitute
 from .sympoly import (SymPoly, _numerator, _Row, _sign, elementary,
                       schur_expand)
 
@@ -400,7 +400,9 @@ def check_lift(n, dmax):
     params = {"n": n, "dmax": dmax}
     rho = ShiftVector.staircase_multiple(n)
     for lam in enumerate_upto(n, dmax):
-        jack_r = jack_P_eigen(lam, n, alpha=1 / rho.r)
+        # the alpha basis that jack-agreement and pieri build, at alpha = 1/r
+        jack_r = jack_P_eigen(lam, n).map_coeffs(
+            lambda c: invert_parameter(c, rho.r.param))
         lifted = inhomogeneous_lift(jack_r, rho.r)
         if lifted != interpolation_polynomial(lam, rho):
             return _report("lift", params, _w(lam=lam))

@@ -2,19 +2,20 @@
 
 Two containers share the work:
 
-  * SparsePoly -- one scalar content times a dict of int coefficients,
-    keyed by exponent tuples with an optional slot for the parameter r
-    and an optional slot for the generating variable t
+  * SparsePoly -- one scalar content times a dict of cleared numerators
+    (ints over Q, integer UniPolys in r over Q(r)), keyed by exponent
+    tuples with an optional slot for the generating variable t
   * SymPoly    -- symmetric polynomials stored by partition in the m-basis
 
-Conversions go down via to_sparse / m_expand and back up via
-collect_symmetric, which verifies symmetry instead of assuming it.  The
-operator images (``family_image``, ``sekiguchi_image``) read the
-quotient of an alternating polynomial by the Vandermonde off its
-strictly decreasing keys and stay in cleared int form.  That
-conversion, ``SparsePoly.terms`` and ``_from_cleared`` (the end of a
-cleared linear combination in the m-basis, ``_combine``) are the only
-places where the ints turn back into Fraction or RationalFunction
+Conversions go down via to_sparse (which reads the SymPoly's own
+cleared form) / m_expand and back up via collect_symmetric, which
+verifies symmetry instead of assuming it.  The operator images
+(``family_image``, ``sekiguchi_image``) read the quotient of an
+alternating polynomial by the Vandermonde off its strictly decreasing
+keys and stay in cleared int form.  That conversion,
+``SparsePoly.terms`` and ``_from_cleared`` (the end of a cleared linear
+combination in the m-basis, ``_combine``) are the only places where
+the numerators turn back into Fraction or RationalFunction
 coefficients.
 """
 
@@ -134,22 +135,8 @@ def _sym(n, clean):
     return f
 
 
-def _from_scalars(n, has_t, items):
-    """SparsePoly from (keys, scalar) items: each key, written without the
-    r slot, carries that scalar."""
-    _, cont, nums = _cleared([c for _, c in items])
-    param = getattr(cont, "param", None)
-    ints = {}
-    for (keys, _), num in zip(items, nums):
-        pairs = _r_pairs(num)
-        for key in keys:
-            for j, v in pairs:
-                ints[key[:n] + (j,) + key[n:] if param else key] = v
-    return _make(n, has_t, param, cont, ints)
-
-
 def _imul(a, b):
-    """Product of two int term maps: keys add slot by slot."""
+    """Product of two numerator maps: keys add slot by slot."""
     out = {}
     get = out.get
     items = list(b.items())
@@ -184,29 +171,20 @@ def _numerator(param, ints):
     return UniPoly(param, [ints.get(j, 0) for j in range(max(ints) + 1)])
 
 
-def _scalars(p, items):
-    """{key without the r slot: scalar} from (key, int) items of p."""
-    c = p.cont
-    if p.param is None:
-        return {k: c * v for k, v in items}
-    n = p.n
-    polys = {}
-    for k, v in items:
-        polys.setdefault(k[:n] + k[n + 1:], {})[k[n]] = v
-    return {k: c * _numerator(p.param, d) for k, d in polys.items()}
-
-
 class SparsePoly:
-    """Multivariate polynomial: one scalar content times an int term map.
+    """Multivariate polynomial: one scalar content times a map of cleared
+    numerators.
 
     Its value is ``cont * sum(c * monomial(key))`` over ``ints``, a dict
-    of nonzero ints.  A key holds the n x-exponents, then the exponent of
-    the parameter r when the polynomial lives over Q(r), then the exponent
-    of t when has_t is set.  Over Q, ``param`` is None and ``cont`` a
-    Fraction; over Q(r), ``param`` names r and ``cont`` is a
-    RationalFunction.  Products, shifts and divisions run on the ints
-    alone; ``terms`` gives the scalar coefficients, keyed without the r
-    slot.
+    of nonzero numerators in the form ``clear_denominators`` returns.  A
+    key holds the n x-exponents, then the exponent of t when has_t is
+    set.  Over Q, ``param`` is None, ``cont`` a Fraction and the
+    numerators ints; over Q(r), ``param`` names r, ``cont`` is a
+    RationalFunction and the numerators are UniPolys in r with integer
+    coefficients (or ints, kept as they are when a polynomial over Q
+    meets Q(r)).  Products, shifts and divisions run on the numerators
+    alone, products in r through the scalar kernel; ``terms`` gives the
+    scalar coefficients.
     """
 
     __slots__ = ("n", "has_t", "param", "cont", "ints")
@@ -217,10 +195,10 @@ class SparsePoly:
         for key in terms:
             if len(key) != width:
                 raise ValueError(f"key {key} has wrong width, expected {width}")
-        p = _from_scalars(n, has_t, [((tuple(k),), c)
-                                     for k, c in terms.items() if c])
-        self.n, self.has_t, self.param = n, has_t, p.param
-        self.cont, self.ints = p.cont, p.ints
+        terms = {tuple(k): c for k, c in terms.items() if c}
+        _, cont, nums = _cleared(list(terms.values()))
+        self.n, self.has_t, self.param = n, has_t, getattr(cont, "param", None)
+        self.cont, self.ints = cont, dict(zip(terms, nums))
 
     @classmethod
     def zero(cls, n, has_t=False):
@@ -244,7 +222,8 @@ class SparsePoly:
     @property
     def terms(self):
         """The coefficients as {key: Fraction or RationalFunction}."""
-        return _scalars(self, self.ints.items())
+        c = self.cont
+        return {k: c * v for k, v in self.ints.items()}
 
     def is_zero(self):
         return not self.ints
@@ -280,10 +259,8 @@ class SparsePoly:
         if self.param is not None:
             raise TagMismatchError(
                 f"polynomials over {self.param!r} and {param!r} do not mix")
-        n = self.n
-        return _make(n, self.has_t, param,
-                     RationalFunction.const(param, self.cont),
-                     {k[:n] + (0,) + k[n:]: c for k, c in self.ints.items()})
+        return _make(self.n, self.has_t, param,
+                     RationalFunction.const(param, self.cont), self.ints)
 
     def _pair(self, other):
         if self.n != other.n:
@@ -292,12 +269,6 @@ class SparsePoly:
         if a.has_t == b.has_t:
             return a, b
         return a.with_t(), b.with_t()
-
-    def _times(self, num):
-        """The int map times a cleared numerator (an int, or a UniPoly in r)."""
-        slots = (0,) * self.n, self.param is not None, (0,) * self.has_t
-        return _imul(self.ints, {slots[0] + (j,) * slots[1] + slots[2]: v
-                                 for j, v in _r_pairs(num)})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
@@ -309,7 +280,8 @@ class SparsePoly:
                 extra = {k: -c for k, c in extra.items()}
             else:  # rescale both to one content
                 _, cont, (ma, mb) = _cleared([a.cont, b.cont])
-                out, extra = dict(a._times(ma)), b._times(mb)
+                out = {k: c * ma for k, c in out.items()}
+                extra = {k: c * mb for k, c in extra.items()}
         for k, c in extra.items():
             s = out.get(k, 0) + c
             if s:
@@ -375,7 +347,6 @@ class SparsePoly:
                 continue
             q, scale, (a,) = _cleared([delta])
             p = p._over(getattr(scale, "param", None))
-            n, param = p.n, p.param
             top = max(k[i] for k in p.ints)
             expansions = {}
             out = {}
@@ -384,18 +355,15 @@ class SparsePoly:
                 e = key[i]
                 if e not in expansions:
                     expansions[e] = [
-                        (k, j, v) for k in range(e + 1)
-                        for j, v in _r_pairs(comb(e, k) * q ** (top - e + k)
-                                             * (-a) ** (e - k))]
+                        (k, comb(e, k) * q ** (top - e + k) * (-a) ** (e - k))
+                        for k in range(e + 1)]
                 kk = list(key)
-                for k, j, v in expansions[e]:
+                for k, v in expansions[e]:
                     kk[i] = k
-                    if param:
-                        kk[n] = key[n] + j
                     kt = tuple(kk)
                     out[kt] = get(kt, 0) + c * v
             cont = p.cont if q == 1 else p.cont * scale ** top
-            p = _make(n, p.has_t, param, cont,
+            p = _make(p.n, p.has_t, p.param, cont,
                       {k: c for k, c in out.items() if c})
         return p
 
@@ -567,10 +535,13 @@ class SymPoly:
                              for k, c in self.terms.items()})
 
     def to_sparse(self, has_t=False):
+        """The SparsePoly of self over the content 1/den of ``_int_form``,
+        each orbit key carrying its partition's numerator."""
+        den, lams, nums = self._int_form()
         tail = (0,) if has_t else ()
-        return _from_scalars(self.n, has_t,
-                             [([key + tail for key in _perms(lam)], c)
-                              for lam, c in self.terms.items()])
+        return _make(self.n, has_t, getattr(den, "var", None), _ratio(1, den),
+                     {key + tail: num for lam, num in zip(lams, nums)
+                      for key in _perms(lam)})
 
     def evaluate(self, point):
         """The value at a point, off its per-process ``_point_row``."""
@@ -795,27 +766,23 @@ def collect_symmetric(p):
     """
     if p.has_t:
         raise ValueError("collect t components separately")
-    n = p.n
     groups = {}
     for key, c in p.ints.items():
-        rep = tuple(sorted(key[:n], reverse=True)) + key[n:]
-        groups.setdefault(rep, {})[key] = c
-    out = []
-    for rep, seen in groups.items():
-        lam = rep[:n]
-        missing = next((k for k in _perms(lam) if k + rep[n:] not in seen),
-                       None)
+        groups.setdefault(tuple(sorted(key, reverse=True)), {})[key] = c
+    out = {}
+    for lam, seen in groups.items():
+        missing = next((k for k in _perms(lam) if k not in seen), None)
         if missing is not None:
             raise NotSymmetricError(f"missing monomial x^{missing}")
-        ref = seen[rep]
+        ref = seen[lam]
         for key, c in seen.items():
             if c != ref:
                 raise NotSymmetricError(
                     f"coefficients differ on the orbit of x^{lam}: "
-                    f"{p.coefficient(key[:n])} at x^{key[:n]} "
+                    f"{p.coefficient(key)} at x^{key} "
                     f"vs {p.coefficient(lam)}")
-        out.append((rep, ref))
-    return _sym(n, _scalars(p, out))
+        out[lam] = p.cont * ref
+    return _sym(p.n, out)
 
 
 def _schur_to_m(strict):

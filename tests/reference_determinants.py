@@ -35,10 +35,10 @@ from operator import add, sub
 from shifted_symfun.partitions import as_partition, staircase
 from shifted_symfun.scalars import (RationalFunction, _lift, memoized,
                                     scalar_key)
-from shifted_symfun.sympoly import (SparsePoly, SymPoly, _make, _scalars,
-                                    _schur_to_m, _sign, _sort_sign, _strict,
-                                    _sym, collect_symmetric, falling_power,
-                                    schur_expand)
+from shifted_symfun.sympoly import (SparsePoly, SymPoly, _make, _numerator,
+                                    _r_pairs, _schur_to_m, _sign, _sort_sign,
+                                    _strict, _zcoeffs, collect_symmetric,
+                                    falling_power, schur_expand)
 
 
 def _signed_permutations(n):
@@ -139,16 +139,17 @@ def block_strict(size, b):
     are the (x-part, t, r, int) of c_(I0) strictly decreasing in both
     blocks.  c_(I0) is the block antisymmetrization of
     x^(delta_size, delta_(n - size)) * b (Macdonald I.3), so each key of
-    b plus that staircase is sorted in each block with its sign."""
-    n, has_r = b.n, b.param is not None
-    shift = staircase(size) + staircase(n - size)
+    b plus that staircase is sorted in each block with its sign, and
+    each numerator of b is split into its powers of r."""
+    shift = staircase(size) + staircase(b.n - size)
     acc = {}
     for key, a in b.ints.items():
         x = tuple(map(add, key, shift))  # the x-part: shift has n slots
         (head, s), (tail, u) = _sort_sign(x[:size]), _sort_sign(x[size:])
         if s and u:
-            k = head + tail, key[-1] if b.has_t else 0, key[n] if has_r else 0
-            acc[k] = acc.get(k, 0) + s * u * a
+            for j, v in _r_pairs(a):
+                k = head + tail, key[-1] if b.has_t else 0, j
+                acc[k] = acc.get(k, 0) + s * u * v
     return size, b.cont, tuple([k + (a,) for k, a in acc.items() if a])
 
 
@@ -176,8 +177,8 @@ def scalar_cutoff_forms(n, members):
     through the scalars, for the raising members (size, content, keys)
     of sizes 1 to n: per size and head, s_(head - delta) as a SymPoly, and
     sum c * s_(tail - delta) as a SparsePoly over the member's content
-    (the power of r in the r slot) read back through its scalar
-    ``terms`` into a SymPoly, each cleared by ``_int_form``."""
+    (one numerator per partition, summed by power of r) read back through
+    its scalar ``terms`` into a SymPoly, each cleared by ``_int_form``."""
     def s_row(k, kappa):  # s_(kappa - delta) in k variables
         return schur_expand(k, tuple(map(sub, kappa, staircase(k))))
     forms = {}
@@ -186,11 +187,13 @@ def scalar_cutoff_forms(n, members):
         for x, _, j, v in keys:
             acc = tails.setdefault(x[:size], {})
             for lam, k in s_row(m, x[size:]):
-                key = lam + (j,) if param else lam
-                acc[key] = acc.get(key, 0) + k * v
+                ints = acc.setdefault(lam, {})
+                ints[j] = ints.get(j, 0) + k * v
         forms[size] = [
             (SymPoly(size, dict(s_row(size, head)))._int_form(),
-             SymPoly(m, _make(m, False, param, cont, acc).terms)._int_form())
+             SymPoly(m, _make(m, False, param, cont,
+                              {lam: _numerator(param, d)
+                               for lam, d in acc.items()}).terms)._int_form())
             for head, acc in tails.items()]
     return forms
 
@@ -261,14 +264,6 @@ def factorial_schur_bialternant(lam, n):
     return collect_symmetric(divide_by_vandermonde(det))
 
 
-def _x_groups(ints, n):
-    """{x-part: [(r and t slots, int), ...]} of an int term map."""
-    groups = {}
-    for k, c in ints.items():
-        groups.setdefault(k[:n], []).append((k[n:], c))
-    return groups
-
-
 def collect_alternating(p):
     """The quotient of an alternating SparsePoly by the Vandermonde, in
     the m-basis; with t, {t_exponent: SymPoly} over the nonzero t powers.
@@ -280,16 +275,15 @@ def collect_alternating(p):
     """
     n = p.n
     delta = staircase(n)
+    groups = {}  # x-part -> [(t slot, scalar), ...]
+    for k, c in p.terms.items():
+        groups.setdefault(k[:n], []).append((k[n:], c))
     out = _schur_to_m([(schur_expand(n, tuple(map(sub, x, delta))), rests)
-                       for x, rests in _x_groups(p.ints, n).items()
-                       if _strict(x)])
-    q = _make(n, p.has_t, p.param, p.cont,
-              {lam + rest: c for rest, acc in out.items()
-               for lam, c in acc.items() if c})
+                       for x, rests in groups.items() if _strict(x)])
+    parts = {rest: SymPoly(n, acc) for rest, acc in sorted(out.items())}
     if not p.has_t:
-        return _sym(n, _scalars(q, q.ints.items()))
-    return {tp: _sym(n, _scalars(part, part.ints.items()))
-            for tp, part in q.t_components().items()}
+        return parts.get((), SymPoly.zero(n))
+    return {rest[0]: g for rest, g in parts.items() if g}
 
 
 def strict_product(a, b, k):
@@ -309,7 +303,7 @@ def strict_product(a, b, k):
         kk = tuple(sorted(x, reverse=True)) + key[n:]
         out[kk] = out.get(kk, 0) + sign * c
     block = factorial(k) * factorial(n - k)
-    assert all(c % block == 0 for c in out.values())
+    assert all(v % block == 0 for c in out.values() for v in _zcoeffs(c))
     return _make(n, full.has_t, full.param, full.cont,
                  {kk: c // block for kk, c in out.items() if c})
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from shifted_symfun import checks, operators
+from shifted_symfun import checks, jack, operators
 from shifted_symfun.interpolation import ShiftVector
 from shifted_symfun.partitions import enumerate_upto, is_partition
 from shifted_symfun.scalars import scalar_key
@@ -50,6 +50,17 @@ def test_alpha_checks_refuse_rational_r():
         for r in ("1/2", "symbolic"):
             with pytest.raises(ValueError):
                 checks.run_check(name, 2, 2, r=r)
+
+
+def test_lift_reads_the_alpha_eigen_basis(monkeypatch):
+    # lift rewrites the Q(alpha) eigen basis at alpha = 1/r, the one that
+    # jack-agreement and pieri build, rather than solving one over Q(r)
+    def over_r():
+        return [k for k in jack._EIGEN_CACHE if k[2][:2] == ("rf", "r")]
+    for key in over_r():
+        monkeypatch.delitem(jack._EIGEN_CACHE, key)
+    assert checks.run_check("lift", 3, 3)["status"] == "pass"
+    assert over_r() == []
 
 
 SHIFT_CHECKS = [name for name, (_, takes_r) in checks.CHECKS.items()

@@ -1,11 +1,12 @@
 """Cross-world oracles for the integer polynomial layer.
 
-SparsePoly keeps one scalar content and an int term map, with r as one
-more exponent slot over Q(r).  These tests check it against routes that
-do not share that representation: the symbolic-r operators with r
-substituted afterwards, term-by-term Fraction evaluation, and sympy's
-Poly over QQ.  The cached evaluation rows are checked against cold and
-term-by-term evaluation, and the Newton basis against one full solve.
+SparsePoly keeps one scalar content and a map of cleared numerators:
+ints over Q, integer polynomials in r over Q(r).  These tests check it
+against routes that do not share that representation: the symbolic-r
+operators with r substituted afterwards, term-by-term Fraction
+evaluation, and sympy's Poly over QQ.  The cached evaluation rows are
+checked against cold and term-by-term evaluation, and the Newton basis
+against one full solve.
 sympy and hypothesis are test-time dependencies only.
 """
 
@@ -24,7 +25,9 @@ from shifted_symfun import sympoly  # noqa: E402
 from shifted_symfun.interpolation import (ShiftVector,  # noqa: E402
                                           _node_matrix, interpolate,
                                           interpolate_recursive,
-                                          interpolation_basis, solve_linear)
+                                          interpolation_basis,
+                                          interpolation_polynomial,
+                                          solve_linear)
 from shifted_symfun.operators import (apply_difference_family,  # noqa: E402
                                       apply_raising)
 from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
@@ -32,7 +35,8 @@ from shifted_symfun.partitions import (enumerate_exact,  # noqa: E402
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
                                     TagMismatchError, UniPoly,
                                     clear_denominators, substitute)
-from shifted_symfun.sympoly import SparsePoly, SymPoly, _perms  # noqa: E402
+from shifted_symfun.sympoly import (SparsePoly, SymPoly,  # noqa: E402
+                                    _perms, collect_symmetric)
 
 PROPS = settings(max_examples=40, deadline=None)
 R = RationalFunction.gen("r")
@@ -166,7 +170,7 @@ def test_evaluate_over_q_of_r_at_partition_nodes(case):
 def test_translate_by_scalars_of_either_world(case):
     # shifting by d and evaluating at x is evaluating at x - d, for
     # rational shifts and for shifts that are polynomials or rational
-    # functions in r (these move exponents into the r slot)
+    # functions in r (these multiply the numerators by polynomials in r)
     f, d, x = case
     p = f.to_sparse()
     shifted = [a - b for a, b in zip(x, d)]
@@ -201,15 +205,45 @@ def test_products_with_a_content_match_sympy(case, c):
     assert all(isinstance(v, int) for v in got.ints.values())
 
 
-def test_r_is_an_exponent_slot():
+def test_r_lives_in_the_numerators():
+    # over Q(r) each key carries an integer polynomial in r, keyed by the
+    # x exponents alone
     p = SparsePoly.variable(2, 0) * (R + Fraction(1, 2)) + R / 3
     assert p.param == "r"
-    assert p.ints == {(1, 0, 1): 6, (1, 0, 0): 3, (0, 0, 1): 2}
+    assert p.ints == {(1, 0): UniPoly("r", [3, 6]),
+                      (0, 0): UniPoly("r", [0, 2])}
     assert p.cont == RationalFunction(UniPoly.const("r", Fraction(1, 6)))
     assert p.terms == {(1, 0): R + Fraction(1, 2), (0, 0): R / 3}
     q = p * (1 / (R + 1))
     assert q.ints == p.ints
     assert (q * (R + 1)).terms == p.terms
+    # a polynomial over Q promoted to Q(r) keeps its int numerators
+    x = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): 3})
+    lifted = x * R
+    assert lifted.param == "r" and lifted.ints == x.ints
+    assert all(type(v) is int for v in lifted.ints.values())
+    # zero coefficients are dropped before clearing, so they do not make
+    # a polynomial over Q(r)
+    z = SparsePoly(2, {(1, 0): R * 0, (0, 1): Fraction(1, 2)})
+    assert z.param is None and z.ints == {(0, 1): 1}
+
+
+def test_to_sparse_reads_the_cleared_form_once(monkeypatch):
+    # the SymPoly's own cleared form serves every to_sparse call
+    n = 3
+    rho = ShiftVector.staircase_multiple(n, None)
+    f = SymPoly(n, dict(interpolation_polynomial((2, 1), rho).terms))
+    calls = []
+    real = sympoly.clear_denominators
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+    monkeypatch.setattr(sympoly, "clear_denominators", counted)
+    first, second = f.to_sparse(), f.to_sparse()
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert first == second and collect_symmetric(first) == f
 
 
 def test_sign_only_content_difference_is_added_without_clearing(monkeypatch):
