@@ -4,11 +4,12 @@ Every coefficient in this package is one of three kinds:
 
   * Fraction            -- plain rational number
   * UniPoly             -- polynomial over Q in one named parameter
-  * RationalFunction    -- quotient of two UniPoly in the same parameter
+  * RationalFunction    -- quotient of two polynomials in the same parameter
 
-A "Scalar" is a Fraction or a RationalFunction.  UniPoly is the numerator
-and denominator of a RationalFunction and the entry type of the linear
-solver once rows are cleared of denominators.  Its coefficients are
+A "Scalar" is a Fraction or a RationalFunction.  UniPoly is the type of
+a cleared numerator or denominator (the entry type of the linear solver
+once rows are cleared, and of ``clear_denominators``) and the type of the
+``num``/``den`` views of a RationalFunction.  Its coefficients are
 rationals only: a polynomial in t over Q(r) is kept as a tuple of its
 t-coefficients, not as a UniPoly.  Mixing scalars that live over different
 parameters is a bug, not a coercion opportunity, and raises
@@ -20,8 +21,9 @@ of ints, lowest degree first, with gcd 1 and a positive leading entry (the
 zero polynomial has content 0 and ``prim == ()``).  By Gauss's lemma products
 of primitive parts are primitive, so multiplication needs no gcd; exact
 division is integer long division and the gcd is computed on plain ints.
-``coeffs``, the Fraction coefficient tuple, is built on first use for
-rendering and cache keys only.
+A RationalFunction is stored the same way, as k * n / d with a rational k
+and coprime primitive int tuples n and d.  ``coeffs``, the Fraction
+coefficient tuple, is built on every read, for rendering only.
 """
 
 from fractions import Fraction
@@ -215,7 +217,6 @@ def _poly(var, cont, prim):
     p.var = var
     p.cont = cont
     p.prim = prim
-    p._coeffs = None
     return p
 
 
@@ -247,14 +248,13 @@ class UniPoly:
     docstring for the stored form.
     """
 
-    __slots__ = ("var", "cont", "prim", "_coeffs")
+    __slots__ = ("var", "cont", "prim")
 
     def __init__(self, var, coeffs=()):
         self.var = var
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = None
         den = 1
         for c in cs:
             if isinstance(c, Fraction):
@@ -277,12 +277,10 @@ class UniPoly:
 
     @property
     def coeffs(self):
-        """The coefficients as a tuple, lowest degree first."""
-        cs = self._coeffs
-        if cs is None:
-            c = Fraction(self.cont)
-            cs = self._coeffs = tuple([c * v for v in self.prim])
-        return cs
+        """The coefficients as a tuple, lowest degree first; built on
+        every read, for rendering."""
+        c = Fraction(self.cont)
+        return tuple([c * v for v in self.prim])
 
     @classmethod
     def const(cls, var, c):
@@ -304,10 +302,12 @@ class UniPoly:
     def constant_value(self):
         if len(self.prim) > 1:
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.prim else Fraction(0)
+        return Fraction(self.cont)
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.prim) else Fraction(0)
+        if 0 <= k < len(self.prim):
+            return Fraction(self.cont) * self.prim[k]
+        return Fraction(0)
 
     def _coerce(self, other):
         """Lift other to a UniPoly in self.var, or return None."""
@@ -457,8 +457,7 @@ class UniPoly:
         if not self.prim:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k, c in reversed(tuple(enumerate(self.coeffs))):
             if not c:
                 continue
             if k == 0:
@@ -496,87 +495,52 @@ def _lift(x):
     return x
 
 
-# Constant-one denominators per parameter, interned by hand: on this hot
-# path the extra call through ``memoized`` would double each lookup's cost.
-_ONE_CACHE = {}
-
-
-def _one_poly(param):
-    p = _ONE_CACHE.get(param)
-    if p is None:
-        p = _poly(param, 1, (1,))
-        _ONE_CACHE[param] = p
-    return p
-
-
 def _rf(var, k, n, d):
-    """The RationalFunction k * n / d in normal form.
-
-    k is a rational; n and d are coprime primitive int tuples with
-    positive leading terms (n may be empty for zero).
-    """
+    """The RationalFunction k * n / d, from its stored form (see the
+    class docstring)."""
     f = object.__new__(RationalFunction)
-    if not n or not k:
-        f.num = _poly(var, 0, ())
-        f.den = _one_poly(var)
-    elif len(d) == 1:
-        f.num = _poly(var, k, n)
-        f.den = _one_poly(var)
-    else:
-        lead = d[-1]
-        f.num = _poly(var, _qdiv(k, lead), n)
-        f.den = _poly(var, _qdiv(1, lead), d)
+    f.param, f.k, f.n, f.d = var, k, n, d
     return f
-
-
-def _rf_over(num, den):
-    """The RationalFunction num / den for a numerator already coprime to
-    the monic denominator den."""
-    f = object.__new__(RationalFunction)
-    f.num = num
-    f.den = den
-    return f
-
-
-def _rf_reduced(var, k, n, d):
-    """Like _rf, but cancels the gcd of n and d first."""
-    if len(n) > 1 and len(d) > 1:
-        _, n, d = _zgcd(n, d)
-    return _rf(var, k, n, d)
-
-
-def _rf_scale(f):
-    """The rational k with f == k * num.prim / den.prim."""
-    return f.num.cont * f.den.prim[-1]
 
 
 class RationalFunction:
-    """Reduced fraction of two UniPoly over Q, denominator monic and nonzero.
+    """Reduced fraction of two polynomials over Q in one parameter.
 
-    Instances are immutable and hashable; the (num, den) pair is the unique
-    normal form, so == compares the stored contents and primitive parts.
+    Stored as ``k * n / d``: ``k`` is a rational, and ``n`` and ``d`` are
+    coprime primitive int tuples, lowest degree first, with positive
+    leading entries; zero is ``k = 0, n = (), d = (1,)``.  The form is
+    unique, so == compares the stored fields.  ``num`` and ``den`` are
+    UniPoly views built on read, ``den`` monic.  Instances are immutable
+    and hashable.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("param", "k", "n", "d")
 
     def __init__(self, num, den=None):
         if not isinstance(num, UniPoly):
             raise TypeError("numerator must be a UniPoly")
-        if den is None:
-            den = _one_poly(num.var)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.var != den.var:
-            raise TagMismatchError(
-                f"numerator in {num.var!r}, denominator in {den.var!r}")
-        f = _rf_reduced(num.var, _qdiv(num.cont, den.cont), num.prim,
-                        den.prim)
-        self.num = f.num
-        self.den = f.den
+        n, d, k = num.prim, (1,), num.cont
+        if den is not None:
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            if num.var != den.var:
+                raise TagMismatchError(
+                    f"numerator in {num.var!r}, denominator in {den.var!r}")
+            if n:
+                d, k = den.prim, _qdiv(k, den.cont)
+                if len(n) > 1 and len(d) > 1:
+                    _, n, d = _zgcd(n, d)
+        self.param, self.k, self.n, self.d = num.var, k, n, d
 
     @property
-    def param(self):
-        return self.num.var
+    def num(self):
+        if not self.n:
+            return _poly(self.param, 0, ())
+        return _poly(self.param, _qdiv(self.k, self.d[-1]), self.n)
+
+    @property
+    def den(self):
+        return _poly(self.param, _qdiv(1, self.d[-1]), self.d)
 
     @classmethod
     def gen(cls, param):
@@ -587,15 +551,15 @@ class RationalFunction:
         return cls(UniPoly.const(param, _lift(c)))
 
     def is_constant(self):
-        return len(self.num.prim) <= 1 and len(self.den.prim) == 1
+        return len(self.n) <= 1 and len(self.d) == 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.num.constant_value()
+        return Fraction(self.k)
 
     def is_polynomial(self):
-        return len(self.den.prim) == 1
+        return len(self.d) == 1
 
     def as_unipoly(self):
         if not self.is_polynomial():
@@ -609,7 +573,7 @@ class RationalFunction:
                     f"rational functions in {self.param!r} and {other.param!r} do not mix")
             return other
         if isinstance(other, (int, Fraction)):
-            return _rf(self.param, _qnorm(other), (1,), (1,))
+            return _rf(self.param, _qnorm(other), (1,) if other else (), (1,))
         if isinstance(other, UniPoly):
             if other.var != self.param:
                 raise TagMismatchError(
@@ -619,78 +583,75 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
+        var = self.param
         if isinstance(other, (int, Fraction)):
-            # n/d + c = (n + c*d)/d, still reduced
+            # k n/d + c = (k n + c d)/d, still reduced
             if not other:
                 return self
-            return _rf_over(self.num + self.den * other, self.den)
+            x, y, den = _ratio_parts(self.k, _qnorm(other))
+            n = _zcombine(x, self.n, y, self.d)
+            if not n:
+                return _rf(var, 0, (), (1,))
+            c, n = _zprimitive(n)
+            return _rf(var, _qdiv(c, den), n, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num.prim:
+        if not o.n:
             return self
-        if not self.num.prim:
+        if not self.n:
             return o
-        var = self.param
-        d1, d2 = self.den.prim, o.den.prim
+        # k1 n1/d1 + k2 n2/d2 over d1 when the denominators agree, else
+        # over d1*d2
+        d1, d2 = self.d, o.d
+        x, y, den = _ratio_parts(self.k, o.k)
         if d1 == d2:
-            num = self.num + o.num
-            return _rf_reduced(var, num.cont * d1[-1], num.prim, d1)
-        # k1 n1/d1 + k2 n2/d2 over the denominator d1*d2
-        k1, k2 = _rf_scale(self), _rf_scale(o)
-        x, y, den = _ratio_parts(k1, k2)
-        n = _zcombine(x, _zmul(self.num.prim, d2), y, _zmul(o.num.prim, d1))
+            n, d = _zcombine(x, self.n, y, o.n), d1
+        else:
+            n = _zcombine(x, _zmul(self.n, d2), y, _zmul(o.n, d1))
+            d = _zmul(d1, d2)
         if not n:
             return _rf(var, 0, (), (1,))
         c, n = _zprimitive(n)
-        return _rf_reduced(var, _qdiv(c, den), n, _zmul(d1, d2))
+        if len(n) > 1 and len(d) > 1:
+            _, n, d = _zgcd(n, d)
+        return _rf(var, _qdiv(c, den), n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _rf_over(-self.num, self.den)
+        return _rf(self.param, -self.k, self.n, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other or not self.num.prim:
+            if not other or not self.n:
                 return _rf(self.param, 0, (), (1,))
-            num = self.num
-            k = num.cont * _qnorm(other)
-            return _rf_over(_poly(num.var, k, num.prim), self.den)
+            return _rf(self.param, self.k * _qnorm(other), self.n, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n1, d1 = self.num.prim, self.den.prim
-        n2, d2 = o.num.prim, o.den.prim
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
         if not n1 or not n2:
             return _rf(self.param, 0, (), (1,))
-        if len(d1) == 1 and len(d2) == 1:
-            return _rf(self.param, self.num.cont * o.num.cont,
-                       _zmul(n1, n2), d1)
         # cross-cancel: both inputs are reduced, so the product is too
         if len(d2) > 1 and len(n1) > 1:
             _, n1, d2 = _zgcd(n1, d2)
         if len(d1) > 1 and len(n2) > 1:
             _, n2, d1 = _zgcd(n2, d1)
-        return _rf(self.param, _rf_scale(self) * _rf_scale(o),
-                   _zmul(n1, n2), _zmul(d1, d2))
+        return _rf(self.param, self.k * o.k, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        if not self.num.prim:
+        if not self.n:
             raise ZeroDivisionError("division by zero rational function")
-        return _rf(self.param, _qdiv(1, _rf_scale(self)), self.den.prim,
-                   self.num.prim)
+        return _rf(self.param, _qdiv(1, self.k), self.d, self.n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -708,46 +669,43 @@ class RationalFunction:
     def __pow__(self, k):
         if k < 0:
             return self._inverse() ** (-k)
-        if not self.num.prim:
+        if not self.n:
             return self if k else _rf(self.param, 1, (1,), (1,))
-        return _rf(self.param, _rf_scale(self) ** k,
-                   _zpow(self.num.prim, k), _zpow(self.den.prim, k))
+        return _rf(self.param, self.k ** k, _zpow(self.n, k),
+                   _zpow(self.d, k))
 
     def substitute(self, value):
         """Evaluate at a rational value of the parameter."""
-        d = self.den(value)
-        if not d:
+        p, q = value.numerator, value.denominator
+        dv = _zeval_homog(self.d, p, q)  # q^deg(d) * d(p/q)
+        if not dv:
             raise PoleError(f"{self} has a pole at {self.param}={value}")
-        return self.num(value) / d
+        return self.k * Fraction(_zeval_homog(self.n, p, q) * q ** len(self.d),
+                                 dv * q ** len(self.n))
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
-            return (self.num.prim == other.num.prim
-                    and self.den.prim == other.den.prim
-                    and self.num.cont == other.num.cont
-                    and self.param == other.param)
+            return (self.n == other.n and self.d == other.d
+                    and self.k == other.k and self.param == other.param)
         if isinstance(other, (int, Fraction)):
-            return len(self.den.prim) == 1 and self.num == other
+            return self.is_constant() and self.k == other
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.param, self.num.cont, self.num.prim, self.den.prim))
+            return hash(self.k)
+        return hash((self.param, self.k, self.n, self.d))
 
     def __bool__(self):
-        return bool(self.num.prim)
+        return bool(self.n)
 
     def __str__(self):
         ns = str(self.num)
-        if self.den.is_constant():
+        if self.is_polynomial():
             return ns
         if " " in ns:
             ns = f"({ns})"
-        ds = str(self.den)
-        if " " in ds or self.den.degree() > 0:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return f"{ns}/({self.den})"
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -764,7 +722,7 @@ def scalar_key(x):
     if isinstance(x, Fraction):
         return ("q", x)
     if isinstance(x, RationalFunction):
-        return ("rf", x.param, x.num.coeffs, x.den.coeffs)
+        return ("rf", x.param, x.k, x.n, x.d)
     raise TypeError(f"not a scalar: {x!r}")
 
 
@@ -843,15 +801,14 @@ def clear_denominators(values):
         raise TagMismatchError(f"rational functions in {sorted(params)} "
                                "do not mix")
     param = params.pop()
-    plcm = _prim_lcm([v.den for v in values
-                      if isinstance(v, RationalFunction)])
+    plcm = _prim_lcm([_poly(param, 1, v.d) for v in values
+                      if isinstance(v, RationalFunction) and len(v.d) > 1])
     parts = []  # each value as k * prim / plcm, k rational, prim over Z
     for v in values:
         if not v:
             parts.append((0, ()))
         elif isinstance(v, RationalFunction):
-            parts.append((v.num.cont * v.den.prim[-1],
-                          _zmul(v.num.prim, _zdiv_exact(plcm, v.den.prim))))
+            parts.append((v.k, _zmul(v.n, _zdiv_exact(plcm, v.d))))
         else:
             parts.append((v, plcm))
     q = lcm(*(k.denominator for k, _ in parts))
@@ -885,7 +842,7 @@ def invert_parameter(x, new_param):
         return _lift(x)
     if not isinstance(x, RationalFunction):
         raise TypeError(f"cannot invert parameter of {type(x).__name__}")
-    k, num, den = _rf_scale(x), x.num.prim, x.den.prim
+    k, num, den = x.k, x.n, x.d
     if not num:
         return _rf(new_param, 0, (), (1,))
     shift = len(den) - len(num)

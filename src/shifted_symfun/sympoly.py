@@ -142,8 +142,9 @@ def _imul(a, b):
     items = list(b.items())
     for k1, c1 in a.items():
         for k2, c2 in items:
-            k = tuple(map(add, k1, k2))
-            out[k] = get(k, 0) + c1 * c2
+            k, c = tuple(map(add, k1, k2)), c1 * c2
+            v = get(k)
+            out[k] = c if v is None else v + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -283,7 +284,8 @@ class SparsePoly:
                 out = {k: c * ma for k, c in out.items()}
                 extra = {k: c * mb for k, c in extra.items()}
         for k, c in extra.items():
-            s = out.get(k, 0) + c
+            v = out.get(k)
+            s = c if v is None else v + c
             if s:
                 out[k] = s
             else:
@@ -360,8 +362,9 @@ class SparsePoly:
                 kk = list(key)
                 for k, v in expansions[e]:
                     kk[i] = k
-                    kt = tuple(kk)
-                    out[kt] = get(kt, 0) + c * v
+                    kt, cv = tuple(kk), c * v
+                    u = get(kt)
+                    out[kt] = cv if u is None else u + cv
             cont = p.cont if q == 1 else p.cont * scale ** top
             p = _make(p.n, p.has_t, p.param, cont,
                       {k: c for k, c in out.items() if c})
@@ -798,7 +801,8 @@ def _schur_to_m(strict):
                 acc = out[rest] = {}
             get = acc.get
             for lam, k in row:
-                acc[lam] = get(lam, 0) + k * c
+                v = get(lam)
+                acc[lam] = k * c if v is None else v + k * c
     return out
 
 
@@ -977,7 +981,8 @@ def sekiguchi_image(n, mu, r, t_value=None):
                 coeffs[0] *= c
         acc = strict.setdefault(y, {})
         for p, v in enumerate(coeffs):
-            acc[p] = acc.get(p, 0) + v
+            u = acc.get(p)
+            acc[p] = v if u is None else u + v
     rows = [(schur_expand(n, tuple(map(sub, y, delta))), list(acc.items()))
             for y, acc in strict.items()]
     den = q ** n

@@ -12,6 +12,7 @@ sympy and hypothesis are test-time dependencies only.
 
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -244,6 +245,41 @@ def test_to_sparse_reads_the_cleared_form_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert first == second and collect_symmetric(first) == f
+
+
+def test_accumulators_start_from_their_first_term(monkeypatch):
+    # over Q(r) a new key keeps its first numerator as it is: no UniPoly is
+    # added to the int 0, which would build a zero UniPoly in _coerce
+    sites = ("_imul", "translate", "__add__", "sekiguchi_image",
+             "_schur_to_m")
+    seen = {site: 0 for site in sites}
+    real = UniPoly._coerce
+
+    def counted(self, other):
+        caller = sys._getframe(2)
+        if (type(other) in (int, Fraction) and not other
+                and sys._getframe(1).f_code is UniPoly.__add__.__code__
+                and caller.f_globals is vars(sympoly)
+                and caller.f_code.co_name in seen):
+            seen[caller.f_code.co_name] += 1
+        return real(self, other)
+    monkeypatch.setattr(UniPoly, "_coerce", counted)
+    x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    p = (x0 + R) * (x1 * (R + 1) + Fraction(1, 2))
+    q = p.translate((R, Fraction(1, 3))) + x0 * x1 * x1 * R
+    image = sympoly.sekiguchi_image(3, (2, 1, 0), R)
+    monkeypatch.undo()
+    assert seen == {site: 0 for site in sites}
+    # the same values as the route over Q at r = 2
+    two = Fraction(2)
+    want = ((x0 + two) * (x1 * 3 + Fraction(1, 2))).translate(
+        (two, Fraction(1, 3))) + x0 * x1 * x1 * two
+    assert {k: substitute(c, two) for k, c in q.terms.items()} == want.terms
+    assert [(t, substitute(den, two), lams,
+             tuple(substitute(v, two) for v in nums))
+            for t, den, lams, nums in image] == \
+        [(t, den, lams, nums) for t, den, lams, nums
+         in sympoly.sekiguchi_image(3, (2, 1, 0), two)]
 
 
 def test_sign_only_content_difference_is_added_without_clearing(monkeypatch):

@@ -4,6 +4,7 @@ sympy and hypothesis are test-time dependencies only; nothing under
 ``src/`` imports them.
 """
 
+import math
 import operator
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from shifted_symfun.interpolation import solve_linear  # noqa: E402
 from shifted_symfun.scalars import (RationalFunction,  # noqa: E402
-                                    TagMismatchError, UniPoly,
+                                    TagMismatchError, UniPoly, _zgcd,
                                     invert_parameter, substitute)
 
 PROPS = settings(max_examples=60, deadline=None)
@@ -161,6 +162,40 @@ def test_normal_form_matches_sympy_cancel(n, d, g):
     num, den = sympy_normal_form(to_sympy_poly(n * g).as_expr()
                                  / to_sympy_poly(d * g).as_expr())
     assert f.num == num and f.den == den
+
+
+# -- the stored form: k * n / d ---------------------------------------------
+
+def assert_stored_form(f):
+    """(f.k, f.n, f.d) is the normal form, and the num/den views rebuild
+    f through the public constructor."""
+    k, n, d = f.k, f.n, f.d
+    if not n:
+        assert k == 0 and d == (1,)
+    else:
+        assert k and type(k) in (int, Fraction)
+        for t in (n, d):
+            assert type(t) is tuple and all(type(c) is int for c in t)
+            assert t[-1] > 0 and math.gcd(*t) == 1
+        assert _zgcd(n, d)[0] == (1,)
+    g = RationalFunction(f.num, f.den)
+    assert (g.k, g.n, g.d) == (k, n, d) and g == f and hash(g) == hash(f)
+    assert f.den.coefficient(f.den.degree()) == 1
+
+
+@PROPS
+@given(rational_functions, rational_functions, rationals)
+def test_arithmetic_keeps_the_stored_form(a, b, c):
+    results = [a + b, a - b, a * b, a + c, c - a, a * c, -a, a ** 2]
+    if b:
+        results += [a / b, c / b, b ** -1]
+    for f in [a, b] + results:
+        assert_stored_form(f)
+    num, den = sympy_normal_form(to_sympy(a) + to_sympy(b))
+    assert (a + b).num == num and (a + b).den == den
+    num, den = sympy_normal_form(to_sympy(a) + sympy.Rational(
+        c.numerator, c.denominator))
+    assert (a + c).num == num and (a + c).den == den
 
 
 # -- gcd ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from shifted_symfun import scalars
 from shifted_symfun.scalars import (ExactDivisionError, PoleError,
                                     RationalFunction, TagMismatchError,
                                     UniPoly, binom_scalar,
@@ -38,6 +39,18 @@ def test_unipoly_basic():
     assert (T ** 3).coefficient(3) == 1
     assert (T ** 3).coefficient(1) == 0
     assert UniPoly.const("t", Fraction(0)).degree() == -1
+
+
+def test_unipoly_coefficient_out_of_range():
+    p = 2 * T ** 2 - Fraction(3, 2) * T
+    for k, want in ((-1, 0), (0, 0), (1, Fraction(-3, 2)), (2, 2), (3, 0),
+                    (7, 0)):
+        got = p.coefficient(k)
+        assert got == want and type(got) is Fraction
+    zero = T - T
+    for k in (-1, 0, 1):
+        assert zero.coefficient(k) == 0 and type(zero.coefficient(k)) is Fraction
+    assert p.coeffs == (0, Fraction(-3, 2), 2) and zero.coeffs == ()
 
 
 def test_unipoly_str():
@@ -109,6 +122,57 @@ def test_rational_function_reduction():
     g = 1 / (2 * R + 2)
     assert g.den.coefficient(g.den.degree()) == 1
     assert g * (2 * R + 2) == 1
+
+
+def test_arithmetic_builds_no_unipoly(monkeypatch):
+    # values are stored as k * n / d; a UniPoly is built only when the
+    # num/den views are read
+    calls = []
+    real = scalars._poly
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(scalars, "_poly", counted)
+    f = ((R + 1) / (R - 2)) * (R * R + 3) + Fraction(1, 2)
+    assert calls == []
+    assert f.num == UniPoly("r", [2, Fraction(7, 2), 1, 1])
+    assert f.den == UniPoly("r", [-2, 1])
+
+
+def test_adding_a_rational_takes_no_gcd(monkeypatch):
+    # k n/d + c = (k n + c d)/d is reduced already
+    f = (R + 1) / (R - 2)
+    calls = []
+    real = scalars._zgcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    monkeypatch.setattr(scalars, "_zgcd", counted)
+    g = f + Fraction(3, 4)
+    h = Fraction(3, 4) + f
+    monkeypatch.undo()
+    assert calls == []
+    assert g == h == (Fraction(7, 4) * R - Fraction(1, 2)) / (R - 2)
+    assert (g.k, g.n, g.d) == (Fraction(1, 4), (-2, 7), (-2, 1))
+    z = RationalFunction.const("r", 3) + (-3)
+    assert (z.k, z.n, z.d) == (0, (), (1,))
+
+
+def test_scalar_key_reads_the_stored_form():
+    a, b = (R * R - 1) / (R - 1), R + 1
+    assert a == b and scalar_key(a) == scalar_key(b)
+    assert hash(scalar_key(a)) == hash(scalar_key(b))
+    assert scalar_key(a) != scalar_key(R + 2)
+    three = RationalFunction.const("r", 3)
+    assert scalar_key((3 * R) / R) == scalar_key(three)
+    # a constant RationalFunction equals its Fraction but keeps its own key
+    assert three == Fraction(3) and hash(three) == hash(Fraction(3))
+    assert scalar_key(three) != scalar_key(Fraction(3))
+    zero = R - R
+    assert scalar_key(zero) == scalar_key(RationalFunction.const("r", 0))
+    assert scalar_key(zero) != scalar_key(Fraction(0))
 
 
 def test_rational_function_field_laws():
