@@ -13,9 +13,8 @@ the polynomial ring during back-substitution.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, takewhile
 from math import prod
-from types import MappingProxyType
 
 from .partitions import (as_partition, dominance_less, enumerate_exact,
                          enumerate_upto, horizontal_strips, rho_hook_product,
@@ -49,11 +48,12 @@ class ShiftVector:
     tuple of scalars.  All entries must live in one scalar world.
     """
 
-    __slots__ = ("entries", "r")
+    __slots__ = ("entries", "r", "_key")
 
     def __init__(self, entries, r=None):
         self.entries = tuple(_lift(e) for e in entries)
         self.r = r
+        self._key = tuple(map(scalar_key, self.entries))
 
     @classmethod
     def staircase_multiple(cls, n, r=None):
@@ -116,7 +116,7 @@ class ShiftVector:
         return None
 
     def key(self):
-        return tuple(scalar_key(e) for e in self.entries)
+        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, ShiftVector):
@@ -237,44 +237,41 @@ def _node_values(n, d, values):
     return basis, vals
 
 
-@memoized(_BASIS_CACHE, lambda n, d, rho: (n, d, rho.key()))
+@memoized(_BASIS_CACHE, lambda lam, rho, rows=None: (rho.key(), lam))
+def _newton(lam, rho, rows=None):
+    """(P_lam, its hook product H_lam, the row of lam + rho), per (shift
+    key, lam).  The outermost call checks the shift and forms rows, the
+    node rows of degree <= |lam| in ``enumerate_upto`` order.  m_lam is
+    reduced against each P_kappa, kappa < lam, in that order, so every
+    P_kappa is built on its own down-set first and no call recurses
+    deeper than one level.  P_lam is then read at the nodes of degree
+    <= |lam| it was not reduced against: H_lam at lam + rho, else 0."""
+    d = sum(lam)
+    if rows is None:
+        _require_shift(len(lam), d, rho)
+        rows = {mu: got[2] if got else _point_row(rho.point(mu))
+                for mu in enumerate_upto(rho.n, d)
+                for got in [_BASIS_CACHE.get((rho.key(), mu))]}
+    below = {kappa: _newton(kappa, rho, rows)
+             for kappa in takewhile(lam.__ne__, rows)
+             if dominance_less(kappa, lam)}
+    hook = rho_hook_product(lam, rho.entries)
+    den, lams, nums = _reduce(lam, [(row, h, P._int_form())
+                                    for P, h, row in below.values()])
+    for mu in takewhile(lambda mu: sum(mu) <= d, rows):
+        if mu not in below and rows[mu].value(den, lams, nums) != (
+                hook if mu == lam else 0):
+            raise ArithmeticError(
+                f"P_{lam}, reduced against the P_kappa below it, takes "
+                f"the wrong value at the node {mu}")
+    return _from_cleared(rho.n, den, dict(zip(lams, nums))), hook, rows[lam]
+
+
 def interpolation_basis(n, d, rho):
-    """All P_lam for |lam| = d at once; cached per (n, d, rho).
-
-    Newton's construction on top of the cached lower degrees: P_lam is
-    m_lam reduced against every P_kappa with kappa < lam in dominance,
-    lower degrees first (see ``_reduce``).  P_kappa vanishes at the other
-    nodes of degree <= |kappa|, so each step keeps the zeros made so far.
-    Taking lam in lexicographic order, which refines dominance, builds
-    every degree-d P_kappa below lam first, and no step touches the m_lam
-    coefficient, which stays 1.  P_lam is then read at every node the
-    reduction did not use, so each lam reads one value per node: the hook
-    product at lam + rho and zero elsewhere, or ArithmeticError.
-
-    Only P_lam's coefficients become scalars; the reductions run on
-    cleared forms.  The result is a read-only {lam: P_lam} view of the
-    cached entry.
-    """
-    _require_shift(n, d, rho)
-    nodes = {mu: (_point_row(rho.point(mu)), rho_hook_product(mu, rho.entries))
-             for mu in enumerate_upto(n, d)}
-    forms = {kappa: P._int_form() for e in range(d)
-             for kappa, P in interpolation_basis(n, e, rho).items()}
-    out = {}
-    for lam in enumerate_exact(n, d):
-        below = [kappa for kappa in forms if dominance_less(kappa, lam)]
-        den, lams, nums = forms[lam] = _reduce(
-            lam, [(*nodes[kappa], forms[kappa]) for kappa in below])
-        used = set(below)
-        for mu, (row, hook) in nodes.items():
-            if mu in used:
-                continue
-            if row.value(den, lams, nums) != (hook if mu == lam else 0):
-                raise ArithmeticError(
-                    f"P_{lam}, reduced against the P_kappa below it, takes "
-                    f"the wrong value at the node {mu}")
-        out[lam] = _from_cleared(n, den, dict(zip(lams, nums)))
-    return MappingProxyType(out)
+    """A fresh {lam: P_lam} for |lam| = d.  Every node of degree <= d lies
+    below (d), so P_(d) is built last and the whole degree with it."""
+    _newton(as_partition((d,), n), rho)
+    return {lam: _newton(lam, rho)[0] for lam in enumerate_exact(n, d)}
 
 
 def _reduce(nu, lower):
@@ -295,9 +292,8 @@ def _reduce(nu, lower):
 
 
 def interpolation_polynomial(lam, rho):
-    """P_lam for the given shift vector."""
-    lam = as_partition(lam, rho.n)
-    return interpolation_basis(rho.n, sum(lam), rho)[lam]
+    """P_lam for the given shift vector, built on its down-set alone."""
+    return _newton(as_partition(lam, rho.n), rho)[0]
 
 
 def interpolate(n, d, values, rho):

@@ -959,28 +959,32 @@ def sekiguchi_image(n, mu, r, t_value=None):
     r and t_value are written over one denominator q, r = a/q and
     t_value = u/q, and the product is expanded one linear factor
     q*kappa_i + a*delta_i + u at a time (q*kappa_i + a*delta_i + q*t
-    when t stays free, by power of t), over q^n.
+    when t stays free, by power of t), over q^n.  No term is an int zero:
+    over Q(r) each would build a zero UniPoly.
     """
     delta = staircase(n)
     has_t = t_value is None
     q, nums = clear_denominators([r] if has_t else [r, t_value])
-    u = 0 if has_t else nums[1]
-    shifts = [nums[0] * d + u for d in delta]
+    terms = [([nums[0] * d] if d else []) + nums[1:] for d in delta]
     strict = {}
     for kappa in _perms(mu):
         y, sign = _sort_sign(tuple(map(add, kappa, delta)))
         if not sign:
             continue
-        coeffs = [sign]  # the product so far, by power of t
-        for k, s in zip(kappa, shifts):
-            c = q * k + s
-            if has_t:  # times c + q*t
-                coeffs = [a * c + q * b
-                          for a, b in zip(coeffs + [0], [0] + coeffs)]
-            else:
+        coeffs, low = [sign], 0  # the product so far, t^(low + i) at i
+        for k, ts in zip(kappa, terms):
+            parts = [q * k] + ts if k else ts
+            c = sum(parts[1:], parts[0]) if parts else 0
+            if not has_t:
                 coeffs[0] *= c
+            elif not c:  # times q*t
+                coeffs, low = [q * b for b in coeffs], low + 1
+            else:  # times c + q*t
+                coeffs = ([coeffs[0] * c]
+                          + [a * c + q * b for a, b in zip(coeffs[1:], coeffs)]
+                          + [q * coeffs[-1]])
         acc = strict.setdefault(y, {})
-        for p, v in enumerate(coeffs):
+        for p, v in enumerate(coeffs, low):
             u = acc.get(p)
             acc[p] = v if u is None else u + v
     rows = [(schur_expand(n, tuple(map(sub, y, delta))), list(acc.items()))

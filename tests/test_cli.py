@@ -282,7 +282,7 @@ def test_scan_solves_every_basis_before_the_pool(capsys, monkeypatch):
     real = cli._run_tasks
 
     def wrapped(fn, tasks, requested):
-        seen.extend(d for d in range(5) if (3, d, rho.key())
+        seen.extend(lam for lam in enumerate_upto(3, 4) if (rho.key(), lam)
                     in interpolation._BASIS_CACHE)
         return real(fn, tasks, requested)
 
@@ -294,13 +294,15 @@ def test_scan_solves_every_basis_before_the_pool(capsys, monkeypatch):
         code, _, _ = run(capsys, ["scan", "--n", "3", "--dmax", "4",
                                   "--workers", "1", "--output", "json"])
     finally:
+        cache.clear()
         cache.update(saved)
-    assert code == 0 and seen == [0, 1, 2, 3, 4]
+    assert code == 0 and seen == enumerate_upto(3, 4)
 
 
 def test_symbolic_checks_reuse_the_bases_scan_solved(capsys):
     # scan's pre-solve, jack_P and the symbolic checks build the symbolic
-    # staircase separately; all of them must land on one entry per degree
+    # staircase separately; all of them must land on one entry per
+    # partition
     from shifted_symfun import interpolation
     cache = interpolation._BASIS_CACHE
     saved = dict(cache)
@@ -315,7 +317,8 @@ def test_symbolic_checks_reuse_the_bases_scan_solved(capsys):
     finally:
         cache.clear()
         cache.update(saved)
-    assert code == 0 and len(solved) == 5
+    key = ShiftVector.staircase_multiple(3).key()
+    assert code == 0 and solved == {(key, lam) for lam in enumerate_upto(3, 4)}
 
 
 class FakePool:

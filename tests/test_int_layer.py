@@ -249,27 +249,32 @@ def test_to_sparse_reads_the_cleared_form_once(monkeypatch):
 
 def test_accumulators_start_from_their_first_term(monkeypatch):
     # over Q(r) a new key keeps its first numerator as it is: no UniPoly is
-    # added to the int 0, which would build a zero UniPoly in _coerce
+    # added to the int 0, which would build a zero UniPoly in _coerce; nor
+    # does the Sekiguchi image multiply one by a zero part or a zero pad
     sites = ("_imul", "translate", "__add__", "sekiguchi_image",
              "_schur_to_m")
-    seen = {site: 0 for site in sites}
+    ops = {UniPoly.__add__.__code__: sites,
+           UniPoly.__mul__.__code__: ("sekiguchi_image",)}
+    seen = {(op, site): 0 for op, names in ops.items() for site in names}
     real = UniPoly._coerce
 
     def counted(self, other):
-        caller = sys._getframe(2)
+        op, caller = sys._getframe(1).f_code, sys._getframe(2)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension
+            caller = caller.f_back
+        site = (op, caller.f_code.co_name)
         if (type(other) in (int, Fraction) and not other
-                and sys._getframe(1).f_code is UniPoly.__add__.__code__
-                and caller.f_globals is vars(sympoly)
-                and caller.f_code.co_name in seen):
-            seen[caller.f_code.co_name] += 1
+                and caller.f_globals is vars(sympoly) and site in seen):
+            seen[site] += 1
         return real(self, other)
     monkeypatch.setattr(UniPoly, "_coerce", counted)
     x0, x1 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
     p = (x0 + R) * (x1 * (R + 1) + Fraction(1, 2))
     q = p.translate((R, Fraction(1, 3))) + x0 * x1 * x1 * R
     image = sympoly.sekiguchi_image(3, (2, 1, 0), R)
+    sympoly.sekiguchi_image(3, (2, 1, 0), R / (R + 1), t_value=R)
     monkeypatch.undo()
-    assert seen == {site: 0 for site in sites}
+    assert seen == dict.fromkeys(seen, 0)
     # the same values as the route over Q at r = 2
     two = Fraction(2)
     want = ((x0 + two) * (x1 * 3 + Fraction(1, 2))).translate(

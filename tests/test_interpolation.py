@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from shifted_symfun.interpolation import (NonDominantError, ShiftVector,
                                           interpolation_basis,
                                           interpolation_polynomial,
                                           single_row, solve_linear)
-from shifted_symfun.partitions import (contains, enumerate_upto,
+from shifted_symfun.partitions import (contains, dominance_leq,
+                                       dominance_less, enumerate_upto,
                                        hook_product_lower, rho_hook_product,
                                        staircase)
 from shifted_symfun.scalars import RationalFunction
@@ -311,14 +313,14 @@ def test_cached_basis_cannot_be_mutated():
     from shifted_symfun.checks import run_check
     rho = ShiftVector.staircase_multiple(2, Fraction(1, 2))
     basis = interpolation_basis(2, 1, rho)
-    with pytest.raises(AttributeError):
-        basis.clear()
-    with pytest.raises(TypeError):
-        basis[(1, 0)] = SymPoly.one(2)
-    assert interpolation_basis(2, 1, rho) is basis
-    assert set(basis) == {(1, 0)}
-    P = interpolation_polynomial((1, 0), rho)
-    assert P is basis[(1, 0)]
+    P = basis[(1, 0)]
+    # the returned dict is the caller's own: emptying or overwriting it
+    # leaves the cache and the next call as they were
+    basis.clear()
+    basis[(1, 0)] = SymPoly.one(2)
+    again = interpolation_basis(2, 1, rho)
+    assert again is not basis and set(again) == {(1, 0)}
+    assert again[(1, 0)] is P is interpolation_polynomial((1, 0), rho)
     assert run_check("vanishing", 2, 1, r=Fraction(1, 2))["status"] == "pass"
 
 
@@ -332,22 +334,37 @@ def test_cached_polynomial_pickles_and_deep_copies():
             Q.terms[(0, 0)] = Fraction(7)
 
 
-def test_memo_miss_stores_one_entry_and_hit_none(monkeypatch):
-    from shifted_symfun import interpolation, jack
+@contextmanager
+def cold_basis_cache():
+    """The basis cache emptied for the block and restored after it."""
+    from shifted_symfun import interpolation
+    cache = interpolation._BASIS_CACHE
+    saved = dict(cache)
+    cache.clear()
+    try:
+        yield cache
+    finally:
+        cache.clear()
+        cache.update(saved)
+
+
+def test_memo_miss_stores_one_entry_and_hit_none():
+    from shifted_symfun import jack
     rho = ShiftVector.staircase_multiple(2, Fraction(5, 7))
-    # another test may have drawn this shift already: start it cold
-    for key in [k for k in interpolation._BASIS_CACHE if k[2] == rho.key()]:
-        monkeypatch.delitem(interpolation._BASIS_CACHE, key)
-    # a degree is built on the lower ones; with those cached, a miss
-    # stores its own entry only
-    interpolation_basis(2, 1, rho)
-    before = len(interpolation._BASIS_CACHE)
-    basis = interpolation_basis(2, 2, rho)
-    assert len(interpolation._BASIS_CACHE) == before + 1
-    assert interpolation_basis(2, 2, rho) is basis
-    assert interpolation_basis(2, d=2, rho=rho) is basis
-    assert interpolation_polynomial((1, 1), rho) is basis[(1, 1)]
-    assert len(interpolation._BASIS_CACHE) == before + 1
+    with cold_basis_cache() as cache:
+        # one entry per (shift key, partition); a degree is built on the
+        # lower ones, and with those cached a miss stores the entries of
+        # its own partitions only
+        interpolation_basis(2, 1, rho)
+        assert set(cache) == {(rho.key(), (0, 0)), (rho.key(), (1, 0))}
+        basis = interpolation_basis(2, 2, rho)
+        key = rho.key()
+        assert set(cache) == {(key, lam) for lam in enumerate_upto(2, 2)}
+        assert all(cache[key, lam][0] is P for lam, P in basis.items())
+        assert interpolation_basis(2, 2, rho) == basis
+        assert interpolation_basis(2, d=2, rho=rho)[(1, 1)] is basis[(1, 1)]
+        assert interpolation_polynomial((1, 1), rho) is basis[(1, 1)]
+        assert len(cache) == 4
     alpha = jack.alpha_gen() + Fraction(5, 7)
     before = len(jack._EIGEN_CACHE)
     P = jack.jack_P_eigen((2, 0), 2, alpha)
@@ -360,23 +377,48 @@ def test_memo_miss_stores_one_entry_and_hit_none(monkeypatch):
 def test_newton_reduces_each_partition_once(monkeypatch):
     from shifted_symfun import interpolation
     real = interpolation._reduce
-    degrees = []
+    reduced = []
 
     def counted(nu, lower):
-        degrees.append(sum(nu))
+        reduced.append(nu)
         return real(nu, lower)
 
     monkeypatch.setattr(interpolation, "_reduce", counted)
     rho = ShiftVector.staircase_multiple(4, 3 * R)
-    for key in [k for k in interpolation._BASIS_CACHE if k[2] == rho.key()]:
-        monkeypatch.delitem(interpolation._BASIS_CACHE, key)
-    interpolation_basis(4, 6, rho)
-    # one reduction per partition, p_4(d) at degree d, lowest degree first;
-    # no linear system is solved
-    assert [degrees.count(d) for d in range(7)] == [1, 1, 2, 3, 5, 6, 9]
-    assert degrees == sorted(degrees)
-    interpolation_basis(4, 6, rho)
-    assert len(degrees) == 27
+    nodes = enumerate_upto(4, 6)
+    with cold_basis_cache():
+        interpolation_basis(4, 6, rho)
+        # one reduction per partition, p_4(d) at degree d, each after
+        # every partition below it; no linear system is solved
+        assert sorted(reduced) == sorted(nodes)
+        degrees = [sum(nu) for nu in reduced]
+        assert [degrees.count(d) for d in range(7)] == [1, 1, 2, 3, 5, 6, 9]
+        for i, nu in enumerate(reduced):
+            assert {mu for mu in nodes if dominance_less(mu, nu)} <= set(
+                reduced[:i])
+        interpolation_basis(4, 6, rho)
+        interpolation_polynomial((3, 2, 1, 0), rho)
+    assert len(reduced) == 27
+
+
+def test_polynomial_builds_its_down_set_only(monkeypatch):
+    from shifted_symfun import interpolation
+    real = interpolation._reduce
+    reduced = []
+
+    def counted(nu, lower):
+        reduced.append(nu)
+        return real(nu, lower)
+
+    monkeypatch.setattr(interpolation, "_reduce", counted)
+    rho = ShiftVector.staircase_multiple(5)
+    lam = (4, 2, 1, 1, 0)
+    with cold_basis_cache() as cache:
+        P = interpolation_polynomial(lam, rho)
+        down = [mu for mu in enumerate_upto(5, 8) if dominance_leq(mu, lam)]
+        assert reduced == down and len(down) == 41
+        assert set(cache) == {(rho.key(), mu) for mu in down}
+        assert interpolation_basis(5, 8, rho)[lam] is P
 
 
 def test_basis_refuses_a_reduction_that_skips_the_same_degree(monkeypatch):
@@ -384,21 +426,53 @@ def test_basis_refuses_a_reduction_that_skips_the_same_degree(monkeypatch):
     lower degrees, P_(2,0,0) keeps its value at (1,1,0) + rho."""
     from shifted_symfun import interpolation, partitions
     rho = ShiftVector.staircase_multiple(3, 5 * R)
-    cache = interpolation._BASIS_CACHE
-    saved = dict(cache)
-    for key in [k for k in cache if k[2] == rho.key()]:
-        del cache[key]
     monkeypatch.setattr(
         interpolation, "dominance_less",
         lambda mu, lam: sum(mu) < sum(lam) and partitions.dominance_less(
             mu, lam))
-    try:
+    with cold_basis_cache() as cache:
         with pytest.raises(ArithmeticError,
                            match=r"P_\(2, 0, 0\).* node \(1, 1, 0\)"):
             interpolation_basis(3, 4, rho)
-    finally:
-        cache.clear()
-        cache.update(saved)
+        assert (rho.key(), (2, 0, 0)) not in cache
+
+
+def test_builder_that_drops_a_partition_below_is_refused(monkeypatch):
+    """A mutant builder whose down-set misses (1, 0, 0): P_(1,1,0),
+    reduced against P_(0,0,0) alone, keeps its value at (1,0,0) + rho."""
+    from shifted_symfun import interpolation, partitions
+    rho = ShiftVector.staircase_multiple(3, 7 * R)
+    monkeypatch.setattr(
+        interpolation, "dominance_less",
+        lambda mu, lam: mu != (1, 0, 0) and partitions.dominance_less(
+            mu, lam))
+    with cold_basis_cache():
+        with pytest.raises(ArithmeticError,
+                           match=r"P_\(1, 1, 0\).* node \(1, 0, 0\)"):
+            interpolation_polynomial((1, 1), rho)
+
+
+dominant_shifts = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.fractions(-6, 6, max_denominator=4), min_size=n, max_size=n)).map(
+        ShiftVector.generic).filter(ShiftVector.is_dominant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dominant_shifts, st.data())
+def test_down_set_build_equals_the_whole_degree(rho, data):
+    n = rho.n
+    k = data.draw(st.integers(0, n))
+    with cold_basis_cache() as cache:
+        interpolation_polynomial((1,) * k, rho)
+        # the down-set of (1^k) is {(1^j) : j <= k}
+        assert len(cache) == k + 1
+        assert set(cache) == {(rho.key(), (1,) * j + (0,) * (n - j))
+                              for j in range(k + 1)}
+    with cold_basis_cache():
+        bases = {d: interpolation_basis(n, d, rho) for d in range(6)}
+    for lam in enumerate_upto(n, 5):
+        with cold_basis_cache():
+            assert interpolation_polynomial(lam, rho) == bases[sum(lam)][lam]
 
 
 def test_memoized_function_stays_a_plain_function():
@@ -406,3 +480,5 @@ def test_memoized_function_stays_a_plain_function():
     assert inspect.isfunction(interpolation_basis)
     assert interpolation_basis.__module__ == "shifted_symfun.interpolation"
     assert interpolation_basis.__qualname__ == "interpolation_basis"
+    from shifted_symfun.interpolation import _newton
+    assert inspect.isfunction(_newton) and _newton.__qualname__ == "_newton"
