@@ -21,9 +21,9 @@ from .partitions import (as_partition, dominance_less, enumerate_exact,
                          staircase)
 from .scalars import (RationalFunction, UniPoly, _lift, binom_scalar,
                       clear_denominators, memoized, scalar_key)
-from .sympoly import (SparsePoly, SymPoly, _combine, _from_cleared,
-                      _point_row, _Row, collect_symmetric, complete_eval,
-                      elementary, factorial_monomial, falling_power)
+from .sympoly import (SparsePoly, SymPoly, _from_cleared, _point_row, _Row,
+                      _step, collect_symmetric, complete_eval, elementary,
+                      factorial_monomial, falling_power)
 
 
 class NonDominantError(ValueError):
@@ -278,17 +278,13 @@ def _reduce(nu, lower):
     """m_nu reduced against the lower (row, hook, cleared P_kappa) triples,
     as a cleared form (den, lams, nums): each step reads Q's value at
     kappa + rho off the node's row and subtracts (value / hook) * P_kappa
-    over one common multiple of the two denominators."""
-    den, lams, nums = 1, (nu,), (1,)
-    for row, hook, (pden, plams, pnums) in lower:
-        v = row.value(den, lams, nums)
+    through ``sympoly._step``."""
+    form = 1, (nu,), (1,)
+    for row, hook, P in lower:
+        v = row.value(*form)
         if v:
-            sden, (a,) = clear_denominators([-v / hook])
-            den, acc = _combine([(1, den, lams, nums),
-                                 (a, sden * pden, plams, pnums)])
-            lams = tuple(lam for lam, c in acc.items() if c)
-            nums = tuple(c for c in acc.values() if c)
-    return den, lams, nums
+            form = _step(form, -v / hook, P)
+    return form
 
 
 def interpolation_polynomial(lam, rho):

@@ -6,7 +6,7 @@ by side on purpose:
   * jack_P        -- top component of the interpolation polynomial at the
                      staircase shift, with the parameter rewritten as 1/alpha
   * jack_P_eigen  -- dominance-triangular eigenfunction of the differential
-                     determinant at t = 1, solved degree by degree
+                     determinant at t = 1, back-substituted on its images
 
 They must agree; tests compare them instead of collapsing one into the
 other.  On top of these sit the integral form (lower-hook rescaling), its
@@ -15,16 +15,16 @@ expansion, and the vertical-strip Pieri identity.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .interpolation import ShiftVector, interpolation_polynomial
-from .operators import (OperatorMatrix, apply_sekiguchi_debiard,
-                        eigenvalue_poly)
+from .operators import apply_sekiguchi_debiard
 from .partitions import (as_partition, dominance_leq, enumerate_exact,
-                         hook_product_lower, pieri_coefficient,
+                         hook_product_lower, pieri_coefficient, staircase,
                          vertical_strips)
-from .scalars import (RationalFunction, UniPoly, invert_parameter, memoized,
-                      scalar_key, substitute)
-from .sympoly import SymPoly, elementary
+from .scalars import (RationalFunction, UniPoly, _ratio, invert_parameter,
+                      memoized, scalar_key, substitute)
+from .sympoly import SymPoly, _step, elementary
 
 ALPHA = "alpha"
 
@@ -52,30 +52,34 @@ def jack_P(lam, n):
 
 @memoized(_EIGEN_CACHE, lambda n, d, alpha: (n, d, scalar_key(alpha)))
 def _eigen_basis(n, d, alpha):
-    """{lam: P_lam} for |lam| = d, from one operator matrix at t = 1.
-
-    A lam whose back-substitution meets a zero gap maps instead to the
-    partition its eigenvalue collides with.
+    """{lam: P_lam} for |lam| = d, back-substituted from c_lam = 1 on the
+    cleared images D m_mu of the Sekiguchi-Debiard operator D at t = 1:
+    c_mu = v / (eig - D_(mu,mu)), v the m_mu coefficient of the form
+    sum_kappa c_kappa * D m_kappa grown by ``sympoly._step``, and eig =
+    prod_i (lam_i + r*delta_i + 1).  A lam whose back-substitution meets
+    a zero gap maps instead to the partition its eigenvalue collides with.
     """
     r = 1 / alpha
     basis = enumerate_exact(n, d)
-    rows = OperatorMatrix.build(
-        lambda f: apply_sekiguchi_debiard(f, r, t_value=Fraction(1)),
-        n, basis, basis).rows
+    images = [apply_sekiguchi_debiard(SymPoly.basis(n, mu), r,
+                                      t_value=Fraction(1)) for mu in basis]
+    diag = [g.coefficient(mu) for mu, g in zip(basis, images)]
+    forms = [g._int_form() for g in images]
     out = {}
     for k, lam in enumerate(basis):
-        eig = sum(eigenvalue_poly(lam, r, n))  # the eigenvalue at t = 1
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
+        eig = prod(r * e + (p + 1) for p, e in zip(lam, staircase(n)))
+        form, coeffs = forms[k], [0] * k + [Fraction(1)]
         for i in range(k - 1, -1, -1):
-            gap = eig - rows[i][i]
+            gap = eig - diag[i]
             if not gap:
                 out[lam] = basis[i]
                 break
-            s = sum((rows[i][j] * coeffs[j] for j in range(i + 1, k + 1)
-                     if rows[i][j] and coeffs[j]), Fraction(0))
-            coeffs[i] = s / gap
+            v = dict(zip(*form[1:])).get(basis[i])
+            if v:
+                coeffs[i] = c = _ratio(v, form[0]) / gap
+                form = _step(form, c, forms[i])
         else:
-            out[lam] = SymPoly(n, {mu: c for mu, c in zip(basis, coeffs) if c})
+            out[lam] = SymPoly(n, dict(zip(basis, coeffs)))
     return out
 
 
@@ -85,7 +89,7 @@ def jack_P_eigen(lam, n, alpha=None):
     Works over any symbolic alpha (default: the alpha generator); the
     differential determinant is applied at t = 1, where the candidate
     eigenvalues of distinct partitions stay distinct.  Solved one degree
-    at a time: one operator matrix serves every partition of the degree.
+    at a time: one cleared image per m_mu serves every partition of it.
     """
     lam = as_partition(lam, n)
     if alpha is None:

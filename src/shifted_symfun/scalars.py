@@ -387,12 +387,6 @@ class UniPoly:
         scale = _qdiv(self.cont, m)
         return (_scaled(quo, _qdiv(scale, o.cont)), _scaled(rem, scale))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other):
         o = self._divisor(other)
         if not self.prim:
@@ -447,8 +441,9 @@ class UniPoly:
 
     def __hash__(self):
         # the stored form is unique (see the module docstring); an int and
-        # an integral Fraction content hash alike
-        return hash((self.var, self.cont, self.prim))
+        # an integral Fraction content hash alike, a constant as its value
+        return hash(self.cont if len(self.prim) <= 1
+                    else (self.var, self.cont, self.prim))
 
     def __bool__(self):
         return bool(self.prim)

@@ -748,6 +748,16 @@ def _combine(terms):
     return common, acc
 
 
+def _step(form, c, other):
+    """form + c * other for cleared forms (den, lams, nums) and a scalar c,
+    over one common multiple of the denominators and with the numerators
+    that cancel dropped: the triangular step of the Newton and Jack bases."""
+    cden, (a,) = clear_denominators([c])
+    den, acc = _combine([(1, *form), (a, cden * other[0], *other[1:])])
+    acc = {lam: v for lam, v in acc.items() if v}
+    return den, tuple(acc), tuple(acc.values())
+
+
 def _from_cleared(n, den, acc):
     """The SymPoly sum acc[lam] / den * m_lam: one scalar per nonzero
     numerator, built once."""

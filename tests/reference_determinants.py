@@ -24,7 +24,10 @@ which it sums over tableaux, are built here as bialternants, and an
 operator application as the full product of each family representative
 with the shifted input, antisymmetrized and read off its strictly
 decreasing keys as a scalar polynomial (``collect_alternating``), where
-the package reads off cleared ints.
+the package reads off cleared ints.  The Jack eigen basis is
+back-substituted here over the full Sekiguchi-Debiard matrix of a
+degree, one row sum of scalars per coefficient (``dense_eigen_basis``),
+where the package grows one cleared form per partition.
 """
 
 from fractions import Fraction
@@ -32,9 +35,11 @@ from itertools import combinations, permutations
 from math import factorial, prod
 from operator import add, sub
 
-from shifted_symfun.partitions import as_partition, staircase
-from shifted_symfun.scalars import (RationalFunction, _lift, memoized,
-                                    scalar_key)
+from shifted_symfun.operators import (OperatorMatrix, apply_sekiguchi_debiard,
+                                      eigenvalue_poly)
+from shifted_symfun.partitions import as_partition, enumerate_exact, staircase
+from shifted_symfun.scalars import (RationalFunction, UniPoly, _lift,
+                                    memoized, scalar_key)
 from shifted_symfun.sympoly import (SparsePoly, SymPoly, _make, _numerator,
                                     _r_pairs, _schur_to_m, _sign, _sort_sign,
                                     _strict, _zcoeffs, collect_symmetric,
@@ -305,7 +310,8 @@ def strict_product(a, b, k):
     block = factorial(k) * factorial(n - k)
     assert all(v % block == 0 for c in out.values() for v in _zcoeffs(c))
     return _make(n, full.has_t, full.param, full.cont,
-                 {kk: c // block for kk, c in out.items() if c})
+                 {kk: c.exact_div(block) if isinstance(c, UniPoly)
+                  else c // block for kk, c in out.items() if c})
 
 
 def apply_family(f, members, has_t):
@@ -318,3 +324,31 @@ def apply_family(f, members, has_t):
         shifted = src.translate([int(i < size) for i in range(f.n)])
         total = total + strict_product(coeff, shifted, size)
     return collect_alternating(total)
+
+
+def dense_eigen_basis(n, d, alpha):
+    """{lam: P_lam} for |lam| = d, or the partition a zero gap maps lam
+    to, from the m-basis matrix of the Sekiguchi-Debiard operator at
+    t = 1: c_lam = 1 and c_mu = sum_j D[mu][j] * c_j / (eig - D[mu][mu])
+    row by row upwards, eig the sum of the t-coefficients of
+    ``eigenvalue_poly``."""
+    r = 1 / alpha
+    basis = enumerate_exact(n, d)
+    rows = OperatorMatrix.build(
+        lambda f: apply_sekiguchi_debiard(f, r, t_value=Fraction(1)),
+        n, basis, basis).rows
+    out = {}
+    for k, lam in enumerate(basis):
+        eig = sum(eigenvalue_poly(lam, r, n))
+        coeffs = [Fraction(0)] * k + [Fraction(1)]
+        for i in range(k - 1, -1, -1):
+            gap = eig - rows[i][i]
+            if not gap:
+                out[lam] = basis[i]
+                break
+            s = sum((rows[i][j] * coeffs[j] for j in range(i + 1, k + 1)
+                     if rows[i][j] and coeffs[j]), Fraction(0))
+            coeffs[i] = s / gap
+        else:
+            out[lam] = SymPoly(n, {mu: c for mu, c in zip(basis, coeffs) if c})
+    return out

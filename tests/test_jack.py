@@ -1,21 +1,27 @@
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shifted_symfun
+from shifted_symfun import jack
 from shifted_symfun.interpolation import ShiftVector, interpolation_polynomial
 from shifted_symfun.jack import (ConjectureReport, ConjectureRow, alpha_gen,
                                  conjecture_expand, jack_J, jack_P, jack_P_at,
                                  jack_P_eigen, pieri_verify, shifted_jack_J)
-from shifted_symfun.partitions import (enumerate_upto, hook_product_lower,
-                                       pieri_coefficient)
+from shifted_symfun.partitions import (enumerate_exact, enumerate_upto,
+                                       hook_product_lower, pieri_coefficient)
 from shifted_symfun.scalars import PoleError, RationalFunction, UniPoly
 from shifted_symfun.sympoly import SymPoly, elementary
+
+from reference_determinants import dense_eigen_basis
 
 ALPHA = alpha_gen()
 
@@ -293,3 +299,62 @@ def test_eigen_collision_at_alpha_minus_one():
             jack_P_eigen((2, 0), 2, alpha=alpha)
         assert jack_P_eigen((1, 1), 2, alpha=alpha) == \
             SymPoly(2, {(1, 1): Fraction(1)})
+
+
+@contextmanager
+def cold_eigen_cache():
+    """The eigen basis cache emptied for the block and restored after
+    it, so no entry formed inside, a mutant's included, outlives it."""
+    saved = dict(jack._EIGEN_CACHE)
+    jack._EIGEN_CACHE.clear()
+    try:
+        yield
+    finally:
+        jack._EIGEN_CACHE.clear()
+        jack._EIGEN_CACHE.update(saved)
+
+
+eigen_alphas = st.one_of(
+    st.integers(-30, 30).map(lambda c: ALPHA + c),  # fresh cache keys
+    st.fractions(-4, 4, max_denominator=6).filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), eigen_alphas)
+@example(2, 2, Fraction(-1))  # (2, 0) collides with (1, 1)
+@example(4, 5, ALPHA)
+def test_eigen_basis_matches_dense_back_substitution(n, d, alpha):
+    with cold_eigen_cache():
+        assert jack._eigen_basis(n, d, alpha) == dense_eigen_basis(n, d, alpha)
+
+
+def test_eigen_basis_sums_no_row(monkeypatch):
+    # the k-th partition of a degree adds n factors of its eigenvalue
+    # (at most two sums each) and k gaps; a dense row sum adds far more
+    n, d, alpha = 4, 6, ALPHA + 13
+    calls = []
+    real = RationalFunction.__add__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    with cold_eigen_cache():
+        monkeypatch.setattr(RationalFunction, "__add__", counting)
+        monkeypatch.setattr(RationalFunction, "__radd__", counting)
+        jack._eigen_basis(n, d, alpha)
+        monkeypatch.undo()
+    m = len(enumerate_exact(n, d))
+    assert 0 < len(calls) <= sum(2 * n + k for k in range(m)) == 108
+
+
+def test_eigen_basis_needs_every_step(monkeypatch):
+    # a step that drops the update c_mu * D m_mu reads the next
+    # coefficient off D m_lam alone
+    n, d, alpha = 3, 4, ALPHA + 17
+    want = dense_eigen_basis(n, d, alpha)
+    with cold_eigen_cache():
+        assert jack._eigen_basis(n, d, alpha) == want
+    monkeypatch.setattr(jack, "_step", lambda form, c, other: form)
+    with cold_eigen_cache():
+        assert jack._eigen_basis(n, d, alpha) != want

@@ -9,7 +9,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -153,6 +153,16 @@ def test_constant_hashes_like_its_fraction(c, p):
     assert f.is_constant() and f == c
     assert hash(f) == hash(c)
     assert hash(RationalFunction.const("r", c)) == hash(c)
+
+
+@PROPS
+@given(st.one_of(rationals, st.integers(-40, 40)), nonzero_polys(3))
+@example(0, UniPoly("r", [1]))
+def test_constant_unipoly_hashes_like_its_value(c, p):
+    # equal keys find each other in a dict, zero included
+    for const in (UniPoly.const("r", c), (p * c).exact_div(p)):
+        assert const == c and hash(const) == hash(c)
+        assert {const: 1}.get(c) == 1 and {c: 1}.get(const) == 1
 
 
 @PROPS
