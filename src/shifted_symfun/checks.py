@@ -92,7 +92,7 @@ def check_unitriangular(n, dmax, r=None):
             if P.coefficient(lam) != 1:
                 return _report("unitriangular", params, _w(
                     kind="leading", lam=lam, value=P.coefficient(lam)))
-            for mu in P.terms:
+            for mu in P.form[1]:
                 if mu != lam and not dominance_less(mu, lam):
                     return _report("unitriangular", params, _w(
                         kind="dominance", lam=lam, mu=mu))

@@ -256,15 +256,14 @@ def _newton(lam, rho, rows=None):
              for kappa in takewhile(lam.__ne__, rows)
              if dominance_less(kappa, lam)}
     hook = rho_hook_product(lam, rho.entries)
-    den, lams, nums = _reduce(lam, [(row, h, P._int_form())
-                                    for P, h, row in below.values()])
+    P = _reduce(lam, [(row, h, P) for P, h, row in below.values()])
     for mu in takewhile(lambda mu: sum(mu) <= d, rows):
-        if mu not in below and rows[mu].value(den, lams, nums) != (
+        if mu not in below and rows[mu].value(*P.form) != (
                 hook if mu == lam else 0):
             raise ArithmeticError(
                 f"P_{lam}, reduced against the P_kappa below it, takes "
                 f"the wrong value at the node {mu}")
-    return _from_cleared(rho.n, den, dict(zip(lams, nums))), hook, rows[lam]
+    return P, hook, rows[lam]
 
 
 def interpolation_basis(n, d, rho):
@@ -275,16 +274,15 @@ def interpolation_basis(n, d, rho):
 
 
 def _reduce(nu, lower):
-    """m_nu reduced against the lower (row, hook, cleared P_kappa) triples,
-    as a cleared form (den, lams, nums): each step reads Q's value at
-    kappa + rho off the node's row and subtracts (value / hook) * P_kappa
-    through ``sympoly._step``."""
-    form = 1, (nu,), (1,)
+    """m_nu reduced against the lower (row, hook, P_kappa) triples: each
+    step reads Q's value at kappa + rho off the node's row and subtracts
+    (value / hook) * P_kappa through ``sympoly._step``."""
+    Q = SymPoly.basis(len(nu), nu)
     for row, hook, P in lower:
-        v = row.value(*form)
+        v = row.value(*Q.form)
         if v:
-            form = _step(form, -v / hook, P)
-    return form
+            Q = _step(Q, -v / hook, P)
+    return Q
 
 
 def interpolation_polynomial(lam, rho):
@@ -328,8 +326,8 @@ def _interp_rec(n, d, vals, rho):
     sub_rho = ShiftVector.generic([e - last for e in rho.entries[:-1]])
     sub_vals = {mu[:-1]: vals[mu] for mu in vals if mu[-1] == 0}
     g = _interp_rec(n - 1, d, sub_vals, sub_rho)
-    g_ext = SymPoly(n, {mu + (0,) * (n - len(mu)): c
-                        for mu, c in g.terms.items()})
+    den, lams, nums = g.form
+    g_ext = _from_cleared(n, den, {mu + (0,): v for mu, v in zip(lams, nums)})
     g_shift = g_ext.to_sparse().translate([last] * n)
     if d < n:
         return collect_symmetric(g_shift)
@@ -347,7 +345,7 @@ def _interp_rec(n, d, vals, rho):
             raise NonDominantError(
                 f"node {mu} makes the reduction factor vanish")
         # g_shift(pt) = g(pt - rho_n), off a row of its own: a one-off shift
-        at = _Row([x - last for x in pt]).value(*g_ext._int_form())
+        at = _Row([x - last for x in pt]).value(*g_ext.form)
         h_vals[tuple(p - 1 for p in mu)] = (vals[mu] - at) / denom
     h = _interp_rec(n, d - n, h_vals, rho)
     return collect_symmetric(g_shift + _full_column(h, last))
@@ -472,4 +470,4 @@ def single_row(d, r, n):
         if term:
             total = total + term
     result = collect_symmetric(total)
-    return result.map_coeffs(lambda c: c / lead)
+    return result * (1 / lead)

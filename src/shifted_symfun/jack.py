@@ -22,7 +22,7 @@ from .operators import apply_sekiguchi_debiard
 from .partitions import (as_partition, dominance_leq, enumerate_exact,
                          hook_product_lower, pieri_coefficient, staircase,
                          vertical_strips)
-from .scalars import (RationalFunction, UniPoly, _ratio, invert_parameter,
+from .scalars import (RationalFunction, UniPoly, invert_parameter,
                       memoized, scalar_key, substitute)
 from .sympoly import SymPoly, _step, elementary
 
@@ -54,7 +54,7 @@ def jack_P(lam, n):
 def _eigen_basis(n, d, alpha):
     """{lam: P_lam} for |lam| = d, back-substituted from c_lam = 1 on the
     cleared images D m_mu of the Sekiguchi-Debiard operator D at t = 1:
-    c_mu = v / (eig - D_(mu,mu)), v the m_mu coefficient of the form
+    c_mu = v / (eig - D_(mu,mu)), v the m_mu coefficient of
     sum_kappa c_kappa * D m_kappa grown by ``sympoly._step``, and eig =
     prod_i (lam_i + r*delta_i + 1).  A lam whose back-substitution meets
     a zero gap maps instead to the partition its eigenvalue collides with.
@@ -64,20 +64,19 @@ def _eigen_basis(n, d, alpha):
     images = [apply_sekiguchi_debiard(SymPoly.basis(n, mu), r,
                                       t_value=Fraction(1)) for mu in basis]
     diag = [g.coefficient(mu) for mu, g in zip(basis, images)]
-    forms = [g._int_form() for g in images]
     out = {}
     for k, lam in enumerate(basis):
         eig = prod(r * e + (p + 1) for p, e in zip(lam, staircase(n)))
-        form, coeffs = forms[k], [0] * k + [Fraction(1)]
+        g, coeffs = images[k], [0] * k + [Fraction(1)]
         for i in range(k - 1, -1, -1):
             gap = eig - diag[i]
             if not gap:
                 out[lam] = basis[i]
                 break
-            v = dict(zip(*form[1:])).get(basis[i])
+            v = g.coefficient(basis[i])
             if v:
-                coeffs[i] = c = _ratio(v, form[0]) / gap
-                form = _step(form, c, forms[i])
+                coeffs[i] = c = v / gap
+                g = _step(g, c, images[i])
         else:
             out[lam] = SymPoly(n, dict(zip(basis, coeffs)))
     return out

@@ -133,9 +133,9 @@ def _by_linearity(f, image):
     """sum_mu f[mu] * image(mu) as {t power: SymPoly} over the nonzero
     t powers, ascending, for image(mu) the cleared image of m_mu:
     f's cleared numerators times the images', one ``sympoly._combine``
-    per t power, with one scalar per output coefficient."""
+    per t power, each result kept as that cleared form."""
     n = f.n
-    fden, lams, nums = f._int_form()
+    fden, lams, nums = f.form
     parts = {}
     for mu, a in zip(lams, nums):
         for p, den, ilams, inums in image(mu):

@@ -5,23 +5,23 @@ Two containers share the work:
   * SparsePoly -- one scalar content times a dict of cleared numerators
     (ints over Q, integer UniPolys in r over Q(r)), keyed by exponent
     tuples with an optional slot for the generating variable t
-  * SymPoly    -- symmetric polynomials stored by partition in the m-basis
+  * SymPoly    -- symmetric polynomials by partition in the m-basis, kept
+    as the scalars or the cleared (den, lams, nums) they were built from
 
-Conversions go down via to_sparse (which reads the SymPoly's own
-cleared form) / m_expand and back up via collect_symmetric, which
-verifies symmetry instead of assuming it.  The operator images
+Conversions go down via to_sparse (which reads the SymPoly's cleared
+form) / m_expand and back up via collect_symmetric, which verifies
+symmetry instead of assuming it.  The operator images
 (``family_image``, ``sekiguchi_image``) read the quotient of an
 alternating polynomial by the Vandermonde off its strictly decreasing
-keys and stay in cleared int form.  That conversion,
-``SparsePoly.terms`` and ``_from_cleared`` (the end of a cleared linear
-combination in the m-basis, ``_combine``) are the only places where
-the numerators turn back into Fraction or RationalFunction
-coefficients.
+keys and stay in cleared int form.  SymPoly results are built from
+cleared forms (``_from_cleared``) and combined by ``_combine``; the
+numerators turn back into Fraction or RationalFunction coefficients
+only where a scalar is read (``terms``, ``coefficient``, evaluation).
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, gt, mul, sub
 from types import MappingProxyType
 
@@ -125,14 +125,6 @@ def _make(n, has_t, param, cont, ints):
     p = object.__new__(SparsePoly)
     p.n, p.has_t, p.param, p.cont, p.ints = n, has_t, param, cont, ints
     return p
-
-
-def _sym(n, clean):
-    """SymPoly from terms already canonical: partitions padded to n parts
-    as keys, nonzero Fraction or RationalFunction values."""
-    f = object.__new__(SymPoly)
-    f.n, f.terms, f._ints = n, MappingProxyType(clean), None
-    return f
 
 
 def _imul(a, b):
@@ -431,29 +423,49 @@ class SparsePoly:
 class SymPoly:
     """Symmetric polynomial in n variables, stored by partition (m-basis).
 
-    ``terms`` is a read-only view: interpolation and Jack results are
-    cached per process, and a caller must not be able to edit them.  The
-    first evaluation keeps the coefficients cleared to ints on the object
-    (``_int_form``); every other operation returns a new object.
+    It keeps the form it was built from and derives the other on first
+    read: ``form``, the cleared (den, lams, nums) of ``clear_denominators``
+    that every operation and kernel reads, or ``terms``, the read-only
+    {partition: scalar} view (results are cached per process and must
+    not be edited).  Every operation returns a new object.
     """
 
-    __slots__ = ("n", "terms", "_ints")
+    __slots__ = ("n", "_terms", "_form")
 
     def __init__(self, n, terms=None):
-        self.n = n
         clean = {}
         for key, c in (terms or {}).items():
             lam = as_partition(key, n)
             c = _lift(c)
             if c:
                 clean[lam] = c
-        self.terms = MappingProxyType(clean)
-        self._ints = None
+        self.n, self._terms, self._form = n, MappingProxyType(clean), None
 
     def __reduce__(self):
-        # a mappingproxy does not pickle; rebuild from a plain dict (the
-        # cleared form is not sent, the copy clears its own on demand)
-        return SymPoly, (self.n, dict(self.terms))
+        # a mappingproxy does not pickle: the copy is rebuilt from the form
+        den, lams, nums = self.form
+        return _from_cleared, (self.n, den, dict(zip(lams, nums)))
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only {partition: scalar} view."""
+        if self._terms is None:
+            den, lams, nums = self._form
+            self._terms = MappingProxyType(
+                {lam: _ratio(v, den) for lam, v in zip(lams, nums)})
+        return self._terms
+
+    @property
+    def form(self):
+        """(den, lams, nums) with terms[lams[i]] == nums[i] / den."""
+        if self._form is None:
+            den, nums = clear_denominators(list(self._terms.values()))
+            self._form = (den, tuple(self._terms), tuple(nums))
+        return self._form
+
+    def _support(self):
+        """The partitions with a nonzero coefficient, off the stored form."""
+        return self._terms if self._form is None else self._form[1]
 
     @classmethod
     def zero(cls, n):
@@ -468,53 +480,42 @@ class SymPoly:
         return cls(n, {as_partition(lam, n): coeff})
 
     def coefficient(self, mu):
-        return self.terms.get(as_partition(mu, self.n), Fraction(0))
+        p = as_partition(mu, self.n)
+        if self._terms is not None:
+            return self._terms.get(p, Fraction(0))
+        den, lams, nums = self._form
+        return _ratio(nums[lams.index(p)], den) if p in lams else Fraction(0)
 
     def partitions(self):
         """Support, leading partitions first (degree then lex, descending)."""
-        return sorted(self.terms, key=lambda p: (sum(p), p), reverse=True)
+        return sorted(self._support(), key=lambda p: (sum(p), p), reverse=True)
 
     def is_zero(self):
-        return not self.terms
+        return not self._support()
 
     def degree(self):
-        return max((sum(p) for p in self.terms), default=-1)
+        return max(map(sum, self._support()), default=-1)
 
     def top_component(self):
         d = self.degree()
-        return _sym(self.n, {p: c for p, c in self.terms.items()
-                             if sum(p) == d})
+        den, lams, nums = self.form
+        return _from_cleared(self.n, den, {lam: v for lam, v in zip(lams, nums)
+                                           if sum(lam) == d})
 
     def __add__(self, other):
-        if is_scalar(other) or isinstance(other, int):
-            other = SymPoly(self.n, {(0,) * self.n: _lift(other)})
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _sym(self.n, out)
+        return _step(self, 1, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _sym(self.n, {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if is_scalar(other) or isinstance(other, int):
-            return self + (-_lift(other))
-        return self + (-other)
+        return _step(self, -1, other)
 
     def __mul__(self, other):
         if is_scalar(other) or isinstance(other, int):
-            c = _lift(other)
-            if not c:
-                return SymPoly.zero(self.n)
-            return _sym(self.n, {k: c * v for k, v in self.terms.items()})
+            return _from_cleared(self.n, *_combine([_times(other, self.form)]))
         if not isinstance(other, SymPoly):
             return NotImplemented
         return collect_symmetric(self.to_sparse() * other.to_sparse())
@@ -524,23 +525,24 @@ class SymPoly:
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and (self - other).is_zero()
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._support())
 
     def map_coeffs(self, fn):
         return SymPoly(self.n, {k: fn(c) for k, c in self.terms.items()})
 
     def negate_variables(self):
         """Substitute x -> -x; each m_mu picks up (-1)^|mu|."""
-        return _sym(self.n, {k: c if sum(k) % 2 == 0 else -c
-                             for k, c in self.terms.items()})
+        den, lams, nums = self.form
+        return _from_cleared(self.n, den, {lam: -v if sum(lam) % 2 else v
+                                           for lam, v in zip(lams, nums)})
 
     def to_sparse(self, has_t=False):
-        """The SparsePoly of self over the content 1/den of ``_int_form``,
-        each orbit key carrying its partition's numerator."""
-        den, lams, nums = self._int_form()
+        """The SparsePoly of self over the content 1/den of ``form``, each
+        orbit key carrying its partition's numerator."""
+        den, lams, nums = self.form
         tail = (0,) if has_t else ()
         return _make(self.n, has_t, getattr(den, "var", None), _ratio(1, den),
                      {key + tail: num for lam, num in zip(lams, nums)
@@ -550,20 +552,10 @@ class SymPoly:
         """The value at a point, off its per-process ``_point_row``."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        return _point_row(tuple(point)).value(*self._int_form())
-
-    def _int_form(self):
-        """(den, lams, nums) with terms[lams[i]] == nums[i] / den: the
-        coefficients cleared once per object, on first use.  ``terms`` is
-        read-only, so the form cannot go stale."""
-        form = self._ints
-        if form is None:
-            den, nums = clear_denominators(list(self.terms.values()))
-            form = self._ints = (den, tuple(self.terms), tuple(nums))
-        return form
+        return _point_row(tuple(point)).value(*self.form)
 
     def __repr__(self):
-        if not self.terms:
+        if not self:
             return "SymPoly(0)"
         bits = []
         for lam in self.partitions():
@@ -748,20 +740,42 @@ def _combine(terms):
     return common, acc
 
 
-def _step(form, c, other):
-    """form + c * other for cleared forms (den, lams, nums) and a scalar c,
-    over one common multiple of the denominators and with the numerators
-    that cancel dropped: the triangular step of the Newton and Jack bases."""
+def _step(f, c, g):
+    """f + c * g for a SymPoly f, a scalar c and a SymPoly or scalar g,
+    over one common multiple of the denominators: the one sum of
+    SymPolys, and the triangular step of the Newton and Jack bases."""
+    if is_scalar(g) or isinstance(g, int):
+        g = SymPoly(f.n, {(0,) * f.n: g})
+    if f.n != g.n:
+        raise ValueError("variable counts differ")
+    return _from_cleared(f.n, *_combine([(1, *f.form), _times(c, g.form)]))
+
+
+def _times(c, form):
+    """The ``_combine`` term of c * form for a scalar c: c cleared to
+    a / cden, the weight a over the denominator cden * den."""
     cden, (a,) = clear_denominators([c])
-    den, acc = _combine([(1, *form), (a, cden * other[0], *other[1:])])
-    acc = {lam: v for lam, v in acc.items() if v}
-    return den, tuple(acc), tuple(acc.values())
+    den, lams, nums = form
+    return a, cden * den, lams, nums
 
 
 def _from_cleared(n, den, acc):
-    """The SymPoly sum acc[lam] / den * m_lam: one scalar per nonzero
-    numerator, built once."""
-    return _sym(n, {lam: _ratio(v, den) for lam, v in acc.items() if v})
+    """The SymPoly sum acc[lam] / den * m_lam, stored as that cleared
+    form with no scalar built: the zero numerators dropped, the int
+    content the others share with den divided out, and an int den made
+    a UniPoly when a numerator is one, so both live over Q(r)."""
+    acc = {lam: v for lam, v in acc.items() if v}
+    den, *nums = parts = [den if acc else 1, *acc.values()]
+    g = gcd(*(getattr(v, "cont", v) for v in parts))
+    if g != 1:
+        den, *nums = [_poly(v.var, v.cont // g, v.prim)
+                      if isinstance(v, UniPoly) else v // g for v in parts]
+    if not isinstance(den, UniPoly):
+        den = next((_poly(v.var, den, (1,)) for v in nums
+                    if isinstance(v, UniPoly)), den)
+    f = object.__new__(SymPoly)
+    f.n, f._terms, f._form = n, None, (den, tuple(acc), tuple(nums))
+    return f
 
 
 # -- constructors and conversions --------------------------------------------
@@ -794,8 +808,8 @@ def collect_symmetric(p):
                     f"coefficients differ on the orbit of x^{lam}: "
                     f"{p.coefficient(key)} at x^{key} "
                     f"vs {p.coefficient(lam)}")
-        out[lam] = p.cont * ref
-    return _sym(p.n, out)
+        out[lam] = ref
+    return _from_cleared(p.n, 1, out) * p.cont
 
 
 def _schur_to_m(strict):
@@ -1101,20 +1115,14 @@ def e_basis_expand(f):
     partition of each homogeneous piece determines the next generator
     monomial through its conjugate.
     """
-    n = f.n
-    out = {}
-    by_degree = {}
-    for lam, c in f.terms.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
-    for d, terms in sorted(by_degree.items()):
-        g = SymPoly(n, terms)
-        while not g.is_zero():
-            lead = max(g.terms, key=lambda p: (sum(p), p))
-            c = g.terms[lead]
-            nu = conjugate(lead)
-            if nu and nu[0] > n:
-                raise ValueError(f"{lead} needs more than {n} variables")
-            exps = tuple(sum(1 for p in nu if p == k) for k in range(1, n + 1))
-            out[exps] = c
-            g = g - e_monomial(n, exps) * c
+    n, g, out = f.n, f, {}
+    while not g.is_zero():
+        lead = g.partitions()[0]
+        c = g.coefficient(lead)
+        nu = conjugate(lead)
+        if nu and nu[0] > n:
+            raise ValueError(f"{lead} needs more than {n} variables")
+        exps = tuple(sum(1 for p in nu if p == k) for k in range(1, n + 1))
+        out[exps] = c
+        g = g - e_monomial(n, exps) * c
     return out

@@ -183,7 +183,7 @@ def scalar_cutoff_forms(n, members):
     of sizes 1 to n: per size and head, s_(head - delta) as a SymPoly, and
     sum c * s_(tail - delta) as a SparsePoly over the member's content
     (one numerator per partition, summed by power of r) read back through
-    its scalar ``terms`` into a SymPoly, each cleared by ``_int_form``."""
+    its scalar ``terms`` into a SymPoly, each cleared by ``form``."""
     def s_row(k, kappa):  # s_(kappa - delta) in k variables
         return schur_expand(k, tuple(map(sub, kappa, staircase(k))))
     forms = {}
@@ -195,10 +195,10 @@ def scalar_cutoff_forms(n, members):
                 ints = acc.setdefault(lam, {})
                 ints[j] = ints.get(j, 0) + k * v
         forms[size] = [
-            (SymPoly(size, dict(s_row(size, head)))._int_form(),
+            (SymPoly(size, dict(s_row(size, head))).form,
              SymPoly(m, _make(m, False, param, cont,
                               {lam: _numerator(param, d)
-                               for lam, d in acc.items()}).terms)._int_form())
+                               for lam, d in acc.items()}).terms).form)
             for head, acc in tails.items()]
     return forms
 

@@ -324,7 +324,7 @@ def cutoff_forms_read(monkeypatch, n, r):
 def test_cutoff_forms_equal_the_scalar_construction(monkeypatch, r):
     """The forms read off the members' ints take the values, of the same
     scalar type, of the forms built through SparsePoly terms, SymPoly
-    and ``_int_form``, at every node of degree <= 3: each head form at
+    and ``form``, at every node of degree <= 3: each head form at
     every index set I, each tail form at its complement."""
     for n in range(1, 6):
         rho = ShiftVector.staircase_multiple(n, r)

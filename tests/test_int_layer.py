@@ -433,7 +433,7 @@ def full_solve(n, d, rho):
     with the monomials as unknowns: the construction before Newton's."""
     nodes = enumerate_upto(n, d)
     tops = enumerate_exact(n, d)
-    A = _node_matrix(rho, nodes, [SymPoly.basis(n, nu)._int_form()
+    A = _node_matrix(rho, nodes, [SymPoly.basis(n, nu).form
                                   for nu in nodes])
     B = [[rho_hook_product(lam, rho.entries) if mu == lam else 0
           for lam in tops] for mu in nodes]
